@@ -15,7 +15,6 @@ verify the absence of new obstructions empirically.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,20 +32,11 @@ from .errors import (
 from .intervals import Interval, IntervalPoint, interval_sqrt
 from .metric import FaceFunctionals, _apex_ball_clear_of_form, certificate_for, certify_epsilon, separating_hyperplane
 from .probe import ProbeReport, probe_shell
-from .rationals import AffineForm, Vec, rat_str, vec
+from .rationals import AffineForm, Vec, dot, rat_str, rational_sqrt, solve, vec
 from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership
 
 PUSH = "push"
 PULL = "pull"
-
-
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 def snap_eps_sq(eps_sq: Fraction) -> Fraction:
@@ -199,7 +189,7 @@ class CarveUnit:
         if self.is_ball:
             v = IntervalPoint(self.outer.center)
             rho = interval_sqrt(box.dist_sq(v), bits)
-            r = _rational_sqrt(self.outer.radius_sq)
+            r = rational_sqrt(self.outer.radius_sq)
             r = Interval(r) if r is not None else interval_sqrt(
                 Interval(self.outer.radius_sq), bits
             )
@@ -325,47 +315,47 @@ def _wall_forms(unit: CarveUnit) -> list[AffineForm]:
     if unit.is_ball:
         return []
     tube = unit.inner
-    n = tube.ff.n
-    if tube.dim != n - 1:
+    delta_star = rational_sqrt(tube.eps_star_sq)
+    found = _rational_normal(tube) if delta_star is not None else None
+    if found is None:
         return []
-    delta_star = _rational_sqrt(tube.eps_star_sq)
-    if delta_star is None:
-        return []
-    # rational normal direction: orthogonal complement of the edge span
-    from .rationals import dot as _dot
-    from .lp import linear_feasible
-
-    edges = tube.geometry.edges
-    eqs = [(list(e), Fraction(0)) for e in edges]
-    # pin one coordinate to 1 to force a nonzero solution
-    normal = None
-    for k in range(n):
-        pin = [Fraction(0)] * n
-        pin[k] = Fraction(1)
-        sol = linear_feasible(n, eqs + [(pin, Fraction(1))], [])
-        if sol is not None:
-            cand = tuple(sol)
-            if all(_dot(cand, e) == 0 for e in edges):
-                normal = cand
-                break
-    if normal is None:
-        return []
-    nn = _dot(normal, normal)
-    root = _rational_sqrt(nn)
-    if root is None:
-        return []
+    normal, length = found
     forms = []
-    height = AffineForm(0, [0] * n)
+    height = AffineForm(0, [0] * tube.ff.n)
     for c, f in zip(normal, unit.diff_forms, strict=True):
         height = height + f.scale(c)
     for f_i, nsq in zip(tube.ff.forms, tube.ff.norm_sq, strict=True):
-        u_norm = _rational_sqrt(nsq)
+        u_norm = rational_sqrt(nsq)
         if u_norm is None:
             continue
-        coef = delta_star * root / u_norm
+        coef = delta_star * length / u_norm
         forms.append(height - f_i.scale(coef))
         forms.append(height + f_i.scale(coef))
     return forms
+
+
+def _rational_normal(tube: Tube) -> tuple[Vec, Fraction] | None:
+    """A normal of a codimension-1 base and its length, when both are rational.
+
+    The normal solves edge . y = 0 for every base edge together with
+    y_k = 1, for the first k where this square system is nonsingular (it is
+    singular exactly when the normal has y_k = 0).  None for other
+    codimensions and for normals of irrational length.
+    """
+    n = tube.ff.n
+    if tube.dim != n - 1:
+        return None
+    edges = [list(e) for e in tube.geometry.edges]
+    rhs = [Fraction(0)] * len(edges) + [Fraction(1)]
+    for k in range(n):
+        pin = [Fraction(int(j == k)) for j in range(n)]
+        try:
+            normal = tuple(solve(edges + [pin], rhs))
+        except ZeroDivisionError:
+            continue
+        length = rational_sqrt(dot(normal, normal))
+        return None if length is None else (normal, length)
+    return None
 
 
 class DeformationMap:
@@ -428,11 +418,10 @@ class DeformationMap:
         return self.evaluate(x, bits)
 
 
-def push_point(dmap: DeformationMap, x, bits: int = 64,
-               check_domain: bool = True) -> IntervalPoint:
+def push_point(dmap: DeformationMap, x, bits: int = 64) -> IntervalPoint:
     """Evaluate a deformation map at a rational point with a domain check."""
     x = vec(x)
-    if check_domain and dmap.direction == PUSH and not dmap.base.contains_point(x):
+    if dmap.direction == PUSH and not dmap.base.contains_point(x):
         raise OutOfDomain(f"{x} is not in the map's domain set")
     return dmap.evaluate(x, bits)
 
@@ -446,36 +435,29 @@ def _carve_tubes(
     top_ids: Sequence[int],
     prev_units: Sequence[CarveUnit],
     prev_ids: Sequence[int],
-    eps_sq: Fraction | None,
-) -> tuple[list[CarveUnit], Fraction]:
+) -> list[CarveUnit]:
     k = s.complex
     obstruction = eta(s).members
     for t in top_ids:
         if t not in obstruction:
             raise PreconditionViolated(f"simplex {t} is not an obstruction cell")
     # peers: sibling cells at the candidate eps plus previous tubes at theirs
-    if eps_sq is None:
-        candidates = []
-        for t in top_ids:
-            peers = [(o, None) for o in top_ids if o != t]
-            peers += [
-                (pid, pu.outer.eps_sq)
-                for pid, pu in zip(prev_ids, prev_units, strict=True)
-                if not pu.is_ball and _proper_peers(k, t, pid)
-            ]
-            candidates.append(certify_epsilon(k, t, peers))
-        eps_sq = snap_eps_sq(min(candidates))
+    prev_peers = {
+        t: [(pid, pu.outer.eps_sq)
+            for pid, pu in zip(prev_ids, prev_units, strict=True)
+            if not pu.is_ball and _proper_peers(k, t, pid)]
+        for t in top_ids
+    }
+    eps_sq = snap_eps_sq(min(
+        certify_epsilon(k, t, [(o, None) for o in top_ids if o != t] + prev_peers[t])
+        for t in top_ids
+    ))
     units = []
     for t in top_ids:
-        peers = [(o, eps_sq) for o in top_ids if o != t]
-        peers += [
-            (pid, pu.outer.eps_sq)
-            for pid, pu in zip(prev_ids, prev_units, strict=True)
-            if not pu.is_ball and _proper_peers(k, t, pid)
-        ]
+        peers = [(o, eps_sq) for o in top_ids if o != t] + prev_peers[t]
         cert = certificate_for(k, t, eps_sq, peers)
         units.append(CarveUnit(Tube(k.coords(t), eps_sq), cert))
-    return units, eps_sq
+    return units
 
 
 def _proper_peers(k: Complex, a: int, b: int) -> bool:
@@ -485,7 +467,7 @@ def _proper_peers(k: Complex, a: int, b: int) -> bool:
 
 
 def carve_level(
-    s: PLSet, eta_top: Sequence, eps_sq: Fraction | None = None,
+    s: PLSet, eta_top: Sequence,
     prev_units: Sequence[CarveUnit] = (), prev_ids: Sequence[int] = (),
 ) -> tuple[CarvedSet, DeformationMap, DeformationMap]:
     """Carve certified tubes around top-dimensional obstruction cells.
@@ -505,9 +487,7 @@ def carve_level(
         raise PreconditionViolated("carve_level expects cells of equal dimension")
     if dims == {0}:
         return carve_base_vertices(s, eta_top, prev_units=prev_units, prev_ids=prev_ids)
-    units, eps_sq = _carve_tubes(s, top_ids, prev_units, prev_ids, eps_sq)
-    if eps_sq is not None and not units:
-        raise CertificationFailure("no units certified")
+    units = _carve_tubes(s, top_ids, prev_units, prev_ids)
     carved = CarvedSet(s, list(prev_units) + units)
     push = DeformationMap(PUSH, [units], s)
     pull = DeformationMap(PULL, [units], s)
@@ -529,7 +509,7 @@ def _vertex_radius_conditions(
     for wid, w_rsq in peer_vertices:
         w = k.coords(wid)[0]
         gap_sq = sum((a - b) ** 2 for a, b in zip(v, w))
-        rv, rw = _rational_sqrt(r_sq), _rational_sqrt(w_rsq)
+        rv, rw = rational_sqrt(r_sq), rational_sqrt(w_rsq)
         if rv is not None and rw is not None:
             cond = (rv + rw) ** 2 < gap_sq
         else:  # pragma: no cover - radii are powers of two by policy
@@ -544,17 +524,10 @@ def _vertex_radius_conditions(
         if vid in tau.vertex_ids:
             # cone compatibility: within the ball the tube is a cone from v,
             # so the radial collar maps preserve its membership
-            geo = k.geometry(pid)
-            d_sq = None
-            idxs = list(range(len(tau.vertex_ids)))
-            v_pos = tau.vertex_ids.index(vid)
-            for size in range(1, len(idxs)):
-                for sub in itertools.combinations(idxs, size):
-                    if v_pos in sub:
-                        continue
-                    cand = geo.face_geometry(sub).dist_sq(v)
-                    d_sq = cand if d_sq is None else min(d_sq, cand)
-            cond = d_sq is not None and 4 * r_sq < d_sq
+            # (every face of tau that avoids v lies in the facet opposite v)
+            opposite = tuple(i for i, w in enumerate(tau.vertex_ids) if w != vid)
+            d_sq = k.geometry(pid).face_geometry(opposite).dist_sq(v)
+            cond = 4 * r_sq < d_sq
             records.append({"kind": "cone_compatibility", "tube": pid,
                             "lhs": rat_str(4 * r_sq), "rhs": rat_str(d_sq)})
             ok = ok and cond
@@ -586,8 +559,12 @@ def _vertex_radius_conditions(
     return ok, records
 
 
+# candidate collar radii^2, tried largest first
+_COLLAR_RADII_SQ = tuple(Fraction(1, 4 ** j) for j in range(1, 40))
+
+
 def carve_base_vertices(
-    s: PLSet, eta0: Sequence, radii: dict | None = None,
+    s: PLSet, eta0: Sequence,
     prev_units: Sequence[CarveUnit] = (), prev_ids: Sequence[int] = (),
 ) -> tuple[CarvedSet, DeformationMap, DeformationMap]:
     """Base case: radial collars around isolated obstruction vertices.
@@ -609,13 +586,9 @@ def carve_base_vertices(
     chosen: dict[int, Fraction] = {}
     certs: dict[int, list[dict]] = {}
     for v in vids:
-        if radii and v in radii:
-            candidates = [Fraction(radii[v])]
-        else:
-            candidates = [Fraction(1, 4 ** j) for j in range(1, 40)]
         peers = [(w, chosen[w]) for w in chosen]
         found = None
-        for r_sq in candidates:
+        for r_sq in _COLLAR_RADII_SQ:
             ok, recs = _vertex_radius_conditions(k, v, r_sq, peers, prev_units, prev_ids)
             if ok:
                 found = (r_sq, recs)

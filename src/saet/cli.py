@@ -1,6 +1,8 @@
 """Command line front end.
 
-Subcommands: analyze, carve, extend, eval, verify, export.
+Subcommands: analyze, carve, extend, eval, verify, export.  There are no
+global options; ``verify --precision BITS`` sets the enclosure width
+target (2^-BITS) of the invariant suite.
 Exit codes: 0 ok, 1 check failure, 2 usage error.
 """
 
@@ -12,13 +14,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .carve import appropriate_embed
+from .carve import _rational_normal, appropriate_embed
 from .complexes import closure, eta, germ_connected, is_appropriately_embedded, lc_part, local_dim, rho
 from .errors import SaetError
 from .extend import weak_extension
 from .germs import evaluate
 from .io import carved_to_dict, load_complex, load_function, load_path
-from .rationals import rat_str
+from .rationals import rat_str, rational_sqrt
 from .verify import run_and_time
 
 
@@ -83,11 +85,9 @@ def cmd_carve(args) -> int:
 
 
 def _wall_probe_points(carved, unit, count: int):
-    from .carve import _rational_sqrt
-
     pts = []
     if unit.is_ball:
-        r = _rational_sqrt(unit.inner.radius_sq)
+        r = rational_sqrt(unit.inner.radius_sq)
         if r is None:
             return pts
         c = unit.outer.center
@@ -100,50 +100,25 @@ def _wall_probe_points(carved, unit, count: int):
             if carved.closure_member(q) and not carved.member(q):
                 pts.append(q)
         return pts
-    ds = _rational_sqrt(unit.inner.eps_star_sq)
-    if ds is None:
-        return pts
+    ds = rational_sqrt(unit.inner.eps_star_sq)
     geo = unit.inner.geometry
+    if ds is None or len(geo.vertices) != 2:  # segment bases only
+        return pts
+    found = _rational_normal(unit.inner)
+    if found is None:
+        return pts
+    normal, length = found
     for i in range(count):
         t = Fraction(i + 1, count + 1)
-        foot = geo.point_at([t, 1 - t])  # segment bases only
-        if len(geo.vertices) != 2:
-            break
-        bd = geo.boundary_dist_sq(foot)
-        h = ds * _rational_sqrt(bd) if _rational_sqrt(bd) is not None else None
-        if h is None:
+        foot = geo.point_at([t, 1 - t])
+        root = rational_sqrt(geo.boundary_dist_sq(foot))
+        if root is None:
             continue
-        normal = _unit_normal(unit)
-        if normal is None:
-            continue
-        q = tuple(f + h * nr for f, nr in zip(foot, normal))
+        h = ds * root / length
+        q = tuple(f + h * c for f, c in zip(foot, normal))
         if carved.closure_member(q) and not carved.member(q):
             pts.append(q)
     return pts
-
-
-def _unit_normal(unit):
-    from .carve import _rational_sqrt
-    from .rationals import dot
-
-    tube = unit.inner
-    n = tube.ff.n
-    if tube.dim != n - 1:
-        return None
-    from .lp import linear_feasible
-
-    edges = tube.geometry.edges
-    eqs = [(list(e), Fraction(0)) for e in edges]
-    for k in range(n):
-        pin = [Fraction(0)] * n
-        pin[k] = Fraction(1)
-        sol = linear_feasible(n, eqs + [(pin, Fraction(1))], [])
-        if sol is not None and all(dot(tuple(sol), e) == 0 for e in edges):
-            nn = sum(x * x for x in sol)
-            root = _rational_sqrt(nn)
-            if root is not None:
-                return tuple(x / root for x in sol)
-    return None
 
 
 def cmd_extend(args) -> int:
@@ -237,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="saet",
         description="exact toolkit for piecewise-linear semialgebraic sets",
     )
-    p.add_argument("--precision", type=int, default=60,
-                   help="target enclosure width exponent (2^-BITS)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for sampling verifiers")
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="strata, germ data and obstruction set")
@@ -273,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("verify", help="run the invariant suite")
     pf.add_argument("suite", nargs="?", default="full")
     pf.add_argument("--out")
+    pf.add_argument("--precision", type=int, default=60,
+                    help="target enclosure width exponent (2^-BITS)")
     pf.set_defaults(fn=cmd_verify)
 
     px = sub.add_parser("export", help="write static geometry files")

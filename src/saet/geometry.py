@@ -37,11 +37,6 @@ class SimplexGeometry:
             self.gram_inv = []
         self._face_geom: dict[tuple[int, ...], SimplexGeometry] = {}
 
-    def _edge_coords(self, x: Vec) -> list[Fraction]:
-        """Coefficients t with pi(x) = base + sum t_j edges_j (least squares)."""
-        r = [dot(vsub(x, self.base), e) for e in self.edges]
-        return [sum(self.gram_inv[j][k] * r[k] for k in range(self.d)) for j in range(self.d)]
-
     def coords_and_height_sq(self, x: Vec) -> tuple[list[Fraction], Fraction]:
         """Barycentric coords of pi(x) and ||x - pi(x)||^2, without pi itself.
 

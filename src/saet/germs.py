@@ -439,7 +439,7 @@ def _bilinear_coeffs(form, c: Vec, v: Vec, q: Vec):
 
 
 def _eventual_cone_simplex(k: Complex, members, c: Vec, v: Vec, q: Vec) -> int | None:
-    """Carrier of the двумерный germ x(s, t), 0 < s << t << 1.
+    """Carrier of the two-parameter germ x(s, t), 0 < s << t << 1.
 
     Sign of A + B t + C s - B s t in the regime s << t is lexicographic:
     (A, B) first, then (C, -B).

@@ -13,14 +13,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
-from .rationals import Vec, rat
+from .rationals import Vec, rat, rational_sqrt
 
 DEFAULT_BITS = 60
-
-
-def _is_perfect_square(n: int) -> bool:
-    r = isqrt(n)
-    return r * r == n
 
 
 class Interval:
@@ -116,10 +111,9 @@ def sqrt_enclosure(x, bits: int = DEFAULT_BITS) -> Interval:
     x = rat(x)
     if x < 0:
         raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Interval(0)
-    if _is_perfect_square(x.numerator) and _is_perfect_square(x.denominator):
-        return Interval(Fraction(isqrt(x.numerator), isqrt(x.denominator)))
+    root = rational_sqrt(x)
+    if root is not None:
+        return Interval(root)
     scale = 1 << bits
     n = (x.numerator * scale * scale) // x.denominator
     r = isqrt(n)

@@ -1,8 +1,9 @@
 """Exact rational linear programming (dense two-phase simplex, Bland's rule).
 
 Small and deterministic; used for the glue validation of complexes and for
-strict separating hyperplanes.  All pivoting is exact over Fractions, so
-feasibility and optimality answers carry no tolerance.
+strict separating hyperplanes.  Tableau pivots go through
+``rationals.pivot``, exactly over Fractions, so feasibility and optimality
+answers carry no tolerance.
 """
 
 from __future__ import annotations
@@ -10,21 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import rat
+from .rationals import pivot, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-def _pivot(tableau, basis, row, col):
-    inv = 1 / tableau[row][col]
-    tableau[row] = [x * inv for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            f = tableau[r][col]
-            tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[row])]
-    basis[row] = col
 
 
 def _simplex(tableau, basis, cost):
@@ -48,7 +39,8 @@ def _simplex(tableau, basis, cost):
         if not ratios:
             return UNBOUNDED
         _, _, leave = min(ratios)  # ties broken by smallest basis index (Bland)
-        _pivot(tableau, basis, leave, enter)
+        pivot(tableau, leave, enter)
+        basis[leave] = enter
 
 
 def solve_max(
@@ -78,7 +70,8 @@ def solve_max(
         if basis[r] >= n:
             col = next((j for j in range(n) if tableau[r][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, r, col)
+                pivot(tableau, r, col)
+                basis[r] = col
     keep = [r for r in range(m) if basis[r] < n]
     tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]

@@ -166,6 +166,8 @@ def separating_hyperplane(verts1: Sequence[Vec], verts2: Sequence[Vec]) -> Hyper
 # certified epsilon selection
 
 _DECISION_BITS = (64, 128, 256, 512)
+# candidate eps^2 = 4^-1, ..., 4^-40 before certify_epsilon gives up
+_MAX_EPS_ROUNDS = 40
 
 
 def _decide_strict_less(lhs: Fraction, rhs_factory) -> bool | None:
@@ -336,7 +338,7 @@ def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:
     return out
 
 
-def certify_epsilon(k: Complex, tau, peers=(), max_rounds: int = 40) -> Fraction:
+def certify_epsilon(k: Complex, tau, peers=()) -> Fraction:
     """Certified eps^2 for the tube around tau inside its star.
 
     Guarantees (interval-certified strict inequalities): the closed tube
@@ -348,13 +350,13 @@ def certify_epsilon(k: Complex, tau, peers=(), max_rounds: int = 40) -> Fraction
     tau_id = k.id_of(tau)
     norm_peers = _normalize_peers(k, peers)
     eps_sq = Fraction(1, 4)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_EPS_ROUNDS):
         ok, _ = _check_epsilon(k, tau_id, eps_sq, norm_peers)
         if ok:
             return eps_sq
         eps_sq /= 4
     raise CertificationFailure(
-        f"no eps certified for simplex {tau_id} after {max_rounds} rounds"
+        f"no eps certified for simplex {tau_id} after {_MAX_EPS_ROUNDS} rounds"
     )
 
 

@@ -29,6 +29,8 @@ DISCONNECTED = "Disconnected"
 INCONCLUSIVE = "Inconclusive"
 
 _MIN_MEMBERS = 12
+# evenly spaced checkpoints on every segment, besides its crossing points
+_UNIFORM_CHECKPOINTS = tuple(Fraction(k, 5) for k in range(1, 5))
 
 
 def sphere_point(
@@ -67,8 +69,8 @@ class ProbeReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _checkpoints(a: Vec, b: Vec, crossing_forms, uniform: int) -> list[Fraction]:
-    ts = {Fraction(k, uniform + 1) for k in range(1, uniform + 1)}
+def _checkpoints(a: Vec, b: Vec, crossing_forms) -> list[Fraction]:
+    ts = set(_UNIFORM_CHECKPOINTS)
     for form in crossing_forms:
         fa, fb = form(a), form(b)
         if fa == fb:
@@ -87,7 +89,6 @@ def probe_shell(
     samples: int,
     rng: random.Random,
     crossing_forms: Sequence = (),
-    uniform_checkpoints: int = 4,
 ) -> ProbeReport:
     """Classify a rational sphere shell and report local germ structure."""
     center = vec(center)
@@ -135,8 +136,7 @@ def probe_shell(
 
     def try_edge(i: int, j: int) -> bool:
         nonlocal witnesses, exits
-        for t in _checkpoints(member_pts[i], member_pts[j], crossing_forms,
-                              uniform_checkpoints):
+        for t in _checkpoints(member_pts[i], member_pts[j], crossing_forms):
             q = tuple(
                 a + t * (b - a)
                 for a, b in zip(member_pts[i], member_pts[j], strict=True)

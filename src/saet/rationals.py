@@ -1,12 +1,16 @@
 """Exact rational scalars, vectors and small dense linear algebra.
 
 Everything in this module is exact: inputs and outputs are
-``fractions.Fraction`` and no operation ever rounds.
+``fractions.Fraction`` and no operation ever rounds.  It holds the one
+Gauss–Jordan step ``pivot`` of the package: ``solve``, ``invert`` and
+``rank`` reduce through it, and so does the simplex tableau of ``lp``.
+``rational_sqrt`` is the exact square root on perfect rational squares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -59,68 +63,67 @@ def dist_sq(a: Vec, b: Vec) -> Fraction:
     return norm_sq(vsub(a, b))
 
 
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Vec) -> Vec:
-    return tuple(dot(tuple(row), v) for row in m)
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss–Jordan step, in place: scale row r so that rows[r][c] == 1,
+    then clear column c from every other row."""
+    inv = 1 / rows[r][c]
+    prow = rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [x - f * y for x, y in zip(row, prow)]
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> int:
+    """Reduce rows in place to reduced row echelon form over their first
+    ncols columns, pivoting on the first nonzero entry; return the rank."""
+    rk = 0
+    for c in range(ncols):
+        if rk == len(rows):
+            break
+        p = next((i for i in range(rk, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[rk], rows[p] = rows[p], rows[rk]
+        pivot(rows, rk, c)
+        rk += 1
+    return rk
 
 
 def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly by Gaussian elimination."""
+    """Solve a square nonsingular system exactly by Gauss–Jordan elimination."""
     n = len(matrix)
     a = [list(row) + [r] for row, r in zip(matrix, rhs, strict=True)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    if _rref(a, n) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n] for row in a]
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a square nonsingular matrix."""
     n = len(matrix)
     a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if _rref(a, n) < n:
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in a]
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a list of row vectors."""
     a = [list(r) for r in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rk = 0
-    for col in range(n):
-        piv = next((r for r in range(rk, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        inv = 1 / a[rk][col]
-        a[rk] = [x * inv for x in a[rk]]
-        for r in range(m):
-            if r != rk and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    return _rref(a, len(a[0])) if a else 0
+
+
+def rational_sqrt(x: Fraction) -> Fraction | None:
+    """The exact square root of x when it is rational, else None."""
+    num, den = x.numerator, x.denominator
+    if num < 0:
+        return None
+    pn = isqrt(num)
+    if pn * pn != num:
+        return None
+    pd = isqrt(den)
+    return Fraction(pn, pd) if pd * pd == den else None
 
 
 def gram(vectors: Sequence[Vec]) -> list[list[Fraction]]:

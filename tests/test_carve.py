@@ -53,13 +53,13 @@ def test_coeffs_interval_for_eps_one_fifth():
 
 
 def test_snap_eps_makes_half_width_rational():
-    from saet.carve import _rational_sqrt
+    from saet.rationals import rational_sqrt
 
     for eps in (F(1, 4), F(1, 16), F(3, 7)):
         snapped = snap_eps_sq(eps)
         assert snapped <= eps
         half_star_sq = (snapped / 4) / (1 - snapped / 4)
-        assert _rational_sqrt(half_star_sq) is not None
+        assert rational_sqrt(half_star_sq) is not None
 
 
 def test_carve_level_fix_a(square, fix_a):
@@ -157,9 +157,9 @@ def test_carve_base_vertices_punctured(square):
         assert img.contains(x) and img.width <= F(1, 2**30)
     assert checked > 20
     # points on the r-sphere are fixed by the push map
-    from saet.carve import _rational_sqrt
+    from saet.rationals import rational_sqrt
 
-    r = _rational_sqrt(r_sq)
+    r = rational_sqrt(r_sq)
     q = (r * F(3, 5), r * F(4, 5))
     img = push.evaluate(q, bits=96)
     assert img.contains(q)
@@ -220,9 +220,9 @@ def test_probe_germ_wall_and_sphere(square, fix_a, fix_a_embedded):
     n = res.carved
     # rational wall point: |y| = (eps/2)* min(x, 1-x) with rational slope
     unit = next(u for u in n.units if not u.is_ball)
-    from saet.carve import _rational_sqrt
+    from saet.rationals import rational_sqrt
 
-    slope = _rational_sqrt(unit.inner.eps_star_sq)
+    slope = rational_sqrt(unit.inner.eps_star_sq)
     assert slope is not None
     q = (F(1, 3), slope * F(1, 3))
     rep = probe_germ(n, q, radius=F(1, 64), samples=40, seed=3)
@@ -230,7 +230,7 @@ def test_probe_germ_wall_and_sphere(square, fix_a, fix_a_embedded):
     assert rep.complement_codim_estimate == "1"
     # sphere point of a vertex collar
     ball = next(u for u in n.units if u.is_ball and u.outer.center == (1, 0))
-    r = _rational_sqrt(ball.inner.radius_sq)
+    r = rational_sqrt(ball.inner.radius_sq)
     q2 = (1 - r * F(3, 5), r * F(4, 5))
     rep2 = probe_germ(n, q2, radius=F(1, 64), samples=40, seed=4)
     assert rep2.status == CONNECTED

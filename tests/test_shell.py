@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction as F
@@ -194,6 +195,26 @@ def test_cli_verify_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_verify_precision(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["verify", "complex", "--precision", "80", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["precision_bits"] == 80
+
+
+def test_cli_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "verify"])
+    assert exc.value.code == 2
+
+
+def test_full_manifest_pinned():
+    # any change to a certificate, a check or its wording shows up here
+    text = run_suite("full").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c9ce347fb0f73a3d1fc705243ae09749487a23e3cc567145df1380eea7abe06d"
+    )
+
+
 def test_cli_extend(tmp_path, capsys):
     _write_fixtures(tmp_path)
     rc = main(
@@ -218,6 +239,20 @@ def test_cli_carve(tmp_path, capsys):
     carved = json.loads((out / "carved.json").read_text())
     assert len(carved["units"]) == 4
     assert (out / "certificates.json").exists()
+
+
+def test_cli_carve_probe_triangle_wall(tmp_path, capsys):
+    # the wedge prism cut along z = 0: the first tube has a triangle base,
+    # which has no segment wall points to probe
+    k = wedge_complex()
+    cut = PLSet(k, {i for i, s in enumerate(k.simplices)
+                    if any(k.vertices[v][2] != 0 for v in s.vertex_ids)})
+    save_complex(str(tmp_path / "cut.json"), k, cut)
+    rc = main(["carve", str(tmp_path / "cut.json"), "--out", str(tmp_path / "carved"),
+               "--probe", "2"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert [lv["dim"] for lv in summary["levels"]] == [2, 1, 0]
 
 
 def test_cli_export(tmp_path):
