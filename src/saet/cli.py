@@ -3,7 +3,8 @@
 Subcommands: analyze, carve, extend, eval, verify, export.  There are no
 global options; ``verify --precision BITS`` sets the enclosure width
 target (2^-BITS) of the invariant suite.
-Exit codes: 0 ok, 1 check failure, 2 usage error.
+Exit codes: 0 ok, 1 check failure or rejected input (one ``error:`` line on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .germs import evaluate
 from .io import carved_to_dict, load_complex, load_function, load_path
 from .rationals import rat_str, rational_sqrt
 from .verify import run_and_time
+
+# largest shell radius of a `carve --probe` wall probe
+_PROBE_RADIUS = Fraction(1, 64)
 
 
 def _load_marked(path: str):
@@ -66,25 +70,29 @@ def cmd_carve(args) -> int:
         json.dump(result.certificates, fh, indent=1, sort_keys=True)
         fh.write("\n")
     summary = {"levels": result.levels, "units": len(result.carved.units)}
+    bad = 0
     if args.probe:
         from .carve import probe_germ
         from .probe import DISCONNECTED
 
-        # probe the carved boundary at rational wall points when available
+        # probe the carved boundary at rational wall points when available;
+        # the shell stays within half the distance to the removed base
         reports = []
-        bad = 0
         for u in result.carved.units:
             pts = _wall_probe_points(result.carved, u, args.probe)
-            for i, q in enumerate(pts):
-                rep = probe_germ(result.carved, q, Fraction(1, 64), 32, seed=i)
+            for i, (q, d) in enumerate(pts):
+                radius = min(_PROBE_RADIUS, d / 2)
+                rep = probe_germ(result.carved, q, radius, 32, seed=i)
                 reports.append(rep.status)
                 bad += rep.status == DISCONNECTED
         summary["probe"] = {"statuses": reports, "disconnected": bad}
     _emit(summary, None)
-    return 0
+    return 1 if bad else 0
 
 
 def _wall_probe_points(carved, unit, count: int):
+    """Rational points on the inner wall of a carved unit, each paired with
+    its distance to the removed base (the unit's centre or segment)."""
     pts = []
     if unit.is_ball:
         r = rational_sqrt(unit.inner.radius_sq)
@@ -98,7 +106,7 @@ def _wall_probe_points(carved, unit, count: int):
             d = (r * (1 - t * t) / den, r * 2 * t / den) + (Fraction(0),) * (len(c) - 2)
             q = tuple(a + b for a, b in zip(c, d))
             if carved.closure_member(q) and not carved.member(q):
-                pts.append(q)
+                pts.append((q, r))
         return pts
     ds = rational_sqrt(unit.inner.eps_star_sq)
     geo = unit.inner.geometry
@@ -117,7 +125,7 @@ def _wall_probe_points(carved, unit, count: int):
         h = ds * root / length
         q = tuple(f + h * c for f, c in zip(foot, normal))
         if carved.closure_member(q) and not carved.member(q):
-            pts.append(q)
+            pts.append((q, ds * root))
     return pts
 
 

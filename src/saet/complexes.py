@@ -19,6 +19,37 @@ from .lp import intersection_excess
 from .rationals import Vec, affinely_independent, vec
 
 
+def bounding_box(pts: Sequence[Vec]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Closed axis-aligned bounding box of the points: (lo, hi) per axis."""
+    return tuple((min(axis), max(axis)) for axis in zip(*pts))
+
+
+def _meeting_box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, int]]:
+    """Index pairs i < j whose closed boxes meet on every axis, in the
+    order of ``combinations(range(len(boxes)), 2)``.
+
+    Sort-and-sweep on axis 0: with the boxes sorted by lower bound, the
+    scan from box i stops at the first box whose lower bound passes i's
+    upper bound, since every later one starts further right still.
+    """
+    if not boxes or not boxes[0]:  # no axes (R^0): every pair meets
+        return list(combinations(range(len(boxes)), 2))
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
+    pairs = []
+    for pos, i in enumerate(order):
+        box_i = boxes[i]
+        hi = box_i[0][1]
+        for q in range(pos + 1, len(order)):
+            j = order[q]
+            box_j = boxes[j]
+            if box_j[0][0] > hi:
+                break
+            if all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(box_i[1:], box_j[1:])):
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
 class Simplex:
     """A simplex identified by its sorted tuple of vertex ids."""
 
@@ -114,10 +145,7 @@ class Complex:
     def _bbox(self, sid: int):
         box = self._bboxes.get(sid)
         if box is None:
-            pts = self.coords(sid)
-            box = tuple(
-                (min(p[k] for p in pts), max(p[k] for p in pts)) for k in range(self.n)
-            )
+            box = bounding_box(self.coords(sid))
             self._bboxes[sid] = box
         return box
 
@@ -196,6 +224,15 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
 
     Raises DegenerateSimplex for affinely dependent vertex lists and BadGlue
     when two simplices intersect outside a common face (exact LP check).
+
+    Gluing is checked in two phases.  The broad phase sorts the tops by the
+    lower bound of their closed bounding boxes on axis 0 and sweeps, keeping
+    the pairs whose boxes meet on every axis.  The narrow phase runs the
+    exact ``intersection_excess`` LP on those pairs only, in the order of
+    ``combinations(tops, 2)``, so the first BadGlue names the same pair an
+    all-pairs check would.  Skipping a pair is exact, not a heuristic:
+    disjoint closed boxes contain disjoint closed simplices, for which the
+    LP is infeasible (None), and None is accepted.
     """
     pts = [vec(v) for v in vertices]
     if not pts:
@@ -214,7 +251,9 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
             raise DegenerateSimplex(f"{t} has affinely dependent vertices")
 
     if validate:
-        for a, b in combinations(tops, 2):
+        boxes = [bounding_box([pts[i] for i in t.vertex_ids]) for t in tops]
+        for ta, tb in _meeting_box_pairs(boxes):
+            a, b = tops[ta], tops[tb]
             shared = set(a.vertex_ids) & set(b.vertex_ids)
             ca = [pts[i] for i in a.vertex_ids]
             cb = [pts[i] for i in b.vertex_ids]

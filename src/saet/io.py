@@ -38,17 +38,30 @@ def complex_to_dict(k: Complex, marked: PLSet | None = None) -> dict:
     return data
 
 
+def _is_index(i, count: int) -> bool:
+    """An int that is not a bool, in range(count)."""
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < count
+
+
 def complex_from_dict(data: dict, validate: bool = True) -> tuple[Complex, PLSet | None]:
     try:
         vertices = [tuple(_rat_in(c) for c in v) for v in data["vertices"]]
-        tops = [tuple(int(i) for i in t) for t in data["simplices"]]
+        tops = [tuple(t) for t in data["simplices"]]
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed complex data: {e}") from None
-    k = build_complex(vertices, tops, validate=validate)
+    count = len(vertices)
+    for t in tops:
+        if not t or any(not _is_index(i, count) for i in t):
+            raise ParseError(f"simplex {json.dumps(t, default=str)} must list "
+                             f"vertex ids, ints in [0, {count})")
+    try:
+        k = build_complex(vertices, tops, validate=validate)
+    except ValueError as e:  # empty, duplicate or mixed-dimension input
+        raise ParseError(f"malformed complex data: {e}") from None
     marked = None
     if "in_M" in data:
         ids = data["in_M"]
-        if any(not isinstance(i, int) or not 0 <= i < len(k.simplices) for i in ids):
+        if not isinstance(ids, list) or any(not _is_index(i, len(k.simplices)) for i in ids):
             raise ParseError("in_M must list valid simplex ids")
         marked = PLSet(k, ids)
     return k, marked

@@ -193,6 +193,20 @@ def _random_bary(rng: random.Random, k: int, denom: int = 64) -> list[Fraction]:
     return [w / total for w in weights]
 
 
+def _box_misses(sigma_geo: SimplexGeometry, corners: Sequence[Vec]) -> bool:
+    """Exact proof that the box with these corners misses sigma, for a box
+    around a point of aff(sigma): one barycentric coordinate is negative at
+    every corner.
+
+    The coordinate (of the orthogonal projection onto aff(sigma), which is
+    the point itself on the hull) is affine, so its maximum over the box is
+    at a corner; negative there, it is negative on the whole box.  Corners
+    that are merely all outside sigma prove nothing: the box may straddle it.
+    """
+    coords = [sigma_geo.coords_and_height_sq(c)[0] for c in corners]
+    return any(all(b[k] < 0 for b in coords) for k in range(len(coords[0])))
+
+
 def slice_containment_check(
     tube: Tube,
     sigma_vertices: Sequence[Vec],
@@ -205,8 +219,10 @@ def slice_containment_check(
     The base must be a face of sigma.  For each random rational p in the
     open cofacet, the slice simplex is conv(base ∪ {apex}); by convexity it
     lies in sigma iff the apex does, so the check certifies apex-in-sigma
-    by exact tests on the corners of a refined apex enclosure.  Reports any
-    certified counterexample (used as a falsifier for uncertified eps).
+    by exact tests on the corners of a refined apex enclosure.  It reports
+    a counterexample (a falsifier for uncertified eps) only when the whole
+    enclosure provably misses sigma (see ``_box_misses``); an enclosure
+    that neither proof settles by ``max_bits`` counts as unresolved.
     """
     sigma_vertices = [vec(v) for v in sigma_vertices]
     base = set(tube.vertices)
@@ -227,13 +243,10 @@ def slice_containment_check(
         bits = 64
         while True:
             cs = cross_section(tube, p, target_width=Fraction(1, 1 << bits))
-            inside = all(sigma_geo.contains(c) for c in cs.apex.corners())
-            if inside:
+            corners = cs.apex.corners()
+            if all(sigma_geo.contains(c) for c in corners):
                 break
-            # certified outside when some barycentric coord is negative on
-            # the whole box for every corner pattern: test the box directly
-            outs = [not sigma_geo.contains(c) for c in cs.apex.corners()]
-            if all(outs) and bits >= 256:
+            if _box_misses(sigma_geo, corners):
                 counterexamples.append({"p": p, "apex_box": cs.apex})
                 break
             bits *= 2

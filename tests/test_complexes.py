@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saet import complexes
 from saet.complexes import (
     PLSet,
+    Simplex,
     barycentric_subdivide,
     build_complex,
     closure,
@@ -19,6 +22,7 @@ from saet.complexes import (
 )
 from saet.errors import BadGlue, DegenerateSimplex, NotInClosure
 from saet.fixtures import fix_a as make_fix_a
+from saet.lp import intersection_excess
 
 
 def brute_closure(s: PLSet) -> frozenset:
@@ -57,6 +61,12 @@ def test_half_edge_overlap_rejected():
             [(0, 0), (2, 0), (0, 2), (1, 0), (3, 0), (1, -2)],
             [(0, 1, 2), (3, 4, 5)],
         )
+
+
+def test_point_complex_in_r0():
+    # no axes to sweep: the single vertex of R^0 is a valid complex
+    k = build_complex([()], [(0,)])
+    assert k.n == 0 and len(k.simplices) == 1
 
 
 def test_degenerate_simplex_rejected():
@@ -180,3 +190,94 @@ def test_subdivision_preserves_eta(square, fix_a):
 def test_apex_rule(square, fix_a):
     for sid in fix_a.members:
         assert germ_connected(fix_a, sid)
+
+
+def grid_tops(n: int):
+    """The n x n unit grid, each square split along its rising diagonal."""
+    verts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
+    tops = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            tops += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    return verts, tops
+
+
+def wedge_stack_tops(prisms: int):
+    """Wedge prisms over 0 <= y <= x <= 1 stacked along z, three tetrahedra each."""
+    verts, tops = [], []
+    for z in range(prisms + 1):
+        verts += [(F(0), F(0), F(z)), (F(1), F(0), F(z)), (F(1), F(1), F(z))]
+    for lv in range(prisms):
+        a, b, c = 3 * lv, 3 * lv + 1, 3 * lv + 2
+        tops += [(a, b, c, c + 3), (a, b, b + 3, c + 3), (a, a + 3, b + 3, c + 3)]
+    return verts, tops
+
+
+def all_pairs_first_bad_glue(verts, tops):
+    """Positions and BadGlue message of the first offending pair in the
+    order of combinations(tops, 2), with one LP per pair; None if none."""
+    simplices = [Simplex(t) for t in tops]
+    for (i, a), (j, b) in combinations(enumerate(simplices), 2):
+        shared = set(a.vertex_ids) & set(b.vertex_ids)
+        excess = intersection_excess(
+            [verts[v] for v in a.vertex_ids], [verts[v] for v in b.vertex_ids],
+            [k for k, v in enumerate(a.vertex_ids) if v in shared],
+            [k for k, v in enumerate(b.vertex_ids) if v in shared],
+        )
+        if excess is not None and excess != 0:
+            return i, j, f"{a} and {b} meet outside their common face"
+    return None
+
+
+def test_broad_phase_matches_all_pairs():
+    # one vertex of a seeded grid or wedge stack moves part or all of the way
+    # to the centroid, or past it; the shuffled input order scatters spatial
+    # neighbours across the list
+    outcomes, far = set(), 0
+    for seed in range(16):
+        rng = random.Random(seed)
+        kind = "grid" if seed % 2 == 0 else "wedges"
+        verts, tops = grid_tops(3) if kind == "grid" else wedge_stack_tops(3)
+        centroid = [sum(axis) / len(verts) for axis in zip(*verts)]
+        step = F(rng.randint(1, 12), 8)
+        v = rng.randrange(len(verts))
+        verts[v] = tuple(c + step * (m - c) + F(rng.randint(-4, 4), 64)
+                         for c, m in zip(verts[v], centroid))
+        rng.shuffle(tops)
+        try:
+            build_complex(verts, tops, validate=False)
+        except (DegenerateSimplex, ValueError):
+            continue
+        expected = all_pairs_first_bad_glue(verts, tops)
+        if expected is None:
+            build_complex(verts, tops)
+            outcomes.add((kind, "accepted"))
+            continue
+        i, j, message = expected
+        with pytest.raises(BadGlue) as exc:
+            build_complex(verts, tops)
+        assert str(exc.value) == message
+        outcomes.add((kind, "rejected"))
+        far += j - i > len(tops) // 2
+    assert len(outcomes) == 4 and far
+
+
+def test_broad_phase_lp_count(monkeypatch):
+    # the narrow phase runs on exactly the pairs whose closed boxes meet,
+    # in combinations order, not on all 41 328 pairs of the 12 x 12 grid
+    verts, tops = grid_tops(12)
+    calls = []
+    monkeypatch.setattr(complexes, "intersection_excess",
+                        lambda ca, cb, ia, ib: calls.append((ca, cb)))
+    build_complex(verts, tops)
+    coords = [[verts[v] for v in Simplex(t).vertex_ids] for t in tops]
+    boxes = [[(min(axis), max(axis)) for axis in zip(*pts)] for pts in coords]
+    meeting = [
+        (coords[i], coords[j])
+        for i, j in combinations(range(len(tops)), 2)
+        if all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(boxes[i], boxes[j]))
+    ]
+    assert len(tops) * (len(tops) - 1) // 2 == 41328
+    assert calls == meeting
+    assert len(calls) == 2168

@@ -268,6 +268,57 @@ def test_cli_usage_error():
     assert exc.value.code == 2
 
 
+_TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 3]]}, id="id-out-of-range"),
+    pytest.param({"vertices": [[0, 0], [1, 0], [1, 0]], "simplices": [[0, 1]]},
+                 id="duplicate-coordinates"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 1]]}, id="duplicate-id"),
+    pytest.param({"vertices": [], "simplices": []}, id="no-vertices"),
+    pytest.param({"vertices": [[0, 0], [1, 0, 0], [0, 1]], "simplices": [[0, 1, 2]]},
+                 id="mixed-dimensions"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 2.9]]}, id="float-id"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, -1]]}, id="negative-id"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, True, 2]]}, id="bool-id"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[]]}, id="empty-simplex"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 2]], "in_M": [True]},
+                 id="bool-member"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 2]], "in_M": 3},
+                 id="members-not-a-list"),
+])
+def test_cli_rejects_malformed_complex(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"in_M": [0], **data}))
+    with pytest.raises(ParseError):
+        complex_from_dict(json.loads(path.read_text()))
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_carve_probe_cut_grid(tmp_path, capsys):
+    # the 6x6 grid minus y = 1/2: every probe shell stays clear of the cut
+    n = 6
+    verts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
+    tops = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            tops += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    k = build_complex(verts, tops, validate=False)
+    cut = PLSet(k, [sid for sid, s in enumerate(k.simplices)
+                    if any(k.vertices[v][1] != F(1, 2) for v in s.vertex_ids)])
+    save_complex(str(tmp_path / "cut.json"), k, cut)
+    rc = main(["carve", str(tmp_path / "cut.json"), "--out", str(tmp_path / "carved"),
+               "--probe", "4"])
+    probe = json.loads(capsys.readouterr().out)["probe"]
+    assert len(probe["statuses"]) == 48
+    assert probe["disconnected"] == 0 and set(probe["statuses"]) == {"Connected"}
+    assert rc == 0
+
+
 def test_cli_missing_marked_set(tmp_path, capsys):
     k = square_complex()
     save_complex(str(tmp_path / "bare.json"), k)

@@ -3,12 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from saet import tubes
 from saet.errors import InPlane, NotAFace
 from saet.fixtures import fix_t
+from saet.geometry import SimplexGeometry
+from saet.intervals import Interval, IntervalPoint
 from saet.tubes import (
     INSIDE_OPEN,
     ON_BOUNDARY,
     OUTSIDE,
+    CrossSection,
     Tube,
     VertexBall,
     ball_membership,
@@ -118,6 +122,25 @@ def test_slice_containment_falsifier():
     tube = Tube([(0, 0), (1, 0)], F(1, 2))
     rep = slice_containment_check(tube, thin, samples=40, seed=3)
     assert rep["counterexamples"]
+
+
+def test_slice_containment_straddling_box_unresolved(monkeypatch):
+    # every corner of this apex box lies outside the thin triangle, yet the
+    # box holds points of it: that is no proof, so nothing is certified
+    thin = [(0, 0), (1, 0), (F(1, 2), F(1, 20))]
+    box = IntervalPoint([Interval(F(1, 4), F(3, 4)), Interval(-1, 1)])
+    geo = SimplexGeometry(thin)
+    assert not any(geo.contains(c) for c in box.corners())
+    assert box.contains((F(1, 2), F(1, 40))) and geo.contains((F(1, 2), F(1, 40)))
+    monkeypatch.setattr(
+        tubes, "cross_section",
+        lambda tube, p, target_width: CrossSection(tube.vertices, box, Interval(1)),
+    )
+    rep = slice_containment_check(Tube([(0, 0), (1, 0)], F(1, 2)), thin, samples=5, seed=3)
+    assert rep["samples"] > 0
+    assert rep["counterexamples"] == []
+    assert rep["unresolved"] == rep["samples"]
+    assert not rep["ok"]
 
 
 def test_slice_containment_needs_face():
