@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import BadGlue, DegenerateSimplex, EmptyGerm, NotInClosure
+from .errors import BadGlue, DegenerateSimplex, NotInClosure
 from .geometry import SimplexGeometry
 from .lp import intersection_excess
 from .rationals import Vec, affinely_independent, vec
@@ -65,10 +65,9 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertex_ids) - 1
 
-    def faces(self, proper: bool = False) -> list["Simplex"]:
+    def faces(self) -> list["Simplex"]:
         out = []
-        top = len(self.vertex_ids) - (1 if proper else 0)
-        for size in range(1, top + 1):
+        for size in range(1, len(self.vertex_ids) + 1):
             out.extend(Simplex(c) for c in combinations(self.vertex_ids, size))
         return out
 
@@ -97,15 +96,20 @@ class Complex:
         self.simplices = tuple(simplices)  # canonical order: (dim, vertex_ids)
         self.index = {s.vertex_ids: i for i, s in enumerate(self.simplices)}
         self.top_ids = tuple(top_ids)
-        self._top_set = set(top_ids)
+        tops = set(self.top_ids)  # locate scans the top cells first, then the rest
+        self._scan_order = self.top_ids + tuple(
+            i for i in range(len(self.simplices) - 1, -1, -1) if i not in tops)
         self._geom: dict[int, SimplexGeometry] = {}
         self._bboxes: dict[int, tuple] = {}
-        # cofaces[i] = ids of simplices having simplex i as a (possibly equal) face
-        subsets: dict[tuple[int, ...], list[int]] = {s.vertex_ids: [] for s in self.simplices}
-        for j, s in enumerate(self.simplices):
-            for f in s.faces():
-                subsets[f.vertex_ids].append(j)
-        self.cofaces = tuple(tuple(sorted(subsets[s.vertex_ids])) for s in self.simplices)
+        # faces[j] = ids of the faces of simplex j, itself included;
+        # cofaces[i] = ids of the simplices having simplex i as such a face
+        self.faces = tuple(tuple(self.index[f.vertex_ids] for f in s.faces())
+                           for s in self.simplices)
+        cofaces = [[] for _ in self.simplices]
+        for j, ids in enumerate(self.faces):
+            for i in ids:
+                cofaces[i].append(j)
+        self.cofaces = tuple(map(tuple, cofaces))
 
     def id_of(self, simplex) -> int:
         if isinstance(simplex, int):
@@ -139,9 +143,6 @@ class Complex:
             self._geom[sid] = geo
         return geo
 
-    def face_ids(self, sid: int, proper: bool = False) -> list[int]:
-        return [self.index[f.vertex_ids] for f in self.simplices[sid].faces(proper=proper)]
-
     def _bbox(self, sid: int):
         box = self._bboxes.get(sid)
         if box is None:
@@ -154,10 +155,7 @@ class Complex:
         x = vec(x)
         # generic points land in top cells: try those first, with a cheap
         # bounding-box rejection before the exact barycentric solve
-        order = list(self.top_ids) + [
-            i for i in range(len(self.simplices) - 1, -1, -1) if i not in self._top_set
-        ]
-        for sid in order:
+        for sid in self._scan_order:
             box = self._bbox(sid)
             if any(not lo <= c <= hi for c, (lo, hi) in zip(x, box)):
                 continue
@@ -181,11 +179,12 @@ class Complex:
 class PLSet:
     """A subset of |K| given as a set of open simplices of the complex K."""
 
-    __slots__ = ("complex", "members")
+    __slots__ = ("complex", "members", "_closure")
 
     def __init__(self, complex: Complex, members: Iterable):
         self.complex = complex
         self.members = frozenset(complex.id_of(m) for m in members)
+        self._closure: PLSet | None = None  # set once by closure()
 
     def member_simplices(self) -> list[Simplex]:
         return [self.complex.simplex(i) for i in sorted(self.members)]
@@ -279,11 +278,15 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
 
 
 def closure(s: PLSet) -> PLSet:
-    """All faces of the members; idempotent and monotone."""
-    out: set[int] = set()
-    for sid in s.members:
-        out.update(s.complex.face_ids(sid))
-    return PLSet(s.complex, out)
+    """All faces of the members; idempotent and monotone.  Cached on s, but
+    not on the result, so closure(closure(s)) is computed afresh."""
+    if s._closure is None:
+        faces = s.complex.faces
+        out: set[int] = set()
+        for sid in s.members:
+            out.update(faces[sid])
+        s._closure = PLSet(s.complex, out)
+    return s._closure
 
 
 def rho(s: PLSet) -> PLSet:
@@ -299,15 +302,16 @@ def lc_part(s: PLSet) -> PLSet:
 
 
 def _star_members(s: PLSet, sid: int) -> list[int]:
-    return [c for c in s.complex.cofaces[sid] if c in s.members]
+    # a simplex lies in the closure exactly when some member has it as a face
+    star = [c for c in s.complex.cofaces[sid] if c in s.members]
+    if not star:
+        raise NotInClosure(f"simplex {sid} is not in the closure of the set")
+    return star
 
 
 def local_dim(s: PLSet, simplex) -> int:
     """max dim of member simplices having the given simplex as a face."""
-    sid = s.complex.id_of(simplex)
-    if sid not in closure(s).members:
-        raise NotInClosure(f"simplex {sid} is not in the closure of the set")
-    star = _star_members(s, sid)
+    star = _star_members(s, s.complex.id_of(simplex))
     return max(s.complex.dim_of(c) for c in star)
 
 
@@ -320,11 +324,7 @@ def germ_connected(s: PLSet, simplex) -> bool:
     simplex is a cone over the cell, so incidence captures local reach).
     """
     sid = s.complex.id_of(simplex)
-    if sid not in closure(s).members:
-        raise NotInClosure(f"simplex {sid} is not in the closure of the set")
     nodes = _star_members(s, sid)
-    if not nodes:
-        raise EmptyGerm(f"no member simplex contains simplex {sid}")
     if sid in s.members:
         return True  # the cell itself is an apex node, a face of every node
     verts = {c: set(s.complex.simplex(c).vertex_ids) for c in nodes}

@@ -17,10 +17,6 @@ class NotInClosure(SaetError):
     """Queried simplex is not a face of any member simplex."""
 
 
-class EmptyGerm(SaetError):
-    """No member simplex exists in the star of the queried simplex."""
-
-
 class NotCommonFace(SaetError):
     """The two simplices do not intersect in a common face."""
 

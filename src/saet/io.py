@@ -58,6 +58,10 @@ def complex_from_dict(data: dict, validate: bool = True) -> tuple[Complex, PLSet
         k = build_complex(vertices, tops, validate=validate)
     except ValueError as e:  # empty, duplicate or mixed-dimension input
         raise ParseError(f"malformed complex data: {e}") from None
+    n = data.get("n", k.n)
+    if not isinstance(n, int) or isinstance(n, bool) or n != k.n:
+        raise ParseError(f"declared dimension n = {json.dumps(n)} does not match "
+                         f"the {k.n}-dimensional vertices")
     marked = None
     if "in_M" in data:
         ids = data["in_M"]

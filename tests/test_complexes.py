@@ -281,3 +281,109 @@ def test_broad_phase_lp_count(monkeypatch):
     assert len(tops) * (len(tops) - 1) // 2 == 41328
     assert calls == meeting
     assert len(calls) == 2168
+
+
+def brute_star(s: PLSet, sid: int) -> list[int]:
+    # members having the simplex as a face, by vertex-subset test
+    ids = set(s.complex.simplex(sid).vertex_ids)
+    return [c for c in s.members if ids <= set(s.complex.simplex(c).vertex_ids)]
+
+
+def brute_germ_connected(s: PLSet, sid: int) -> bool:
+    # face-incidence graph on the star; a member cell joins every node itself
+    nodes = brute_star(s, sid)
+    verts = {c: set(s.complex.simplex(c).vertex_ids) for c in nodes}
+    seen, queue = {nodes[0]}, [nodes[0]]
+    while queue:
+        a = queue.pop()
+        for b in nodes:
+            if b not in seen and (verts[a] <= verts[b] or verts[b] <= verts[a]):
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == len(nodes)
+
+
+def brute_eta(s: PLSet) -> frozenset:
+    k = s.complex
+    boundary = PLSet(k, brute_closure(s) - s.members)
+    out = set()
+    for sid in boundary.members:
+        d_in = max(k.dim_of(c) for c in brute_star(s, sid))
+        d_out = max(k.dim_of(c) for c in brute_star(boundary, sid))
+        if d_out < d_in - 1 or not brute_germ_connected(s, sid):
+            out.add(sid)
+    return frozenset(out)
+
+
+def test_germ_calculus_matches_brute_oracle():
+    # seeded random marked sets on small grids and wedge stacks: a random
+    # subset of the cells, or the top cells plus random lower cells
+    seen_rho = seen_eta = seen_outside = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        if seed % 2 == 0:
+            verts, tops = grid_tops(3 + seed // 2 % 3)
+        else:
+            verts, tops = wedge_stack_tops(2 + seed // 2 % 3)
+        k = build_complex(verts, tops, validate=False)
+        if seed % 3 == 0:
+            lower = [i for i in range(len(k.simplices)) if i not in k.top_ids]
+            members = list(k.top_ids) + rng.sample(lower, rng.randint(1, len(lower) // 4))
+        else:
+            members = rng.sample(range(len(k.simplices)), rng.randint(1, len(k.simplices) // 2))
+        s = PLSet(k, members)
+        expected = brute_closure(s)
+        cl = closure(s)
+        assert cl.members == expected and closure(s) is cl
+        # the closure's own cache starts empty: this recomputes, it does not echo cl
+        again = closure(cl)
+        assert again is not cl and again.members == expected
+        assert rho(s).members == brute_rho(s)
+        assert eta(s).members == brute_eta(s)
+        for sid in range(len(k.simplices)):
+            if sid in expected:
+                star = brute_star(s, sid)
+                assert local_dim(s, sid) == max(k.dim_of(c) for c in star)
+                assert germ_connected(s, sid) == brute_germ_connected(s, sid)
+                continue
+            with pytest.raises(NotInClosure):
+                local_dim(s, sid)
+            with pytest.raises(NotInClosure):
+                germ_connected(s, sid)
+            seen_outside += 1
+        seen_rho += bool(brute_rho(s))
+        seen_eta += bool(brute_eta(s))
+    assert seen_rho and seen_eta and seen_outside
+
+
+def test_germ_queries_do_not_rebuild_the_closure(monkeypatch):
+    # on the 12 x 12 grid minus y = 1/2, the per-cell germ queries read the
+    # star only, and eta and weak_extension each take the closure at most
+    # twice, however large the grid
+    from saet import extend
+    from saet.fixtures import interpolated_pl_function
+
+    verts, tops = grid_tops(12)
+    k = build_complex(verts, tops, validate=False)
+    m = PLSet(k, [sid for sid, s in enumerate(k.simplices)
+                  if any(k.vertices[v][1] != F(1, 2) for v in s.vertex_ids)])
+    f = interpolated_pl_function(m, {v: p[0] for v, p in enumerate(k.vertices)})
+    boundary = sorted(brute_closure(m) - m.members)
+    assert len(boundary) == 25
+    original, calls = complexes.closure, []
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(complexes, "closure", counting)
+    monkeypatch.setattr(extend, "closure", counting)
+    for sid in boundary:
+        germ_connected(m, sid)
+        local_dim(m, sid)
+    assert not calls
+    eta(m)
+    assert len(calls) <= 2
+    calls.clear()
+    extend.weak_extension(f)
+    assert len(calls) <= 2

@@ -287,6 +287,9 @@ _TRIANGLE = [[0, 0], [1, 0], [0, 1]]
                  id="bool-member"),
     pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 2]], "in_M": 3},
                  id="members-not-a-list"),
+    pytest.param({"n": 3, "vertices": _TRIANGLE, "simplices": [[0, 1, 2]]}, id="wrong-n"),
+    pytest.param({"n": True, "vertices": _TRIANGLE, "simplices": [[0, 1, 2]]}, id="bool-n"),
+    pytest.param({"n": "2", "vertices": _TRIANGLE, "simplices": [[0, 1, 2]]}, id="string-n"),
 ])
 def test_cli_rejects_malformed_complex(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
