@@ -24,13 +24,19 @@ from typing import Sequence
 from .complexes import Complex, PLSet, closure, eta
 from .errors import (
     BadOrder,
-    CertificationFailure,
     OutOfDomain,
     PreconditionViolated,
     RecursionDepthExceeded,
 )
 from .intervals import Interval, IntervalPoint, interval_sqrt
-from .metric import FaceFunctionals, _apex_ball_clear_of_form, certificate_for, certify_epsilon, separating_hyperplane
+from .metric import (
+    FaceFunctionals,
+    _Conditions,
+    _first_certified,
+    certificate_for,
+    certify_epsilon,
+    _proper_peers,
+)
 from .probe import ProbeReport, probe_shell
 from .rationals import AffineForm, Vec, dot, rat_str, rational_sqrt, solve, vec
 from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership
@@ -442,28 +448,17 @@ def _carve_tubes(
         if t not in obstruction:
             raise PreconditionViolated(f"simplex {t} is not an obstruction cell")
     # peers: sibling cells at the candidate eps plus previous tubes at theirs
-    prev_peers = {
-        t: [(pid, pu.outer.eps_sq)
-            for pid, pu in zip(prev_ids, prev_units, strict=True)
-            if not pu.is_ball and _proper_peers(k, t, pid)]
+    peers = {
+        t: [o for o in top_ids if o != t]
+        + [(pid, pu.outer.eps_sq) for pid, pu in zip(prev_ids, prev_units, strict=True)
+           if not pu.is_ball and _proper_peers(k, t, pid)]
         for t in top_ids
     }
-    eps_sq = snap_eps_sq(min(
-        certify_epsilon(k, t, [(o, None) for o in top_ids if o != t] + prev_peers[t])
+    eps_sq = snap_eps_sq(min(certify_epsilon(k, t, peers[t]) for t in top_ids))
+    return [
+        CarveUnit(Tube(k.coords(t), eps_sq), certificate_for(k, t, eps_sq, peers[t]))
         for t in top_ids
-    ))
-    units = []
-    for t in top_ids:
-        peers = [(o, eps_sq) for o in top_ids if o != t] + prev_peers[t]
-        cert = certificate_for(k, t, eps_sq, peers)
-        units.append(CarveUnit(Tube(k.coords(t), eps_sq), cert))
-    return units
-
-
-def _proper_peers(k: Complex, a: int, b: int) -> bool:
-    va = set(k.simplex(a).vertex_ids)
-    vb = set(k.simplex(b).vertex_ids)
-    return not (va <= vb or vb <= va)
+    ]
 
 
 def carve_level(
@@ -494,73 +489,72 @@ def carve_level(
     return carved, push, pull
 
 
-def _vertex_radius_conditions(
-    k: Complex, vid: int, r_sq: Fraction,
-    peer_vertices: Sequence[tuple[int, Fraction]],
+def _collar_conditions(
+    k: Complex, vid: int, peer_balls: Sequence[tuple[int, Fraction]],
     prev_units: Sequence[CarveUnit], prev_ids: Sequence[int],
-) -> tuple[bool, list[dict]]:
-    from .metric import _check_epsilon
+):
+    """The conditions on a collar around vertex vid, built once.
 
-    v = k.coords(vid)[0]
-    records: list[dict] = []
-    ok, recs = _check_epsilon(k, vid, r_sq, [])  # star clearance, exact
-    records.extend(recs)
+    Returns check(r_sq) -> (ok, records): the star clearance (exact), the
+    disjointness from the earlier balls ``peer_balls`` ((vertex id, r^2)
+    pairs), and for each earlier tube its cone compatibility when its base
+    has vertex vid, or else the separation from it.
+    """
+    star = _Conditions(k, vid)
+    v = star.base
+    # every candidate r^2 is a power of 1/4, so the radii are rational
+    balls = [(wid, rational_sqrt(w_rsq), sum((a - b) ** 2 for a, b in zip(v, k.coords(wid)[0])))
+             for wid, w_rsq in peer_balls]
+    tubes = [
+        _cone_compatibility(k, vid, pid, pu.outer) if vid in k.simplex(pid).vertex_ids
+        else star.separation(pid, pu.outer.eps_sq)
+        for pid, pu in zip(prev_ids, prev_units, strict=True) if not pu.is_ball
+    ]
 
-    for wid, w_rsq in peer_vertices:
-        w = k.coords(wid)[0]
-        gap_sq = sum((a - b) ** 2 for a, b in zip(v, w))
-        rv, rw = rational_sqrt(r_sq), rational_sqrt(w_rsq)
-        if rv is not None and rw is not None:
-            cond = (rv + rw) ** 2 < gap_sq
-        else:  # pragma: no cover - radii are powers of two by policy
-            cond = 4 * max(r_sq, w_rsq) < gap_sq
-        records.append({"kind": "ball_disjointness", "peer": wid, "ok": cond})
-        ok = ok and cond
-
-    for pid, pu in zip(prev_ids, prev_units, strict=True):
-        if pu.is_ball:
-            continue
-        tau = k.simplex(pid)
-        if vid in tau.vertex_ids:
-            # cone compatibility: within the ball the tube is a cone from v,
-            # so the radial collar maps preserve its membership
-            # (every face of tau that avoids v lies in the facet opposite v)
-            opposite = tuple(i for i, w in enumerate(tau.vertex_ids) if w != vid)
-            d_sq = k.geometry(pid).face_geometry(opposite).dist_sq(v)
-            cond = 4 * r_sq < d_sq
-            records.append({"kind": "cone_compatibility", "tube": pid,
-                            "lhs": rat_str(4 * r_sq), "rhs": rat_str(d_sq)})
+    def check(r_sq: Fraction) -> tuple[bool, list[dict]]:
+        ok, records = star.check(r_sq)
+        r = rational_sqrt(r_sq)
+        for wid, rw, gap_sq in balls:
+            cond = (r + rw) ** 2 < gap_sq
+            records.append({"kind": "ball_disjointness", "peer": wid, "ok": cond})
             ok = ok and cond
-            # facets of tau away from v stay inactive inside the ball
-            ff = pu.outer.ff
-            ess = pu.outer.eps_star_sq
-            for f, nsq in zip(ff.forms, ff.norm_sq, strict=True):
-                fv = f(v)
-                if fv == 0:
-                    continue
-                # need eps* (f(v) - ||u|| r) > ||u|| r, squared conservatively
-                lhs = Interval(r_sq) * nsq
-                rv = interval_sqrt(Interval(r_sq), 64)
-                un = interval_sqrt(Interval(nsq), 64)
-                margin = Interval(fv) - un * rv
-                cond2 = margin.lo > 0 and (
-                    (margin.square() * ess).lo > (Interval(r_sq) * nsq).hi
-                )
-                records.append({"kind": "facet_domination", "tube": pid, "ok": bool(cond2)})
-                ok = ok and cond2
-        else:
-            h = separating_hyperplane(k.coords(vid), k.coords(pid))
-            ok1, rec1 = _apex_ball_clear_of_form(k.coords(vid), r_sq, h.form, side=-1)
-            ok2, rec2 = _apex_ball_clear_of_form(
-                k.coords(pid), pu.outer.eps_sq, h.form, side=+1
-            )
-            records.extend((rec1, rec2))
-            ok = ok and (ok1 is True) and (ok2 is True)
-    return ok, records
+        for tube_check in tubes:
+            tube_ok, tube_records = tube_check(r_sq)
+            ok = ok and tube_ok
+            records.extend(tube_records)
+        return ok, records
+
+    return check
 
 
-# candidate collar radii^2, tried largest first
-_COLLAR_RADII_SQ = tuple(Fraction(1, 4 ** j) for j in range(1, 40))
+def _cone_compatibility(k: Complex, vid: int, pid: int, tube: Tube):
+    """Within the ball the tube is a cone from v, so the radial collar maps
+    preserve its membership (every face of its base that avoids v lies in
+    the facet opposite v), and the base's facets away from v stay inactive
+    inside the ball."""
+    v = k.coords(vid)[0]
+    opposite = tuple(i for i, w in enumerate(k.simplex(pid).vertex_ids) if w != vid)
+    d_sq = k.geometry(pid).face_geometry(opposite).dist_sq(v)
+    facets = [
+        (fv, nsq, interval_sqrt(Interval(nsq), 64))
+        for f, nsq in zip(tube.ff.forms, tube.ff.norm_sq, strict=True)
+        if (fv := f(v)) != 0
+    ]
+
+    def check(r_sq: Fraction) -> tuple[bool, list[dict]]:
+        ok = 4 * r_sq < d_sq
+        records = [{"kind": "cone_compatibility", "tube": pid,
+                    "lhs": rat_str(4 * r_sq), "rhs": rat_str(d_sq)}]
+        rv = interval_sqrt(Interval(r_sq), 64)
+        for fv, nsq, un in facets:
+            # need eps* (f(v) - ||u|| r) > ||u|| r, squared conservatively
+            margin = Interval(fv) - un * rv
+            cond = margin.lo > 0 and (margin.square() * tube.eps_star_sq).lo > r_sq * nsq
+            records.append({"kind": "facet_domination", "tube": pid, "ok": cond})
+            ok = ok and cond
+        return ok, records
+
+    return check
 
 
 def carve_base_vertices(
@@ -586,16 +580,8 @@ def carve_base_vertices(
     chosen: dict[int, Fraction] = {}
     certs: dict[int, list[dict]] = {}
     for v in vids:
-        peers = [(w, chosen[w]) for w in chosen]
-        found = None
-        for r_sq in _COLLAR_RADII_SQ:
-            ok, recs = _vertex_radius_conditions(k, v, r_sq, peers, prev_units, prev_ids)
-            if ok:
-                found = (r_sq, recs)
-                break
-        if found is None:
-            raise CertificationFailure(f"no collar radius certified for vertex {v}")
-        chosen[v], certs[v] = found
+        check = _collar_conditions(k, v, list(chosen.items()), prev_units, prev_ids)
+        chosen[v], certs[v] = _first_certified(check, f"no collar radius certified for vertex {v}")
     units = [
         CarveUnit(VertexBall(k.coords(v)[0], chosen[v]), certs[v]) for v in vids
     ]

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .carve import _rational_normal, appropriate_embed
+from .carve import _rational_normal, appropriate_embed, carve_level
 from .complexes import closure, eta, germ_connected, is_appropriately_embedded, lc_part, local_dim, rho
 from .errors import SaetError
 from .extend import weak_extension
@@ -185,16 +185,13 @@ def cmd_export(args) -> int:
     if args.what == "mesh":
         export_mesh(k, m, args.out, fmt=args.format)
     elif args.what == "tubes":
-        from .metric import certify_epsilon
-        from .tubes import Tube
-
+        # the first unit the carve certifies: a tube, or a ball around a vertex
         e = eta(m)
         if not e.members:
             raise SaetError("no obstruction cells to build tubes on")
         d = max(k.dim_of(t) for t in e.members)
-        tops = [t for t in sorted(e.members) if k.dim_of(t) == d]
-        eps = min(certify_epsilon(k, t, peers=[o for o in tops if o != t]) for t in tops)
-        export_tube(Tube(k.coords(tops[0]), eps), args.out, resolution=args.resolution)
+        carved, _, _ = carve_level(m, [t for t in sorted(e.members) if k.dim_of(t) == d])
+        export_tube(carved.units[0].outer, args.out, resolution=args.resolution)
     elif args.what == "carved":
         result = appropriate_embed(m)
         export_carved(result.carved, args.out, resolution=args.resolution)

@@ -12,14 +12,13 @@ comparison can be cleared of square roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
-from .complexes import Complex, Simplex
+from .complexes import Complex
 from .errors import CertificationFailure, DegenerateSimplex, NotCommonFace, PreconditionViolated
 from .intervals import Interval, IntervalPoint, combination, sqrt_enclosure
 from .lp import intersection_excess, linear_feasible
-from .rationals import AffineForm, Vec, dot, rat_str, vec, vsub
+from .rationals import AffineForm, Vec, dot, rat_str, vec
 
 
 class FaceFunctionals:
@@ -166,8 +165,8 @@ def separating_hyperplane(verts1: Sequence[Vec], verts2: Sequence[Vec]) -> Hyper
 # certified epsilon selection
 
 _DECISION_BITS = (64, 128, 256, 512)
-# candidate eps^2 = 4^-1, ..., 4^-40 before certify_epsilon gives up
-_MAX_EPS_ROUNDS = 40
+# a tube's eps^2, or a collar's r^2, is the first of these that is certified
+_EPS_SQ_CANDIDATES = tuple(Fraction(1, 4**j) for j in range(1, 41))
 
 
 def _decide_strict_less(lhs: Fraction, rhs_factory) -> bool | None:
@@ -181,161 +180,166 @@ def _decide_strict_less(lhs: Fraction, rhs_factory) -> bool | None:
     return None
 
 
-def _weighted_vertex_sum(ff: FaceFunctionals, form: AffineForm, bits: int) -> Interval:
-    """Enclosure of sum_i ||u_i|| * form(v_i) over the simplex vertices."""
-    acc = Interval(0)
-    for q, v in zip(ff.norm_sq, ff.vertices, strict=True):
-        acc = acc + sqrt_enclosure(q, bits) * form(v)
-    return acc
+def _base(verts: Sequence[Vec]) -> Vec | FaceFunctionals:
+    """A vertex as its point, a simplex of dimension >= 1 as its facet forms."""
+    return verts[0] if len(verts) == 1 else FaceFunctionals(verts)
 
 
-def _apex_ball_clear_of_form(
-    verts: Sequence[Vec], eps_sq: Fraction, form: AffineForm, side: int
-) -> tuple[bool | None, dict]:
-    """Certify that the apex ball of the eps-tube stays strictly on one side.
+class _Clearance:
+    """The eps-neighbourhood of a base keeps ``form`` strictly nonzero.
 
-    ``side`` is +1 or -1: the sign the form must keep on the ball.  For a
-    vertex simplex the ball is B(v, eps) directly and the test is exact.
-    The tube condition with the inradius scale cancels: the requirement is
-    (eps*)^2 ||grad form||^2 < (sum_i ||u_i|| form(v_i))^2 with the correct
-    sign of the weighted sum.
+    A vertex base v has the ball B(v, eps), and the test
+    eps^2 q < form(v)^2 is exact.  A simplex base (its FaceFunctionals) has
+    the tube's apex balls; the inradius scale cancels, and the test reads
+    (eps*)^2 q < (sum_i ||u_i|| form(v_i))^2.  ``q`` is the squared
+    gradient norm that goes with the form.  With ``side`` +1 or -1 the form
+    must also keep that sign.  Only eps varies between tests: the sign is
+    decided here, and the weighted sum is enclosed once per precision.
     """
-    grad_sq = dot(form.c, form.c)
-    if len(verts) == 1:
-        val = form(verts[0])
-        ok = (val * side > 0) and (eps_sq * grad_sq < val * val)
-        record = {
-            "kind": "vertex_ball_clearance",
-            "radius_sq": rat_str(eps_sq),
-            "grad_sq": rat_str(grad_sq),
-            "value": rat_str(val),
-            "side": side,
+
+    def __init__(self, base: Vec | FaceFunctionals, form: AffineForm, q: Fraction, side: int = 0):
+        self.form, self.q, self.side = form, q, side
+        self.ff = base if isinstance(base, FaceFunctionals) else None
+        if self.ff is None:
+            self.value = form(base)
+            self.sign_ok = not side or self.value * side > 0
+        else:
+            self._sums: dict[int, Interval] = {}
+            self.sign_ok = not side or _decide_strict_less(
+                Fraction(0), lambda bits: self._sum(bits) * side
+            ) is True
+
+    def _sum(self, bits: int) -> Interval:
+        """Enclosure of sum_i ||u_i|| form(v_i) over the simplex vertices."""
+        if bits not in self._sums:
+            acc = Interval(0)
+            for q, v in zip(self.ff.norm_sq, self.ff.vertices, strict=True):
+                acc = acc + sqrt_enclosure(q, bits) * self.form(v)
+            self._sums[bits] = acc
+        return self._sums[bits]
+
+    def test(self, eps_sq: Fraction) -> tuple[bool, Fraction]:
+        """Whether the test is certified at eps^2, and its left side."""
+        if self.ff is None:
+            lhs = eps_sq * self.q
+            return self.sign_ok and lhs < self.value * self.value, lhs
+        lhs = eps_sq / (1 - eps_sq) * self.q
+        less = _decide_strict_less(lhs, lambda bits: self._sum(bits).square())
+        return self.sign_ok and less is True, lhs
+
+    def record(self, eps_sq: Fraction, lhs: Fraction) -> dict:
+        if self.ff is None:
+            return {
+                "kind": "vertex_ball_clearance",
+                "radius_sq": rat_str(eps_sq),
+                "grad_sq": rat_str(self.q),
+                "value": rat_str(self.value),
+                "side": self.side,
+            }
+        return {
+            "kind": "apex_ball_clearance",
+            "eps_sq": rat_str(eps_sq),
+            "lhs_eps_star_sq_grad_sq": rat_str(lhs),
+            "side": self.side,
         }
-        return ok, record
-    ff = FaceFunctionals(verts)
-    eps_star_sq = eps_sq / (1 - eps_sq)
-    lhs = eps_star_sq * grad_sq
-
-    def rhs(bits):
-        return _weighted_vertex_sum(ff, form, bits).square()
-
-    def sign_ok(bits):
-        s = _weighted_vertex_sum(ff, form, bits)
-        if side > 0 and s.lo > 0:
-            return True
-        if side < 0 and s.hi < 0:
-            return True
-        if side > 0 and s.hi <= 0:
-            return False
-        if side < 0 and s.lo >= 0:
-            return False
-        return None
-
-    sign_res = next((r for b in _DECISION_BITS if (r := sign_ok(b)) is not None), None)
-    less_res = _decide_strict_less(lhs, rhs)
-    record = {
-        "kind": "apex_ball_clearance",
-        "eps_sq": rat_str(eps_sq),
-        "lhs_eps_star_sq_grad_sq": rat_str(lhs),
-        "side": side,
-    }
-    if sign_res is None or less_res is None:
-        return None, record
-    return (sign_res and less_res), record
 
 
-def _face_clearance_conditions(k: Complex, tau_id: int):
-    """All (coface, opposite-vertex-form) pairs whose hyperplane the apex
-    ball must avoid: facets of star simplices that do not contain tau."""
-    tau = k.simplex(tau_id)
-    out = []
-    for sid in k.cofaces[tau_id]:
-        sigma = k.simplex(sid)
-        if sigma.dim < 1:
-            continue
-        ff = FaceFunctionals(k.coords(sid))
-        for i, vid in enumerate(sigma.vertex_ids):
-            # facet opposite vertex i contains tau iff tau avoids vertex i
-            if vid in tau.vertex_ids:
-                out.append((sid, i, ff))
-    return out
+def _proper_peers(k: Complex, a: int, b: int) -> bool:
+    """Whether simplices a and b meet in a proper common face of both (or not at all)."""
+    va, vb = set(k.simplex(a).vertex_ids), set(k.simplex(b).vertex_ids)
+    return not (va <= vb or vb <= va)
 
 
-def _check_epsilon(
-    k: Complex,
-    tau_id: int,
-    eps_sq: Fraction,
-    peers: Sequence[tuple[int, Fraction | None]],
-) -> tuple[bool, list[dict]]:
-    tau_verts = list(k.coords(tau_id))
-    records: list[dict] = []
-    ok_all = True
+class _Conditions:
+    """The certificate conditions of a neighbourhood of tau, built once.
 
-    face_conditions = _face_clearance_conditions(k, tau_id)
-    if len(tau_verts) == 1:
-        v = tau_verts[0]
-        for sid, i, ff in face_conditions:
-            val = ff.forms[i](v)
-            lhs = eps_sq * ff.norm_sq[i]
-            ok = lhs < val * val
-            records.append(
-                {
-                    "kind": "face_clearance",
-                    "sigma": sid,
-                    "opposite_vertex": i,
-                    "lhs": rat_str(lhs),
-                    "rhs": rat_str(val * val),
-                }
-            )
-            ok_all = ok_all and ok
-    else:
-        ff_tau = FaceFunctionals(tau_verts)
-        eps_star_sq = eps_sq / (1 - eps_sq)
-        for sid, i, ff in face_conditions:
-            lhs = eps_star_sq * ff.norm_sq[i]
-            form = ff.forms[i]
+    Building computes all that does not depend on eps: tau's facet forms,
+    the form and norm of each star facet that misses tau, and per peer the
+    separating hyperplane and the peer's facet forms.  ``check`` then only
+    evaluates inequalities.
+    """
 
-            def rhs(bits, _form=form):
-                return _weighted_vertex_sum(ff_tau, _form, bits).square()
+    def __init__(self, k: Complex, tau_id: int, peers=()):
+        self.k, self.tau_id = k, tau_id
+        self.base = _base(k.coords(tau_id))
+        tau_vertices = k.simplex(tau_id).vertex_ids
+        self.faces = []
+        for sid in k.cofaces[tau_id]:
+            sigma = k.simplex(sid)
+            if sigma.dim < 1:
+                continue
+            ff = FaceFunctionals(k.coords(sid))
+            for i, vid in enumerate(sigma.vertex_ids):
+                # the facet opposite vertex i misses tau iff tau has vertex i
+                if vid in tau_vertices:
+                    self.faces.append((sid, i, _Clearance(self.base, ff.forms[i], ff.norm_sq[i])))
+        self.peers = [(pid, self.separation(pid, e)) for pid, e in _normalize_peers(k, peers)]
 
-            res = _decide_strict_less(lhs, rhs)
-            records.append(
-                {
-                    "kind": "face_clearance",
-                    "sigma": sid,
-                    "opposite_vertex": i,
-                    "eps_star_sq_norm_sq": rat_str(lhs),
-                }
-            )
-            ok_all = ok_all and (res is True)
-
-    for peer_id, peer_eps in peers:
-        peer_eps = eps_sq if peer_eps is None else peer_eps
-        tau_ids = set(k.simplex(tau_id).vertex_ids)
-        peer_ids = set(k.simplex(peer_id).vertex_ids)
-        if tau_ids <= peer_ids or peer_ids <= tau_ids:
+    def separation(self, peer_id: int, peer_eps_sq: Fraction | None = None):
+        """check(eps_sq) -> (ok, [tau's record, the peer's record]) for the
+        hyperplane h = separating_hyperplane(tau, peer): tau's neighbourhood
+        stays on h < 0 at eps^2, the peer's on h > 0 at its own eps^2 (at
+        eps^2 when it has none)."""
+        k, tau_id = self.k, self.tau_id
+        if not _proper_peers(k, tau_id, peer_id):
             raise PreconditionViolated(
                 f"peer {peer_id} and tube base {tau_id} do not meet in a proper common face"
             )
         h = separating_hyperplane(k.coords(tau_id), k.coords(peer_id))
-        ok1, rec1 = _apex_ball_clear_of_form(k.coords(tau_id), eps_sq, h.form, side=-1)
-        ok2, rec2 = _apex_ball_clear_of_form(k.coords(peer_id), peer_eps, h.form, side=+1)
-        rec1["peer"], rec2["peer"] = peer_id, tau_id
-        records.extend((rec1, rec2))
-        ok_all = ok_all and (ok1 is True) and (ok2 is True)
-    return ok_all, records
+        q = h.gradient_norm_sq()
+        near = _Clearance(self.base, h.form, q, side=-1)
+        far = _Clearance(_base(k.coords(peer_id)), h.form, q, side=+1)
+
+        def check(eps_sq: Fraction) -> tuple[bool, list[dict]]:
+            peer_eps = eps_sq if peer_eps_sq is None else peer_eps_sq
+            (ok1, lhs1), (ok2, lhs2) = near.test(eps_sq), far.test(peer_eps)
+            return ok1 and ok2, [near.record(eps_sq, lhs1), far.record(peer_eps, lhs2)]
+
+        return check
+
+    def check(self, eps_sq: Fraction) -> tuple[bool, list[dict]]:
+        ok_all, records = True, []
+        for sid, i, clearance in self.faces:
+            ok, lhs = clearance.test(eps_sq)
+            record = {"kind": "face_clearance", "sigma": sid, "opposite_vertex": i}
+            if clearance.ff is None:
+                record.update(lhs=rat_str(lhs), rhs=rat_str(clearance.value**2))
+            else:
+                record["eps_star_sq_norm_sq"] = rat_str(lhs)
+            records.append(record)
+            ok_all = ok_all and ok
+        for peer_id, separated in self.peers:
+            ok, (rec1, rec2) = separated(eps_sq)
+            rec1["peer"], rec2["peer"] = peer_id, self.tau_id
+            records.extend((rec1, rec2))
+            ok_all = ok_all and ok
+        return ok_all, records
 
 
 def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:
+    """Peers as (id, eps^2) pairs, with None for "the candidate eps^2".
+
+    An entry is read as an (id, eps^2) pair only when the id is an int and
+    eps^2 a Fraction in (0, 1); any other entry names one simplex, which
+    ``k.id_of`` resolves.
+    """
     out = []
     for p in peers or ():
-        if isinstance(p, tuple) and len(p) == 2 and not isinstance(p[0], int):
-            out.append((k.id_of(p[0]), Fraction(p[1])))
-        elif isinstance(p, tuple) and len(p) == 2:
-            out.append((k.id_of(p[0]), None if p[1] is None else Fraction(p[1])))
+        if (isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int)
+                and isinstance(p[1], Fraction) and 0 < p[1] < 1):
+            out.append(p)
         else:
             out.append((k.id_of(p), None))
     return out
+
+
+def _first_certified(check, failure: str) -> tuple[Fraction, list[dict]]:
+    """The first candidate eps^2 at which ``check`` holds, with its records."""
+    for eps_sq in _EPS_SQ_CANDIDATES:
+        ok, records = check(eps_sq)
+        if ok:
+            return eps_sq, records
+    raise CertificationFailure(failure)
 
 
 def certify_epsilon(k: Complex, tau, peers=()) -> Fraction:
@@ -345,19 +349,14 @@ def certify_epsilon(k: Complex, tau, peers=()) -> Fraction:
     minus the base boundary meets only star faces containing tau, and the
     tube stays strictly on its side of the separating hyperplane of every
     peer.  Deterministic policy: try eps^2 = 1/4, shrinking by 1/4 per
-    failure.  Vertex bases use balls of radius eps.
+    failure down to 4^-40.  Vertex bases use balls of radius eps.
     """
     tau_id = k.id_of(tau)
-    norm_peers = _normalize_peers(k, peers)
-    eps_sq = Fraction(1, 4)
-    for _ in range(_MAX_EPS_ROUNDS):
-        ok, _ = _check_epsilon(k, tau_id, eps_sq, norm_peers)
-        if ok:
-            return eps_sq
-        eps_sq /= 4
-    raise CertificationFailure(
-        f"no eps certified for simplex {tau_id} after {_MAX_EPS_ROUNDS} rounds"
+    eps_sq, _ = _first_certified(
+        _Conditions(k, tau_id, peers).check,
+        f"no eps certified for simplex {tau_id} after {len(_EPS_SQ_CANDIDATES)} rounds",
     )
+    return eps_sq
 
 
 def certificate_for(k: Complex, tau, eps_sq: Fraction, peers=()) -> list[dict]:
@@ -365,11 +364,11 @@ def certificate_for(k: Complex, tau, eps_sq: Fraction, peers=()) -> list[dict]:
 
     Raises CertificationFailure when any inequality cannot be certified.
     """
-    tau_id = k.id_of(tau)
-    ok, records = _check_epsilon(k, tau_id, Fraction(eps_sq), _normalize_peers(k, peers))
+    tau_id, eps_sq = k.id_of(tau), Fraction(eps_sq)
+    ok, records = _Conditions(k, tau_id, peers).check(eps_sq)
     if not ok:
         raise CertificationFailure(f"eps^2 = {eps_sq} fails certification for {tau_id}")
     for r in records:
         r["tau"] = tau_id
-        r["eps_sq"] = rat_str(Fraction(eps_sq))
+        r["eps_sq"] = rat_str(eps_sq)
     return records

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -12,7 +14,7 @@ from saet.carve import (
     probe_germ,
     snap_eps_sq,
 )
-from saet.complexes import PLSet, closure, eta
+from saet.complexes import PLSet, build_complex, closure, eta
 from saet.errors import BadOrder, OutOfDomain, PreconditionViolated
 from saet.fixtures import punctured_square
 from saet.intervals import Interval, interval_sqrt
@@ -274,3 +276,44 @@ def test_lipschitz_bound_on_pull(square, fix_a, fix_a_embedded):
             (a - b) ** 2 for a, b in zip(x, y)
         )
         assert gap_sq.lo <= bound_sq.hi
+
+
+def grid_cut(n: int) -> PLSet:
+    """The n x n unit grid (squares split along the rising diagonal) minus y = 1/2."""
+    verts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
+    tops = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            tops += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    k = build_complex(verts, tops, validate=False)
+    return PLSet(k, [sid for sid, s in enumerate(k.simplices)
+                     if any(k.vertices[v][1] != F(1, 2) for v in s.vertex_ids)])
+
+
+def test_carving_solves_each_separation_once(monkeypatch):
+    # 8 tubes along the cut, then 9 collars: one hyperplane per sibling pair
+    # in certify_epsilon and again in certificate_for (8 * 7 each), and one
+    # per collar and tube its base avoids (9 * 8 - 16), not one per candidate
+    from saet import carve, metric
+
+    original, calls = metric.separating_hyperplane, []
+
+    def counting(verts1, verts2):
+        calls.append((verts1, verts2))
+        return original(verts1, verts2)
+
+    monkeypatch.setattr(metric, "separating_hyperplane", counting)
+    monkeypatch.setattr(carve, "separating_hyperplane", counting, raising=False)
+    result = appropriate_embed(grid_cut(8))
+    assert [len(lv["cells"]) for lv in result.levels] == [8, 9]
+    assert len(calls) <= 2 * 8 * 7 + 9 * 8 - 16
+
+
+def test_cut_grid_certificates_pinned():
+    # tube and collar levels with many peer records: every key, value and
+    # order of the certificates is fixed
+    text = json.dumps(appropriate_embed(grid_cut(6)).certificates, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ad8ee3c7e01793665357e00868e486b634a6a4fd20db73d6e5c1105b5d982acf"
+    )

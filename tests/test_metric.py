@@ -189,6 +189,18 @@ def test_certify_epsilon_rejects_nested_peer(square):
         certify_epsilon(square, square.id_of((0, 1)), peers=[square.id_of((0,))])
 
 
+def test_peer_pair_of_vertex_ids_names_a_segment(square):
+    # (0, 5) is the segment with vertex ids 0 and 5, not simplex 0 at eps^2 = 5;
+    # an (id, eps^2) pair needs an int id and a Fraction eps^2 in (0, 1)
+    tau, seg = square.id_of((1, 2)), square.id_of((0, 5))
+    eps = certify_epsilon(square, tau, peers=[seg])
+    assert certify_epsilon(square, tau, peers=[(0, 5)]) == eps
+    recs = certificate_for(square, tau, eps, peers=[seg])
+    assert certificate_for(square, tau, eps, peers=[(0, 5)]) == recs
+    assert certificate_for(square, tau, eps, peers=[(seg, eps)]) == recs
+    assert any(r.get("peer") == seg for r in recs)
+
+
 def test_perpendicular_segments_tubes_meet_in_vertex(square):
     # certified eps keeps the two tubes apart except at the shared vertex
     from saet.tubes import ON_BOUNDARY, OUTSIDE, Tube, tube_membership

@@ -6,13 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from saet.cli import main
-from saet.complexes import PLSet, build_complex
+from saet.complexes import PLSet, build_complex, eta
 from saet.errors import DimensionTooHigh, ParseError
 from saet.export import export_carved, export_mesh, export_tube
 from saet.fixtures import (
     fix_a,
     fix_c,
     fix_t,
+    punctured_square,
     scaled_slope_function_c,
     square_complex,
     step_function_a,
@@ -260,6 +261,27 @@ def test_cli_export(tmp_path):
     out = tmp_path / "mesh.obj"
     rc = main(["export", str(tmp_path / "fixa.json"), "mesh", "--out", str(out)])
     assert rc == 0 and out.exists()
+
+
+def test_cli_export_tubes_draws_the_carved_unit(tmp_path):
+    # the exported tube is the first unit carve certifies, at its snapped
+    # eps^2 = 4/17; an obstruction of vertices only exports its collar ball
+    from saet.tubes import Tube
+
+    _write_fixtures(tmp_path)
+    out = tmp_path / "tube.obj"
+    rc = main(["export", str(tmp_path / "fixa.json"), "tubes", "--out", str(out),
+               "--resolution", "24"])
+    assert rc == 0
+    k = square_complex()
+    first = min(t for t in eta(fix_a(k)).members if k.dim_of(t) == 1)
+    export_tube(Tube(k.coords(first), F(4, 17)), str(tmp_path / "expected.obj"), resolution=24)
+    assert out.read_bytes() == (tmp_path / "expected.obj").read_bytes()
+    save_complex(str(tmp_path / "punctured.json"), k, punctured_square(k))
+    out = tmp_path / "ball.obj"
+    rc = main(["export", str(tmp_path / "punctured.json"), "tubes", "--out", str(out),
+               "--resolution", "24"])
+    assert rc == 0 and out.stat().st_size > 0
 
 
 def test_cli_usage_error():
