@@ -254,6 +254,8 @@ class CarvedSet:
 
     base: PLSet
     units: list[CarveUnit] = field(default_factory=list)
+    _facet_forms: list[AffineForm] | None = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def member(self, x: Vec) -> bool:
         x = vec(x)
@@ -299,19 +301,14 @@ class CarvedSet:
 
     def crossing_forms(self) -> list[AffineForm]:
         """Affine forms whose zero sets carry the PL part of the boundary:
-        facet functionals of all top cells plus rational wall forms of
-        codimension-1 carved tubes (present thanks to the eps snapping)."""
-        k = self.base.complex
-        forms: list[AffineForm] = []
-        seen = set()
-        for sid in k.top_ids:
-            if k.dim_of(sid) < 1:
-                continue
-            for f in FaceFunctionals(k.coords(sid)).forms:
-                key = (f.c0, f.c)
-                if key not in seen:
-                    seen.add(key)
-                    forms.append(f)
+        facet functionals of all top cells (built once per carved set)
+        plus rational wall forms of codimension-1 carved tubes (present
+        thanks to the eps snapping)."""
+        if self._facet_forms is None:
+            k = self.base.complex
+            tops = [FaceFunctionals(k.coords(sid)) for sid in k.top_ids if k.dim_of(sid) >= 1]
+            self._facet_forms = list(dict.fromkeys(f for ff in tops for f in ff.forms))
+        forms = list(self._facet_forms)
         for u in self.units:
             forms.extend(_wall_forms(u))
         return forms
@@ -621,14 +618,7 @@ def appropriate_embed(s: PLSet) -> EmbedResult:
             raise RecursionDepthExceeded("obstruction dimension failed to decrease")
         d = max(k.dim_of(t) for t in residual)
         tops = sorted(t for t in residual if k.dim_of(t) == d)
-        if d >= 1:
-            carved, _, _ = carve_level(
-                s, tops, prev_units=all_units, prev_ids=all_ids
-            )
-        else:
-            carved, _, _ = carve_base_vertices(
-                s, tops, prev_units=all_units, prev_ids=all_ids
-            )
+        carved, _, _ = carve_level(s, tops, prev_units=all_units, prev_ids=all_ids)
         new_units = carved.units[len(all_units):]
         level_units.append(new_units)
         for t, u in zip(tops, new_units, strict=True):
@@ -662,25 +652,7 @@ def probe_germ(
         raise PreconditionViolated("probe center lies in the carved set")
     if not n.closure_member(q):
         raise PreconditionViolated("probe center is outside the closure")
-    rng = random.Random(seed)
     radius = Fraction(radius)
-    units = n.units_near(q, radius)
-    base_cl = closure(n.base)
-
-    def member(x: Vec) -> bool:
-        return n.base.contains_point(x) and not any(u.removes(x) for u in units)
-
-    def closure_member(x: Vec) -> bool:
-        return base_cl.contains_point(x) and not any(
-            u.removes_from_closure(x) for u in units
-        )
-
-    return probe_shell(
-        member,
-        closure_member,
-        q,
-        radius,
-        samples,
-        rng,
-        crossing_forms=n.crossing_forms(),
-    )
+    near = CarvedSet(n.base, n.units_near(q, radius))
+    return probe_shell(near.member, near.closure_member, q, radius, samples,
+                       random.Random(seed), crossing_forms=n.crossing_forms())

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .carve import _rational_normal, appropriate_embed, carve_level
 from .complexes import closure, eta, germ_connected, is_appropriately_embedded, lc_part, local_dim, rho
-from .errors import SaetError
+from .errors import ParseError, SaetError
 from .extend import weak_extension
 from .germs import evaluate
 from .io import carved_to_dict, load_complex, load_function, load_path
@@ -158,6 +158,8 @@ def cmd_eval(args) -> int:
     k, m = _load_marked(args.complex)
     f = load_function(args.function, m, validate_continuity=not args.allow_jumps)
     alpha = load_path(args.path)
+    if len(alpha.limit) != k.n:
+        raise ParseError(f"the path must be {k.n}-dimensional, like the complex")
     value = evaluate(f, alpha)
     print(f"({rat_str(value.a)}, {rat_str(value.b)})")
     return 0

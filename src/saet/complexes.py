@@ -186,9 +186,6 @@ class PLSet:
         self.members = frozenset(complex.id_of(m) for m in members)
         self._closure: PLSet | None = None  # set once by closure()
 
-    def member_simplices(self) -> list[Simplex]:
-        return [self.complex.simplex(i) for i in sorted(self.members)]
-
     def dim(self) -> int:
         return max((self.complex.dim_of(i) for i in self.members), default=-1)
 

@@ -2,16 +2,17 @@
 
 A path germ represents a point infinitesimally close to its limit: the
 germ of t -> c + t v at 0+.  Values of piecewise linear-fractional
-functions along such germs are eventually rational functions of t and are
-returned as first-order germs a + b t, ordered lexicographically (t a
-positive infinitesimal), with the full rational function retained for
-exact comparison on higher-order contact.
+functions along such germs are rational functions of t.  A ``GermValue``
+is one exact element num/den of Q(t), ordered with t a positive
+infinitesimal (the germs at 0+; Bochnak, Coste and Roy, Real Algebraic
+Geometry, ch. 1); ``pair()`` gives its first-order part a + b t.
 
-The module decides adjacency of a germ exactly, computes the depth
-dichotomy, realizes the unique extension-evaluation homomorphism on
-appropriately embedded sets, and constructs the cone evaluation
-homomorphisms that show non-uniqueness below the critical depth, together
-with an exact witness function separating two of them.
+Each germ settles into one open cell, found once in the open star of the
+cell carrying its limit.  The module decides adjacency of a germ exactly,
+computes the depth dichotomy, realizes the unique extension-evaluation
+homomorphism on appropriately embedded sets, and constructs the cone
+evaluation homomorphisms that show non-uniqueness below the critical
+depth, together with an exact witness function separating two of them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .complexes import Complex, PLSet, barycentric_subdivide, closure
@@ -34,17 +36,16 @@ from .errors import (
 from .extend import ExtensionReport, PLFFunction, RatioForm
 from .geometry import SimplexGeometry
 from .lp import intersection_excess
-from .rationals import Vec, vec, vsub
+from .rationals import Vec, vec
 
 ADJACENT = "Adjacent"
 NOT_ADJACENT = "NotAdjacent"
-UNKNOWN = "Unknown"
 
 
 # --- polynomial helpers (coefficient lists, ascending) ----------------------
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def _poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -58,80 +59,114 @@ def _poly_mul(p, q):
     return _poly_trim(out)
 
 
-def _poly_sub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for j, b in enumerate(q):
-        out[j] -= b
-    return _poly_trim(out)
+def _order(p) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    return next(i for i, c in enumerate(p) if c != 0)
 
 
-def _poly_low_sign(p) -> int:
-    for c in p:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
+def _coerced(method):
+    """Let a binary GermValue method take ints and Fractions as constants."""
+
+    def wrapped(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GermValue(other)
+        elif not isinstance(other, GermValue):
+            return NotImplemented
+        return method(self, other)
+
+    return wrapped
 
 
 class GermValue:
-    """First-order germ a + b t at t -> 0+, with exact series fallback.
+    """An exact element num/den of Q(t), t a positive infinitesimal.
 
-    Ordered lexicographically on (a, b); when two germs agree to first
-    order and both carry their defining rational functions, the comparison
-    falls back to the exact sign of the difference near 0+.
+    ``GermValue(n0, n1, ..., den=(d0, d1, ...))`` is
+    (n0 + n1 t + ...) / (d0 + d1 t + ...), so ``GermValue(a, b)`` is
+    a + b t.  The sign is that of the lowest nonzero coefficient of num
+    times that of den; ``<`` and ``>`` compare by the sign of the
+    difference, and ``==`` cross-multiplies.
     """
 
-    __slots__ = ("a", "b", "series")
+    __slots__ = ("num", "den")
 
-    def __init__(self, a, b, series=None):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.series = series  # (num_coeffs, den_coeffs), ascending, or None
+    def __init__(self, *num, den=(1,)):
+        num = _poly_trim([Fraction(c) for c in num])
+        den = _poly_trim([Fraction(c) for c in den])
+        if not den:
+            raise ZeroDivisionError("identically zero denominator")
+        shift = min(_order(num), _order(den)) if num else 0  # common power of t
+        self.num = tuple(num[shift:])
+        self.den = tuple(den[shift:]) if num else (Fraction(1),)
+
+    def _lead(self) -> tuple[int, Fraction]:
+        """(k, c) with value = c t^k + higher order terms; (0, 0) for zero."""
+        if not self.num:
+            return 0, Fraction(0)
+        i, j = _order(self.num), _order(self.den)
+        return i - j, self.num[i] / self.den[j]
 
     def pair(self) -> tuple[Fraction, Fraction]:
-        return (self.a, self.b)
+        """The Taylor coefficients (a, b) of a + b t + O(t^2)."""
+        if self._lead()[0] < 0:
+            raise PoleAtZero("denominator vanishes to higher order than numerator")
+        n0, n1 = (self.num + (0, 0))[:2]
+        d0, d1 = (self.den + (0,))[:2]  # d0 != 0: no pole, common power stripped
+        a = n0 / d0
+        return a, (n1 - a * d1) / d0
 
+    a = property(lambda self: self.pair()[0])
+    b = property(lambda self: self.pair()[1])
+
+    @_coerced
     def __eq__(self, other):
-        if not isinstance(other, GermValue):
-            return NotImplemented
-        if (self.a, self.b) != (other.a, other.b):
-            return False
-        if self.series is None or other.series is None:
-            return True
-        return self._diff_sign(other) == 0
+        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        order, lead = self._lead()
+        return hash(lead) if order == 0 else hash((order, lead))  # constants hash as numbers
 
-    def _diff_sign(self, other) -> int:
-        n1, d1 = self.series
-        n2, d2 = other.series
-        num = _poly_sub(_poly_mul(n1, d2), _poly_mul(n2, d1))
-        sign = _poly_low_sign(num)
-        return sign * _poly_low_sign(d1) * _poly_low_sign(d2)
-
+    @_coerced
     def __lt__(self, other):
-        if (self.a, self.b) != (other.a, other.b):
-            return (self.a, self.b) < (other.a, other.b)
-        if self.series is None or other.series is None:
-            return False
-        return self._diff_sign(other) < 0
+        return (self - other)._lead()[1] < 0
 
+    @_coerced
     def __gt__(self, other):
-        return isinstance(other, GermValue) and other.__lt__(self)
+        return (self - other)._lead()[1] > 0
 
-    def __add__(self, other: "GermValue") -> "GermValue":
-        return GermValue(self.a + other.a, self.b + other.b)
+    @_coerced
+    def __add__(self, other):
+        p, q = _poly_mul(self.num, other.den), _poly_mul(other.num, self.den)
+        return GermValue(*map(sum, zip_longest(p, q, fillvalue=0)),
+                         den=_poly_mul(self.den, other.den))
 
-    def mul_first_order(self, other: "GermValue") -> "GermValue":
-        return GermValue(self.a * other.a, self.a * other.b + self.b * other.a)
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GermValue(*(-c for c in self.num), den=self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return other + -self
+
+    @_coerced
+    def __mul__(self, other):
+        return GermValue(*_poly_mul(self.num, other.num), den=_poly_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    @_coerced
+    def __truediv__(self, other):
+        return GermValue(*_poly_mul(self.num, other.den), den=_poly_mul(self.den, other.num))
+
+    @_coerced
+    def __rtruediv__(self, other):
+        return other / self
 
     def __repr__(self):
-        return f"GermValue({self.a}, {self.b})"
-
-
-ZERO_GERM = GermValue(0, 0)
+        num, den = (", ".join(map(str, p)) or "0" for p in (self.num, self.den))
+        return f"GermValue({num}, den=({den},))"
 
 
 @dataclass(frozen=True)
@@ -160,6 +195,8 @@ class PathGerm:
             t_end = Fraction(t_end)
             if t_end <= prev_end:
                 raise ValueError("breakpoints must increase")
+            if len(c) != len(v):
+                raise ValueError("a piece's point and velocity differ in dimension")
             parsed.append(PathPiece(t_end, vec(c), vec(v)))
             prev_end = t_end
         for left, right in zip(parsed, parsed[1:]):
@@ -206,24 +243,26 @@ def _lex_positive(a: Fraction, b: Fraction) -> bool:
     return a > 0 or (a == 0 and b > 0)
 
 
-def eventual_simplex(alpha: PathGerm, k: Complex, candidates=None) -> int | None:
+def eventual_simplex(alpha: PathGerm, k: Complex) -> int | None:
     """The unique cell whose open part contains c + t v for all small t > 0.
 
-    Exact: along the germ line the squared distance to each affine hull is
-    a quadratic that either vanishes identically or eventually doesn't,
-    and the barycentric coordinates are affine in t, so eventual strict
+    That cell has the limit c in its closure, so only the open star of the
+    cell carrying c is searched; a limit outside |K| gives None.  Exact:
+    along the germ line the squared distance to each affine hull is a
+    quadratic that either vanishes identically or eventually doesn't, and
+    the barycentric coordinates are affine in t, so eventual strict
     positivity is a lexicographic sign condition.
     """
     c, v = alpha.germ()
-    ids = sorted(candidates) if candidates is not None else range(len(k.simplices))
-    for sid in ids:
-        geo = k.geometry(sid)
-        xs = [c, tuple(a + b for a, b in zip(c, v)), tuple(a + 2 * b for a, b in zip(c, v))]
-        data = [geo.coords_and_height_sq(x) for x in xs]
+    carrier = k.locate(c)
+    if carrier is None:
+        return None
+    xs = [c, tuple(a + b for a, b in zip(c, v)), tuple(a + 2 * b for a, b in zip(c, v))]
+    for sid in k.cofaces[carrier]:
+        data = [k.geometry(sid).coords_and_height_sq(x) for x in xs]
         if any(h != 0 for _, h in data):
             continue  # height^2 is a quadratic vanishing at 3 points iff zero
-        bary0 = data[0][0]
-        bary1 = data[1][0]
+        bary0, bary1 = data[0][0], data[1][0]
         if all(_lex_positive(b0, b1 - b0) for b0, b1 in zip(bary0, bary1)):
             return sid
     return None
@@ -231,7 +270,14 @@ def eventual_simplex(alpha: PathGerm, k: Complex, candidates=None) -> int | None
 
 def is_in_extension(alpha: PathGerm, s: PLSet) -> bool:
     """Whether the germ eventually lies in the realized marked set."""
-    return eventual_simplex(alpha, s.complex, s.members) is not None
+    return eventual_simplex(alpha, s.complex) in s.members
+
+
+def _adjacent(alpha: PathGerm, s: PLSet, sid: int | None) -> bool:
+    """Adjacency of a germ that eventually lies in the open cell sid."""
+    if sid in s.members:
+        return True
+    return sid in closure(s).members and s.contains_point(alpha.limit)
 
 
 def adjacency_test(alpha: PathGerm, s: PLSet) -> str:
@@ -248,12 +294,7 @@ def adjacency_test(alpha: PathGerm, s: PLSet) -> str:
       the closed tail-plus-limit curve from the closure leaves a locally
       closed superset that misses the germ.
     """
-    if is_in_extension(alpha, s):
-        return ADJACENT
-    in_closure = eventual_simplex(alpha, s.complex, closure(s).members) is not None
-    if not in_closure:
-        return NOT_ADJACENT
-    return ADJACENT if s.contains_point(alpha.limit) else NOT_ADJACENT
+    return ADJACENT if _adjacent(alpha, s, eventual_simplex(alpha, s.complex)) else NOT_ADJACENT
 
 
 def core(alpha: PathGerm) -> PathGerm:
@@ -278,52 +319,33 @@ def depth(alpha: PathGerm, s: PLSet) -> int:
     return 1
 
 
-def _germ_from_polys(num: list[Fraction], den: list[Fraction]) -> GermValue:
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("identically zero denominator")
-    ord_n = next((i for i, c in enumerate(num) if c != 0), None)
-    ord_d = next(i for i, c in enumerate(den) if c != 0)
-    if ord_n is None:
-        return GermValue(0, 0, series=([Fraction(0)], den))
-    if ord_n < ord_d:
-        raise PoleAtZero("denominator vanishes to higher order than numerator")
-    num = num[ord_d:]
-    den = den[ord_d:]
-    d0 = den[0]
-    n0 = num[0] if num else Fraction(0)
-    n1 = num[1] if len(num) > 1 else Fraction(0)
-    d1 = den[1] if len(den) > 1 else Fraction(0)
-    a = n0 / d0
-    b = (n1 * d0 - n0 * d1) / (d0 * d0)
-    return GermValue(a, b, series=(num, den))
+def _finite(value: GermValue) -> GermValue:
+    value.pair()  # raises PoleAtZero when the value is infinite
+    return value
 
 
-def _compose_affine_with_path(form, alpha: PathGerm) -> list[Fraction]:
+def _compose(ratio: RatioForm, alpha: PathGerm) -> GermValue:
+    """The value of one piece along the germ: each affine form composed
+    with t -> c + t v is form(c) + (form(c + v) - form(c)) t."""
     c, v = alpha.germ()
-    base = form(c)
-    slope = form(tuple(a + b for a, b in zip(c, v))) - base
-    return _poly_trim([base, slope])
+    cv = tuple(a + b for a, b in zip(c, v))
 
+    def along(form) -> GermValue:
+        base = form(c)
+        return GermValue(base, form(cv) - base)
 
-def _compose_ratio_with_path(ratio: RatioForm, alpha: PathGerm):
-    num = [Fraction(1)]
+    num = GermValue(1)
     for f in ratio.factors:
-        num = _poly_mul(num, _compose_affine_with_path(f, alpha))
-    den = _compose_affine_with_path(ratio.den, alpha)
-    return num, den
+        num = num * along(f)
+    return _finite(num / along(ratio.den))
 
 
 def evaluate(f: PLFFunction, alpha: PathGerm) -> GermValue:
-    """Value germ of f along the path: lim of f(alpha(t)) with slope."""
-    sid = eventual_simplex(alpha, f.complex, f.domain.members)
-    if sid is None:
-        raise NotEventuallyInDomain(
-            "the germ does not settle into a member open cell"
-        )
-    num, den = _compose_ratio_with_path(f.pieces[sid], alpha)
-    return _germ_from_polys(num, den)
+    """Value germ of f along the path: f(alpha(t)) as an element of Q(t)."""
+    sid = eventual_simplex(alpha, f.complex)
+    if sid not in f.domain.members:
+        raise NotEventuallyInDomain("the germ does not settle into a member open cell")
+    return _compose(f.pieces[sid], alpha)
 
 
 def eval_hom(f: PLFFunction, alpha: PathGerm, extension: ExtensionReport) -> GermValue:
@@ -334,18 +356,15 @@ def eval_hom(f: PLFFunction, alpha: PathGerm, extension: ExtensionReport) -> Ger
     germ, which is the unique homomorphism value at critical depth over an
     appropriately embedded set.
     """
-    if adjacency_test(alpha, f.domain) != ADJACENT:
+    sid = eventual_simplex(alpha, f.complex)
+    if not _adjacent(alpha, f.domain, sid):
         raise PreconditionViolated("germ point is not adjacent to the domain")
-    if is_in_extension(alpha, f.domain):
-        return evaluate(f, alpha)
-    k = f.complex
-    sid = eventual_simplex(alpha, k, closure(f.domain).members)
-    if sid is None or sid not in extension.v_set.members or sid in extension.y_set.members:
-        raise GermInBadSet(
-            "germ lies in the conflict set or outside the extension neighborhood"
-        )
-    num, den = _compose_ratio_with_path(extension.values[sid], alpha)
-    return _germ_from_polys(num, den)
+    if sid in f.domain.members:
+        return _compose(f.pieces[sid], alpha)
+    if sid not in extension.v_set.members or sid in extension.y_set.members:
+        raise GermInBadSet("germ lies in the conflict set or outside the extension "
+                           "neighborhood")
+    return _compose(extension.values[sid], alpha)
 
 
 # --- cone evaluation homomorphisms ------------------------------------------
@@ -438,33 +457,27 @@ def _bilinear_coeffs(form, c: Vec, v: Vec, q: Vec):
     return a, b, cc
 
 
-def _eventual_cone_simplex(k: Complex, members, c: Vec, v: Vec, q: Vec) -> int | None:
+def _eventual_cone_simplex(k: Complex, c: Vec, v: Vec, q: Vec) -> int | None:
     """Carrier of the two-parameter germ x(s, t), 0 < s << t << 1.
 
-    Sign of A + B t + C s - B s t in the regime s << t is lexicographic:
-    (A, B) first, then (C, -B).
+    Its limit is c, so only the open star of the cell carrying c is
+    searched.  Sign of A + B t + C s - B s t in the regime s << t is
+    lexicographic: (A, B) first, then (C, -B).
     """
-    pts = []
-    for s, t in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (1, 2), (2, 1), (3, 3)):
-        base = tuple(ci + t * vi for ci, vi in zip(c, v))
-        pts.append(tuple((1 - s) * x + s * y for x, y in zip(base, q)))
-    for sid in sorted(members):
+    carrier = k.locate(c)
+    if carrier is None:
+        return None
+    pts = [tuple((1 - s) * (ci + t * vi) + s * qi for ci, vi, qi in zip(c, v, q))
+           for s, t in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (1, 2), (2, 1), (3, 3))]
+    for sid in k.cofaces[carrier]:
         geo = k.geometry(sid)
         if any(geo.coords_and_height_sq(p)[1] != 0 for p in pts):
             continue  # the biquadratic height vanishes iff on the 3x3 grid
-        ok = True
-        for j in range(geo.d + 1):
-
-            def bary_form(x, _j=j, _geo=geo):
-                return _geo.coords_and_height_sq(x)[0][_j]
-
-            a = bary_form(c)
-            b = bary_form(tuple(x + y for x, y in zip(c, v))) - a
-            cc = bary_form(q) - a
-            if not (_lex_positive(a, b) or (a == 0 and b == 0 and _lex_positive(cc, -b))):
-                ok = False
-                break
-        if ok:
+        coeffs = (
+            _bilinear_coeffs(lambda x, j=j, geo=geo: geo.coords_and_height_sq(x)[0][j], c, v, q)
+            for j in range(geo.d + 1)
+        )
+        if all(_lex_positive(a, b) or (a == b == 0 and cc > 0) for a, b, cc in coeffs):
             return sid
     return None
 
@@ -477,44 +490,30 @@ def hom_via_cone(f: PLFFunction, cone: ConeSet, alpha: PathGerm) -> GermValue:
     f((1-s) alpha(t) + s q), computed exactly through the member cell that
     carries the two-parameter germ.
     """
-    k = f.complex
-    if eventual_simplex(alpha, k, {cone.tau_id}) is None:
+    if eventual_simplex(alpha, f.complex) != cone.tau_id:
         raise GermNotInTau("the germ must lie in the open base cell")
     c, v = alpha.germ()
-    sid = _eventual_cone_simplex(k, f.domain.members, c, v, cone.apex)
-    if sid is None:
+    sid = _eventual_cone_simplex(f.complex, c, v, cone.apex)
+    if sid not in f.domain.members:
         raise NotEventuallyInDomain("cone approach leaves the set")
     piece = f.pieces[sid]
 
-    # compose with x(s,t); coefficients of s^i are polynomials in t
+    # compose with x(s,t): a polynomial in s with coefficients in Q(t)
     def poly_in_s(form):
         a, b, cc = _bilinear_coeffs(form, c, v, cone.apex)
-        return [[a, b], [cc, -b]]  # [s^0: a + b t, s^1: cc - b t]
+        return [GermValue(a, b), GermValue(cc, -b)]  # (a + b t) + (cc - b t) s
 
-    num_s = [[Fraction(1)]]
+    num_s = [GermValue(1)]
     for fac in piece.factors:
-        num_s = _poly2_mul(num_s, poly_in_s(fac))
-    den_s = poly_in_s(piece.den)
-    num_s = [_poly_trim(p) for p in num_s]
-    den_s = [_poly_trim(p) for p in den_s]
+        num_s = _poly_mul(num_s, poly_in_s(fac))
+    den_s = _poly_trim(poly_in_s(piece.den))
     # inner limit s -> 0+: strip common leading s-order
-    while num_s and not num_s[0] and den_s and not den_s[0]:
+    while num_s and den_s and num_s[0] == 0 and den_s[0] == 0:
         num_s.pop(0)
         den_s.pop(0)
-    if not den_s or not den_s[0]:
+    if not den_s or den_s[0] == 0:
         raise PoleAtZero("denominator vanishes to higher s-order along the cone")
-    num_t = num_s[0] if num_s else [Fraction(0)]
-    den_t = den_s[0]
-    return _germ_from_polys(num_t, den_t)
-
-
-def _poly2_mul(p, q):
-    """Product of polynomials in s with coefficients polynomials in t."""
-    out = [[Fraction(0)] for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = _poly_sub(out[i + j], [-x for x in _poly_mul(a, b)])
-    return out
+    return _finite((num_s[0] if num_s else 0) / den_s[0])
 
 
 class WitnessFunction:
@@ -587,7 +586,7 @@ def distinct_homs_witness(
     cone1 = cone_restriction(m, tau, sigma, q1)
     cone2 = cone_restriction(m, tau, sigma, q2)
     tau_id = k.id_of(tau)
-    if eventual_simplex(alpha, k, {tau_id}) is None:
+    if eventual_simplex(alpha, k) != tau_id:
         raise GermNotInTau("the germ must lie in the open base cell")
     # the cones must intersect exactly in the base
     shared = intersection_excess(
@@ -603,7 +602,7 @@ def distinct_homs_witness(
     witness = WitnessFunction(m, cone1, cone2, g, tau_id)
 
     # psi_{q1}(f): f vanishes identically on the first cone set
-    value1 = GermValue(0, 0, series=([Fraction(0)], [Fraction(1)]))
+    value1 = GermValue(0)
     # psi_{q2}(f): f equals g on the second cone, so the value is the germ
     # of g along alpha, nonzero since g vanishes only on the base boundary
     value2 = evaluate(g, alpha)

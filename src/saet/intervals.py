@@ -96,9 +96,6 @@ class Interval:
     def certainly_lt(self, other) -> bool:
         return self.hi < Interval.of(other).lo
 
-    def certainly_gt(self, other) -> bool:
-        return self.lo > Interval.of(other).hi
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 

@@ -113,19 +113,26 @@ def function_to_dict(f: PLFFunction) -> dict:
 def function_from_dict(data: dict, domain: PLSet,
                        validate_continuity: bool = True) -> PLFFunction:
     n = domain.complex.n
+    count = len(domain.complex.simplices)
     pieces = {}
     try:
         for entry in data["pieces"]:
-            sid = int(entry["simplex"])
+            sid = entry["simplex"]
+            if not _is_index(sid, count):
+                raise ParseError(f"piece simplex {json.dumps(sid, default=str)} must be "
+                                 f"a simplex id, an int in [0, {count})")
             den = _affine_from_list(entry.get("den", [1] + [0] * n), n)
             if "num_factors" in entry:
                 factors = [_affine_from_list(c, n) for c in entry["num_factors"]]
             else:
                 factors = [_affine_from_list(entry["num"], n)]
             pieces[sid] = RatioForm(factors, den)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:  # ValueError: 0 or 3+ factors
         raise ParseError(f"malformed function data: {e}") from None
-    return PLFFunction(domain, pieces, validate_continuity=validate_continuity)
+    try:
+        return PLFFunction(domain, pieces, validate_continuity=validate_continuity)
+    except ValueError as e:  # non-member or missing piece, sign change, discontinuity
+        raise ParseError(f"invalid function: {e}") from None
 
 
 def save_function(path: str, f: PLFFunction) -> None:

@@ -68,9 +68,6 @@ class FaceFunctionals:
         """Vertices of the facet opposite vertex i."""
         return tuple(v for j, v in enumerate(self.vertices) if j != i)
 
-    def values_at_vertices(self, form: AffineForm) -> list[Fraction]:
-        return [form(v) for v in self.vertices]
-
 
 def face_functionals(vertices: Sequence[Vec]) -> FaceFunctionals:
     return FaceFunctionals(vertices)

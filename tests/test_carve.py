@@ -317,3 +317,30 @@ def test_cut_grid_certificates_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ad8ee3c7e01793665357e00868e486b634a6a4fd20db73d6e5c1105b5d982acf"
     )
+
+
+def test_probes_build_facet_forms_once(monkeypatch, fix_a_embedded):
+    # the facet functionals of the top cells depend on the complex only:
+    # a carved set builds them on its first probe and reuses them after
+    from saet import carve
+
+    calls = []
+    original = carve.FaceFunctionals
+
+    def counting(vertices):
+        calls.append(vertices)
+        return original(vertices)
+
+    monkeypatch.setattr(carve, "FaceFunctionals", counting)
+    emb = fix_a_embedded.carved
+    n = CarvedSet(emb.base, emb.units)
+    first = n.crossing_forms()
+    assert len(calls) == len(n.base.complex.top_ids)
+    assert n.crossing_forms() == first and len(calls) == len(n.base.complex.top_ids)
+    unit = next(u for u in n.units if not u.is_ball)
+    from saet.rationals import rational_sqrt
+
+    q = (F(1, 3), rational_sqrt(unit.inner.eps_star_sq) * F(1, 3))
+    for seed in (3, 4):
+        probe_germ(n, q, radius=F(1, 64), samples=16, seed=seed)
+    assert len(calls) == len(n.base.complex.top_ids)

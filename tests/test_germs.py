@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from saet.complexes import PLSet
@@ -208,7 +209,7 @@ def test_ring_homomorphism_properties(square, fix_b):
     vf, vg = evaluate(f, alpha), evaluate(g, alpha)
     assert evaluate(f + g, alpha).pair() == (vf + vg).pair()
     product = evaluate(f * g, alpha)
-    assert product.pair() == vf.mul_first_order(vg).pair()
+    assert product == vf * vg
 
 
 def test_positivity(square, fix_b):
@@ -223,7 +224,7 @@ def test_positivity(square, fix_b):
     g = f * f
     val = evaluate(coord_function(fix_b, 1) * coord_function(fix_b, 1), alpha)
     assert val.pair() == (0, 0)
-    assert val > GermValue(0, 0, series=([F(0)], [F(1)]))
+    assert val > GermValue(0, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -325,3 +326,196 @@ def test_witness_continuity_spot_checks(wedge, fix_c):
     assert vals[-1] < vals[0]
     assert vals[-1] < F(1, 1000)
     assert witness(origin) == 0
+
+
+def test_path_point_and_velocity_share_a_dimension():
+    with pytest.raises(ValueError):
+        PathGerm.linear((0, 0), (0, 1, 0))  # zip would drop the third velocity
+
+
+# --- one germ cell: the star search against an all-cells reference ----------
+
+
+def all_cells_eventual_simplex(alpha: PathGerm, k) -> int | None:
+    """Reference: test every cell of the complex.  The germ settles into
+    an open cell iff its line lies in the cell's affine hull (the squared
+    height, a quadratic in t, vanishes at three points) and every
+    barycentric coordinate, affine in t, is eventually positive."""
+    c, v = alpha.germ()
+    pts = [tuple(ci + t * vi for ci, vi in zip(c, v)) for t in (0, 1, 2)]
+    found = []
+    for sid in range(len(k.simplices)):
+        data = [k.geometry(sid).coords_and_height_sq(p) for p in pts]
+        if any(h != 0 for _, h in data):
+            continue
+        (b0, _), (b1, _) = data[0], data[1]
+        if all(x > 0 or (x == 0 and y > x) for x, y in zip(b0, b1)):
+            found.append(sid)
+    assert len(found) <= 1  # open cells are disjoint
+    return found[0] if found else None
+
+
+def _open_point(k, sid, rng):
+    weights = [F(rng.randint(1, 5)) for _ in k.simplex(sid).vertex_ids]
+    return k.geometry(sid).point_at([w / sum(weights) for w in weights])
+
+
+def _seeded_germs(k, rng, count):
+    """Germs that start at vertices, on edges, inside cells and outside |K|,
+    with random, cell-aligned and zero velocities."""
+    lows = [min(p[i] for p in k.vertices) for i in range(k.n)]
+    for j in range(count):
+        dim = j % 4
+        if dim == 3:  # outside |K|: below the bounding box on a random axis
+            axis = rng.randrange(k.n)
+            c = tuple(lows[i] - F(1, 3) if i == axis else F(rng.randint(0, 4), 4)
+                      for i in range(k.n))
+        else:
+            cells = [s for s in range(len(k.simplices)) if k.dim_of(s) == min(dim, k.dim)]
+            c = _open_point(k, rng.choice(cells), rng)
+        kind = rng.randrange(3)
+        if kind == 0:
+            v = (0,) * k.n  # constant germ
+        elif kind == 1:  # toward a point of some cell: often along a face
+            target = _open_point(k, rng.randrange(len(k.simplices)), rng)
+            v = tuple(a - b for a, b in zip(target, c))
+        else:
+            v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k.n))
+        yield PathGerm.linear(c, v)
+
+
+def test_eventual_simplex_matches_all_cells_reference():
+    from saet.complexes import build_complex
+    from saet.germs import eventual_simplex
+    from test_complexes import grid_tops, wedge_stack_tops
+
+    seen_dims = set()
+    outside = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        if seed % 2 == 0:
+            verts, tops = grid_tops(3 + seed // 2 % 3)
+        else:
+            verts, tops = wedge_stack_tops(2 + seed // 2 % 2)
+        k = build_complex(verts, tops, validate=False)
+        for alpha in _seeded_germs(k, rng, 32):
+            want = all_cells_eventual_simplex(alpha, k)
+            assert eventual_simplex(alpha, k) == want, alpha
+            if want is None:
+                outside += 1
+            else:
+                seen_dims.add(k.dim_of(want))
+    assert seen_dims == {0, 1, 2, 3} and outside
+
+
+# --- one germ value: exact arithmetic in Q(t) -------------------------------
+
+
+def test_germ_value_is_an_exact_field_element(square):
+    t = GermValue(0, 1)
+    zero, one = GermValue(0, 0), GermValue(1)
+    assert t * t != zero and t * t > zero and -(t * t) < zero
+    assert t / t == one and hash(t / t) == hash(one) == hash(1)
+    assert t / t == 1 and GermValue(3, den=(2,)) == F(3, 2)
+    assert (t + 1) * (t - 1) == t * t - 1
+    assert GermValue(1, 1, den=(1, -1)) == (1 + t) / (1 - t)
+    assert (t * t).pair() == (0, 0) and ((1 + t) / (1 - t)).pair() == (1, 2)
+    assert 1 / (1 + t) > 1 - t and 1 / (1 + t) < 1 - t + t * t
+    with pytest.raises(PoleAtZero):
+        (1 / t).pair()
+    with pytest.raises(ZeroDivisionError):
+        t / zero
+    # equality is transitive through higher-order contact
+    y_axis = PathGerm.linear((0, 0), (0, 1))
+    y = coord_function(PLSet(square, range(len(square.simplices))), 1)
+    t_sq = evaluate(y * y, y_axis)
+    assert t_sq == t * t and t_sq != zero and hash(t_sq) == hash(t * t)
+    assert len({t_sq, t * t, zero, GermValue(0), one, t / t}) == 3
+
+
+def test_eval_hom_makes_one_cell_query(monkeypatch, square, fix_b):
+    from saet import germs
+
+    f = interpolated_pl_function(
+        fix_b, {vid: square.vertices[vid][0] for vid in range(len(square.vertices))}
+    )
+    rep = weak_extension(f)
+    calls = []
+    original = germs.eventual_simplex
+
+    def counting(alpha, k):
+        calls.append(alpha)
+        return original(alpha, k)
+
+    monkeypatch.setattr(germs, "eventual_simplex", counting)
+    for alpha in (PathGerm.linear((0, 0), (1, 1)), PathGerm.linear((0, 0), (0, 1))):
+        calls.clear()
+        eval_hom(f, alpha, rep)
+        assert len(calls) == 1
+
+
+quarters = st.fractions(-1, 1, max_denominator=4)
+steps = st.integers(-2, 2)
+values = st.fractions(-4, 4, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluation_is_an_ordered_ring_homomorphism(square, fix_b, data):
+    # exact laws on generated PL functions and germs of the double cone
+    from saet.germs import eventual_simplex
+
+    def pl_function():
+        return interpolated_pl_function(
+            fix_b, {v: data.draw(values) for v in range(len(square.vertices))})
+
+    alpha = PathGerm.linear(data.draw(st.tuples(quarters, quarters)),
+                            data.draw(st.tuples(steps, steps)))
+    carrier = eventual_simplex(alpha, square)
+    assume(carrier in fix_b.members)
+    f, g = pl_function(), pl_function()
+    vf, vg = evaluate(f, alpha), evaluate(g, alpha)
+    assert evaluate(f + g, alpha) == vf + vg
+    assert evaluate(f * g, alpha) == vf * vg
+    c = data.draw(values)
+    const = PLFFunction(fix_b, {sid: RatioForm.constant(c, 2) for sid in fix_b.members})
+    assert evaluate(const, alpha) == GermValue(c)
+
+    def positive_on_carrier(h):  # >= 0 at the vertices and not all 0
+        at = [h.pieces[carrier](p) for p in square.coords(carrier)]
+        return min(at) >= 0 and max(at) > 0
+
+    for h in (f, g):
+        if positive_on_carrier(h):
+            assert evaluate(h, alpha) > 0
+    if positive_on_carrier(f) and positive_on_carrier(g):
+        assert evaluate(f * g, alpha) > 0  # second order where both vanish
+
+
+@pytest.fixture(scope="module")
+def wedge_coordinates(fix_c):
+    return [coord_function(fix_c, i) for i in range(3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_substitution_identity(wedge, fix_c, wedge_coordinates, data):
+    # phi(f) = f(phi(x_1), ..., phi(x_n)), the right side computed by
+    # evaluating the carrier's RatioForm piece in Q(t) arithmetic
+    from saet.germs import eventual_simplex
+
+    x = data.draw(st.fractions(0, 1, max_denominator=4))
+    y = min(x, data.draw(st.fractions(0, 1, max_denominator=4)))
+    alpha = PathGerm.linear((x, y, data.draw(quarters)),
+                            data.draw(st.tuples(steps, steps, steps)))
+    carrier = eventual_simplex(alpha, wedge)
+    assume(carrier in fix_c.members)
+    if data.draw(st.booleans()):
+        f = scaled_slope_function_c(fix_c)  # the two-factor piece z (x - y) / x
+    else:
+        f, g = (interpolated_pl_function(
+            fix_c, {v: data.draw(values) for v in range(len(wedge.vertices))})
+            for _ in range(2))
+        f = f * g
+    coords = tuple(evaluate(x_i, alpha) for x_i in wedge_coordinates)
+    assert evaluate(f, alpha) == f.pieces[carrier](coords)

@@ -349,3 +349,76 @@ def test_cli_missing_marked_set(tmp_path, capsys):
     save_complex(str(tmp_path / "bare.json"), k)
     rc = main(["analyze", str(tmp_path / "bare.json")])
     assert rc == 1
+
+
+def _fix_b_x_function():
+    """fix_b with f = x, as written by save_function."""
+    from saet.fixtures import fix_b, interpolated_pl_function
+
+    k = square_complex()
+    m = fix_b(k)
+    f = interpolated_pl_function(m, {v: k.vertices[v][0] for v in range(len(k.vertices))})
+    return k, m, function_to_dict(f)
+
+
+def _set_piece(key, value, sid=0):
+    def edit(data, k):
+        entry = next(e for e in data["pieces"] if e["simplex"] == k.id_of(sid))
+        entry[key] = value
+    return edit
+
+
+def _drop_piece(data, k):
+    data["pieces"].pop()
+
+
+def _add_non_member_piece(data, k):
+    data["pieces"].append({"simplex": k.id_of((1,)), "num": [0, 1, 0], "den": [1, 0, 0]})
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set_piece("simplex", 0.9), id="float-simplex"),
+    pytest.param(_set_piece("simplex", "x"), id="string-simplex"),
+    pytest.param(_set_piece("simplex", -1), id="negative-simplex"),
+    pytest.param(_set_piece("simplex", True), id="bool-simplex"),
+    pytest.param(_set_piece("simplex", 99), id="simplex-out-of-range"),
+    pytest.param(_drop_piece, id="missing-piece"),
+    pytest.param(_add_non_member_piece, id="non-member-piece"),
+    pytest.param(_set_piece("den", ["-1/2", 0, 1], (0, 2, 3)), id="den-changes-sign"),
+    pytest.param(_set_piece("num", [5, 0, 0], (0, 2, 3)), id="discontinuous"),
+    pytest.param(_set_piece("num_factors", [], (0, 2, 3)), id="no-factors"),
+])
+def test_cli_rejects_malformed_function(tmp_path, capsys, edit):
+    k, m, data = _fix_b_x_function()
+    edit(data, k)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        function_from_dict(json.loads(path.read_text()), m)
+    save_complex(str(tmp_path / "fixb.json"), k, m)
+    save_path(str(tmp_path / "path.json"), PathGerm.linear((0, 0), (0, 1)))
+    for argv in (["extend", str(tmp_path / "fixb.json"), str(path)],
+                 ["eval", str(tmp_path / "fixb.json"), str(path),
+                  "--path", str(tmp_path / "path.json")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c, v", [
+    pytest.param([0, 0, 1], [2, 1, 0], id="3d-path"),
+    pytest.param([0], [1], id="1d-path"),
+    pytest.param([0, 0], [0, 1, 0], id="3d-velocity"),
+])
+def test_cli_eval_rejects_path_of_other_dimension(tmp_path, capsys, c, v):
+    k, m, data = _fix_b_x_function()
+    save_complex(str(tmp_path / "fixb.json"), k, m)
+    (tmp_path / "f.json").write_text(json.dumps(data))
+    (tmp_path / "path.json").write_text(json.dumps({"pieces": [{"t_end": 1, "c": c, "v": v}]}))
+    argv = ["eval", str(tmp_path / "fixb.json"), str(tmp_path / "f.json"),
+            "--path", str(tmp_path / "path.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    save_path(str(tmp_path / "path.json"), PathGerm.linear((0, 0), (0, 1)))
+    assert main(argv) == 0 and capsys.readouterr().out.strip() == "(0, 0)"
