@@ -18,10 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
-from .complexes import Complex, PLSet, closure, eta
+from .complexes import Complex, PLSet, bounding_box, closure, eta
 from .errors import (
     BadOrder,
     OutOfDomain,
@@ -166,6 +167,30 @@ class CarveUnit:
             return False  # a vertex has empty base boundary
         return self.outer.on_base_boundary(x)
 
+    @cached_property
+    def reach_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The box of the base inflated by reach, which holds the outer
+        neighborhood: reach is a ball's radius, or a tube's maximal normal
+        height eps* diam (both rounded up to a rational)."""
+        outer = self.outer
+        if self.is_ball:
+            reach = _sqrt_upper(outer.radius_sq)
+        else:
+            diam_sq = max(sum((a - b) ** 2 for a, b in zip(v, w))
+                          for v in outer.vertices for w in outer.vertices)
+            reach = _sqrt_upper(outer.eps_star_sq * diam_sq)
+        return tuple((lo - reach, hi + reach) for lo, hi in bounding_box(outer.vertices))
+
+    def reaches(self, x: Vec) -> bool:
+        """x lies in the reach box; when it does not, x is outside the outer
+        neighborhood and so outside the inner one too (exact)."""
+        return all(lo <= c <= hi for c, (lo, hi) in zip(x, self.reach_box))
+
+    @cached_property
+    def wall_forms(self) -> list[AffineForm]:
+        """Rational wall forms of the carved inner tube, built once."""
+        return _wall_forms(self)
+
     # --- member predicates (exact, rational points) ------------------------
 
     def removes(self, x: Vec) -> bool:
@@ -261,43 +286,22 @@ class CarvedSet:
         x = vec(x)
         if not self.base.contains_point(x):
             return False
-        return not any(u.removes(x) for u in self.units)
+        return not any(u.removes(x) for u in self.units if u.reaches(x))
 
     def closure_member(self, x: Vec) -> bool:
         """Exact predicate for the realized closure under the certificates."""
         x = vec(x)
         if not closure(self.base).contains_point(x):
             return False
-        return not any(u.removes_from_closure(x) for u in self.units)
+        return not any(u.removes_from_closure(x) for u in self.units if u.reaches(x))
 
     def units_near(self, center: Vec, radius: Fraction) -> list[CarveUnit]:
-        """Units whose outer neighborhood can meet the given ball.
-
-        A tube stays within the bounding box of its base inflated by the
-        maximal normal height eps* diam; a ball within center +- r.
-        """
+        """Units whose outer neighborhood can meet the given ball: those
+        whose reach box, grown by the radius, holds its center."""
         center = vec(center)
-        out = []
-        for u in self.units:
-            if u.is_ball:
-                reach = _sqrt_upper(u.outer.radius_sq)
-                pts = (u.outer.center,)
-            else:
-                diam_sq = max(
-                    sum((a - b) ** 2 for a, b in zip(v, w))
-                    for v in u.outer.vertices
-                    for w in u.outer.vertices
-                )
-                reach = _sqrt_upper(u.outer.eps_star_sq * diam_sq)
-                pts = u.outer.vertices
-            pad = reach + radius
-            miss = any(
-                c < min(p[k] for p in pts) - pad or c > max(p[k] for p in pts) + pad
-                for k, c in enumerate(center)
-            )
-            if not miss:
-                out.append(u)
-        return out
+        return [u for u in self.units
+                if all(lo - radius <= c <= hi + radius
+                       for c, (lo, hi) in zip(center, u.reach_box))]
 
     def crossing_forms(self) -> list[AffineForm]:
         """Affine forms whose zero sets carry the PL part of the boundary:
@@ -310,7 +314,7 @@ class CarvedSet:
             self._facet_forms = list(dict.fromkeys(f for ff in tops for f in ff.forms))
         forms = list(self._facet_forms)
         for u in self.units:
-            forms.extend(_wall_forms(u))
+            forms.extend(u.wall_forms)
         return forms
 
 

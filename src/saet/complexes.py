@@ -10,13 +10,16 @@ All set operations here are exact; there is no tolerance anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
 from .geometry import SimplexGeometry
 from .lp import intersection_excess
 from .rationals import Vec, affinely_independent, vec
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def bounding_box(pts: Sequence[Vec]) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -96,11 +99,8 @@ class Complex:
         self.simplices = tuple(simplices)  # canonical order: (dim, vertex_ids)
         self.index = {s.vertex_ids: i for i, s in enumerate(self.simplices)}
         self.top_ids = tuple(top_ids)
-        tops = set(self.top_ids)  # locate scans the top cells first, then the rest
-        self._scan_order = self.top_ids + tuple(
-            i for i in range(len(self.simplices) - 1, -1, -1) if i not in tops)
         self._geom: dict[int, SimplexGeometry] = {}
-        self._bboxes: dict[int, tuple] = {}
+        self._grid: _BucketGrid | None = None  # built by the first locate
         # faces[j] = ids of the faces of simplex j, itself included;
         # cofaces[i] = ids of the simplices having simplex i as such a face
         self.faces = tuple(tuple(self.index[f.vertex_ids] for f in s.faces())
@@ -143,24 +143,27 @@ class Complex:
             self._geom[sid] = geo
         return geo
 
-    def _bbox(self, sid: int):
-        box = self._bboxes.get(sid)
-        if box is None:
-            box = bounding_box(self.coords(sid))
-            self._bboxes[sid] = box
-        return box
-
     def locate(self, x: Vec) -> int | None:
-        """Id of the unique simplex whose open cell contains x, or None."""
+        """Id of the unique simplex whose open cell contains x, or None.
+
+        Only the top cells listed in x's bucket are tested.  The first whose
+        closed simplex holds x gives the answer: the face spanned by the
+        vertices with positive barycentric coordinate.  Every cell is a face
+        of a top and open cells are disjoint, so that face is the only cell
+        containing x, and x lies in |K| exactly when some closed top holds it.
+        """
         x = vec(x)
-        # generic points land in top cells: try those first, with a cheap
-        # bounding-box rejection before the exact barycentric solve
-        for sid in self._scan_order:
-            box = self._bbox(sid)
+        if len(x) != self.n:
+            raise ValueError(f"a {len(x)}-dimensional point cannot lie in a complex "
+                             f"in {self.n}-dimensional space")
+        if self._grid is None:
+            self._grid = _BucketGrid(self)
+        for sid, ids, box in self._grid.candidates(x):
             if any(not lo <= c <= hi for c, (lo, hi) in zip(x, box)):
                 continue
-            if self.geometry(sid).contains_open(x):
-                return sid
+            bary, h2 = self.geometry(sid).coords_and_height_sq(x)
+            if h2 == 0 and all(b >= 0 for b in bary):
+                return self.index[tuple(v for v, b in zip(ids, bary) if b)]
         return None
 
     def barycenter(self, sid: int) -> Vec:
@@ -174,6 +177,57 @@ class Complex:
             counts[s.dim] = counts.get(s.dim, 0) + 1
         parts = ", ".join(f"{v}x{k}d" for k, v in sorted(counts.items()))
         return f"Complex(n={self.n}, {parts})"
+
+
+class _BucketGrid:
+    """A uniform grid of buckets over the closed bounding boxes of the top
+    cells (Ericson, *Real-Time Collision Detection*, 2004, ch. 7).
+
+    There are about len(tops) ** (1/n) buckets per axis, and an axis of
+    zero extent gets step 1.  A coordinate c falls in bucket
+    floor((c - lo) / step), clamped to the last one, computed exactly on
+    the numerators and denominators.  Each top is listed, in ``top_ids``
+    order, in every bucket its closed box meets, by the same map; since the
+    map is monotone, a point in the closed box of a top lies in one of that
+    top's buckets, on a bucket boundary too.
+    """
+
+    __slots__ = ("axes", "last", "buckets")
+
+    def __init__(self, k: Complex):
+        tops = [(sid, k.simplices[sid].vertex_ids, bounding_box(k.coords(sid)))
+                for sid in k.top_ids]
+        per_axis = max(1, round(len(tops) ** (1 / k.n))) if k.n else 1
+        self.last = per_axis - 1
+        # per axis: lo, hi and step, each as a (numerator, denominator) pair
+        self.axes = []
+        for a in range(k.n):
+            lo = min((box[a][0] for _, _, box in tops), default=_ZERO)
+            hi = max((box[a][1] for _, _, box in tops), default=_ZERO)
+            step = (hi - lo) / per_axis or _ONE
+            self.axes.append(tuple((f.numerator, f.denominator) for f in (lo, hi, step)))
+        self.buckets: dict[tuple[int, ...], list] = {}
+        for top in tops:
+            low = self.key(tuple(lo for lo, _ in top[2]))
+            high = self.key(tuple(hi for _, hi in top[2]))
+            for key in product(*(range(a, b + 1) for a, b in zip(low, high))):
+                self.buckets.setdefault(key, []).append(top)
+
+    def key(self, x: Vec) -> tuple[int, ...] | None:
+        """The bucket of x; None when x lies outside the box of all tops."""
+        out = []
+        for c, ((ln, ld), (hn, hd), (sn, sd)) in zip(x, self.axes):
+            p, q = c.numerator, c.denominator
+            above = p * ld - ln * q  # (c - lo) * ld * q
+            if above < 0 or p * hd > hn * q:
+                return None
+            out.append(min(self.last, above * sd // (ld * sn * q)))
+        return tuple(out)
+
+    def candidates(self, x: Vec) -> list:
+        """(id, vertex ids, closed box) of the tops listed in x's bucket."""
+        key = self.key(x)
+        return [] if key is None else self.buckets.get(key, [])
 
 
 class PLSet:

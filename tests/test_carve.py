@@ -344,3 +344,71 @@ def test_probes_build_facet_forms_once(monkeypatch, fix_a_embedded):
     for seed in (3, 4):
         probe_germ(n, q, radius=F(1, 64), samples=16, seed=seed)
     assert len(calls) == len(n.base.complex.top_ids)
+
+
+def grid_punctured(n: int, holes) -> PLSet:
+    """The n x n unit grid minus the vertices (i/n, j/n) for (i, j) in holes."""
+    cut = grid_cut(n)
+    k = cut.complex
+    drop = {k.id_of((j * (n + 1) + i,)) for i, j in holes}
+    return PLSet(k, set(range(len(k.simplices))) - drop)
+
+
+@pytest.mark.parametrize("marked", [
+    lambda: grid_cut(6),
+    lambda: grid_punctured(6, [(1, 1), (3, 4), (4, 2)]),
+], ids=["cut", "punctured"])
+def test_reach_box_rejection_is_exact(marked):
+    # a point outside a unit's reach box is outside its inner and outer
+    # neighborhoods, so member and closure_member, which skip such units,
+    # agree with the same predicates over every unit
+    from saet.tubes import OUTSIDE, membership
+
+    carved = appropriate_embed(marked()).carved
+    base, cl = carved.base, closure(carved.base)
+    rng = random.Random(7)
+    rejected = kept = removed = 0
+    for u in carved.units:
+        for _ in range(40):
+            x = tuple(lo - (hi - lo) + 3 * (hi - lo) * F(rng.randint(0, 240), 240)
+                      for lo, hi in u.reach_box)
+            if u.reaches(x):
+                kept += 1
+            else:
+                rejected += 1
+                assert membership(u.inner, x) == OUTSIDE
+                assert membership(u.outer, x) == OUTSIDE
+            member = base.contains_point(x) and not any(w.removes(x) for w in carved.units)
+            closed = cl.contains_point(x) and not any(
+                w.removes_from_closure(x) for w in carved.units)
+            assert carved.member(x) == member and carved.closure_member(x) == closed
+            removed += base.contains_point(x) and not member
+    assert rejected and kept and removed
+
+
+def test_probes_build_wall_forms_once(monkeypatch):
+    # a tube's rational wall forms depend on the tube only: each tube
+    # solves for its normal on the first probe, not on every probe
+    from saet import carve
+
+    calls = []
+    original = carve._rational_normal
+
+    def counting(tube):
+        calls.append(tube)
+        return original(tube)
+
+    monkeypatch.setattr(carve, "_rational_normal", counting)
+    emb = appropriate_embed(grid_cut(4))
+    tubes = [u for u in emb.carved.units if not u.is_ball]
+    first = emb.carved.crossing_forms()
+    assert len(calls) == len(tubes) == 4
+    from saet.rationals import rational_sqrt
+
+    unit = tubes[0]
+    a, b = unit.outer.vertices
+    mid = tuple((p + q) / 2 for p, q in zip(a, b))
+    q = (mid[0], mid[1] + rational_sqrt(unit.inner.eps_star_sq) * (b[0] - a[0]) / 2)
+    for seed in (3, 4):
+        probe_germ(emb.carved, q, radius=F(1, 256), samples=8, seed=seed)
+    assert emb.carved.crossing_forms() == first and len(calls) == len(tubes)

@@ -387,3 +387,118 @@ def test_germ_queries_do_not_rebuild_the_closure(monkeypatch):
     calls.clear()
     extend.weak_extension(f)
     assert len(calls) <= 2
+
+
+# --- point location: the bucket grid against an all-simplices reference ------
+
+
+def all_simplices_locate(k, boxes, x):
+    """Reference: test the open cell of every simplex of the complex, after
+    an exact rejection by its closed bounding box boxes[sid]."""
+    found = [sid for sid, box in enumerate(boxes)
+             if all(lo <= c <= hi for c, (lo, hi) in zip(x, box))
+             and k.geometry(sid).contains_open(x)]
+    assert len(found) <= 1  # open cells are disjoint
+    return found[0] if found else None
+
+
+def polyline_tops(edges: int):
+    """A zigzag path of edges in R^2: a 1-D complex with empty interior."""
+    verts = [(F(i, edges), F(i % 2, 3)) for i in range(edges + 1)]
+    return verts, [(i, i + 1) for i in range(edges)]
+
+
+def flat_grid_tops(n: int):
+    """The n x n grid placed in the plane z = 1/2 of R^3 (zero z extent)."""
+    verts, tops = grid_tops(n)
+    return [p + (F(1, 2),) for p in verts], tops
+
+
+def locate_queries(k, rng, count: int):
+    """Every vertex and barycenter, then seeded points with coordinates on
+    the bucket boundaries of about len(tops) ** (1/n) buckets per axis,
+    inside the box of the tops or at most 1/3 past it."""
+    pts = list(k.vertices) + [k.barycenter(sid) for sid in range(len(k.simplices))]
+    if not k.n:
+        return pts
+    used = [k.vertices[v] for t in k.top_ids for v in k.simplex(t).vertex_ids]
+    lo = [min(p[a] for p in used) for a in range(k.n)]
+    hi = [max(p[a] for p in used) for a in range(k.n)]
+    per_axis = max(1, round(len(k.top_ids) ** (1 / k.n)))
+    walls = [[lo[a] + (hi[a] - lo[a]) * F(i, per_axis) for i in range(per_axis + 1)]
+             for a in range(k.n)]
+    for _ in range(count):
+        x = []
+        for a in range(k.n):
+            roll = rng.random()
+            if roll < 0.5:
+                x.append(rng.choice(walls[a]))
+            elif roll < 0.9:
+                x.append(lo[a] + (hi[a] - lo[a]) * F(rng.randint(0, 48), 48))
+            else:
+                x.append(rng.choice((lo[a] - F(1, 3), hi[a] + F(1, 3))))
+        pts.append(tuple(x))
+    return pts
+
+
+def test_locate_matches_all_simplices_reference():
+    complexes_under_test = [grid_tops(n) for n in (3, 4, 5, 6)]
+    complexes_under_test += [wedge_stack_tops(p) for p in (2, 3, 4)]
+    complexes_under_test += [polyline_tops(5), flat_grid_tops(3), ([()], [(0,)])]
+    seen_dims, outside, beyond = set(), 0, 0
+    for seed, (verts, tops) in enumerate(complexes_under_test):
+        rng = random.Random(seed)
+        k = build_complex(verts, tops, validate=False)
+        boxes = [complexes.bounding_box(k.coords(sid)) for sid in range(len(k.simplices))]
+        for x in locate_queries(k, rng, 80):
+            want = all_simplices_locate(k, boxes, x)
+            assert k.locate(x) == want, (seed, x)
+            if want is None:
+                outside += 1
+                beyond += any(c < min(p[a] for p in k.vertices)
+                              or c > max(p[a] for p in k.vertices)
+                              for a, c in enumerate(x))
+            else:
+                seen_dims.add(k.dim_of(want))
+    assert seen_dims == {0, 1, 2, 3} and outside > beyond > 0
+
+
+def test_locate_makes_few_exact_solves(monkeypatch):
+    # on the 12 x 12 grid (913 simplices) each query solves for the
+    # barycentric coordinates of at most 4 top cells, not of every cell
+    from saet.geometry import SimplexGeometry
+
+    verts, tops = grid_tops(12)
+    k = build_complex(verts, tops, validate=False)
+    original, calls = SimplexGeometry.coords_and_height_sq, []
+
+    def counting(geo, x):
+        calls.append(x)
+        return original(geo, x)
+
+    monkeypatch.setattr(SimplexGeometry, "coords_and_height_sq", counting)
+    rng = random.Random(12)
+    pts = list(k.vertices) + [k.barycenter(sid) for sid in range(len(k.simplices))]
+    pts += [(F(rng.randint(-8, 104), 96), F(rng.randint(-8, 104), 96)) for _ in range(300)]
+    assert len(k.simplices) == 913
+    worst = 0
+    for x in pts:
+        calls.clear()
+        k.locate(x)
+        worst = max(worst, len(calls))
+    assert worst <= 4
+
+
+def test_locate_checks_dimension():
+    k = build_complex([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    s = PLSet(k, [k.id_of((0, 1, 2))])
+    for x in ((5, 5, 0), (5,), (F(1, 4), F(1, 4), 0), ()):
+        with pytest.raises(ValueError, match=f"{len(x)}-dimensional point.* 2-dimensional"):
+            k.locate(x)
+        with pytest.raises(ValueError, match="dimensional"):
+            s.contains_point(x)
+    assert k.locate((F(1, 4), F(1, 4))) == k.id_of((0, 1, 2))
+    point = build_complex([()], [(0,)])
+    assert point.locate(()) == 0
+    with pytest.raises(ValueError, match="1-dimensional point.* 0-dimensional"):
+        point.locate((0,))

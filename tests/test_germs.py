@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from saet.complexes import PLSet
+from saet.complexes import PLSet, closure
 from saet.errors import (
+    GermInBadSet,
     GermNotInTau,
     LimitOutsideClosure,
     NotEventuallyInDomain,
@@ -519,3 +520,88 @@ def test_substitution_identity(wedge, fix_c, wedge_coordinates, data):
         f = f * g
     coords = tuple(evaluate(x_i, alpha) for x_i in wedge_coordinates)
     assert evaluate(f, alpha) == f.pieces[carrier](coords)
+
+
+# --- germ values against sympy series (optional dependency) ------------------
+
+
+def sympy_along(ratio: RatioForm, alpha: PathGerm, t):
+    """The piece as a sympy rational function of t along t -> c + t v."""
+    import sympy
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    c, v = alpha.germ()
+    point = [q(F(ci)) + t * q(F(vi)) for ci, vi in zip(c, v)]
+
+    def form(f):
+        return q(f.c0) + sum(q(a) * x for a, x in zip(f.c, point))
+
+    return sympy.Mul(*[form(f) for f in ratio.factors]) / form(ratio.den)
+
+
+def assert_matches_series(value: GermValue, expr, t):
+    import sympy
+
+    exact = sum(c * t**i for i, c in enumerate(value.num)) / sum(
+        c * t**i for i, c in enumerate(value.den))
+    assert sympy.cancel(expr - exact) == 0
+    series = sympy.series(expr, t, 0, 2).removeO()
+    assert value.pair() == (series.coeff(t, 0), series.coeff(t, 1))
+
+
+def germs_into_boundary(m: PLSet):
+    """Germs from each member vertex toward the barycenters of the boundary
+    cells of its star."""
+    k = m.complex
+    boundary = closure(m).members - m.members
+    for v in m.members:
+        if k.dim_of(v) == 0:
+            c = k.barycenter(v)
+            for cell in k.cofaces[v]:
+                if cell in boundary:
+                    yield PathGerm.linear(c, tuple(b - a for a, b in zip(c, k.barycenter(cell))))
+
+
+def test_germ_values_match_sympy_series(square, fix_a, fix_b, wedge, fix_c):
+    # evaluate along seeded germs that settle into member cells (the cell
+    # from the all-cells reference), and eval_hom along germs from member
+    # vertices into boundary cells, against the adjacent member pieces
+    sympy = pytest.importorskip("sympy")
+    from saet.complexes import build_complex
+
+    t = sympy.Symbol("t", positive=True)
+    xs = {vid: p[0] for vid, p in enumerate(square.vertices)}
+    cases = [
+        (square, step_function_a(fix_a)),
+        (square, coord_function(fix_a, 1)),
+        (square, interpolated_pl_function(fix_b, xs)),
+        (wedge, scaled_slope_function_c(fix_c)),
+    ]
+    direct = hom = 0
+    for seed, (k, f) in enumerate(cases):
+        rep = weak_extension(f)
+        for alpha in list(_seeded_germs(k, random.Random(seed), 24)) + list(
+                germs_into_boundary(f.domain)):
+            sid = all_cells_eventual_simplex(alpha, k)
+            if sid in f.domain.members:
+                assert_matches_series(evaluate(f, alpha), sympy_along(f.pieces[sid], alpha, t), t)
+                direct += 1
+                continue
+            try:
+                value = eval_hom(f, alpha, rep)
+            except (PreconditionViolated, GermInBadSet):
+                continue
+            for cell in k.cofaces[sid]:
+                if cell in f.domain.members:
+                    assert_matches_series(value, sympy_along(f.pieces[cell], alpha, t), t)
+                    hom += 1
+    assert direct and hom
+    line = build_complex([(0,), (1,)], [(0, 1)])
+    pole = PLFFunction(PLSet(line, [line.id_of((0, 1))]), {
+        line.id_of((0, 1)): RatioForm([AffineForm(1, (0,))], AffineForm(0, (1,)))})
+    assert sympy.limit(sympy_along(pole.pieces[line.id_of((0, 1))],
+                                   PathGerm.linear((0,), (1,)), t), t, 0, "+") == sympy.oo
+    with pytest.raises(PoleAtZero):
+        evaluate(pole, PathGerm.linear((0,), (1,)))
