@@ -23,21 +23,9 @@ from math import isqrt
 from typing import Sequence
 
 from .complexes import Complex, PLSet, bounding_box, closure, eta
-from .errors import (
-    BadOrder,
-    OutOfDomain,
-    PreconditionViolated,
-    RecursionDepthExceeded,
-)
+from .errors import BadOrder, OutOfDomain, PreconditionViolated
 from .intervals import Interval, IntervalPoint, interval_sqrt
-from .metric import (
-    FaceFunctionals,
-    _Conditions,
-    _first_certified,
-    certificate_for,
-    certify_epsilon,
-    _proper_peers,
-)
+from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers, _refusal
 from .probe import ProbeReport, probe_shell
 from .rationals import AffineForm, Vec, dot, rat_str, rational_sqrt, solve, vec
 from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership
@@ -438,56 +426,71 @@ def push_point(dmap: DeformationMap, x, bits: int = 64) -> IntervalPoint:
 
 
 def _carve_tubes(
-    s: PLSet,
+    k: Complex,
     top_ids: Sequence[int],
     prev_units: Sequence[CarveUnit],
     prev_ids: Sequence[int],
 ) -> list[CarveUnit]:
-    k = s.complex
-    obstruction = eta(s).members
-    for t in top_ids:
-        if t not in obstruction:
-            raise PreconditionViolated(f"simplex {t} is not an obstruction cell")
-    # peers: sibling cells at the candidate eps plus previous tubes at theirs
-    peers = {
-        t: [o for o in top_ids if o != t]
-        + [(pid, pu.outer.eps_sq) for pid, pu in zip(prev_ids, prev_units, strict=True)
-           if not pu.is_ball and _proper_peers(k, t, pid)]
-        for t in top_ids
-    }
-    eps_sq = snap_eps_sq(min(certify_epsilon(k, t, peers[t]) for t in top_ids))
-    return [
-        CarveUnit(Tube(k.coords(t), eps_sq), certificate_for(k, t, eps_sq, peers[t]))
+    """Tubes at one common eps around cells of one dimension >= 1.  Each
+    cell's conditions (peers: the sibling cells at the candidate eps, the
+    previous tubes at theirs) give its eps and then its certificate."""
+    conditions = [
+        _Conditions(k, t, [o for o in top_ids if o != t]
+                    + [(pid, pu.outer.eps_sq) for pid, pu in zip(prev_ids, prev_units, strict=True)
+                       if not pu.is_ball and _proper_peers(k, t, pid)])
         for t in top_ids
     ]
+    eps_sq = snap_eps_sq(min(c.first_certified() for c in conditions))
+    return [CarveUnit(Tube(k.coords(c.tau_id), eps_sq), c.certificate(eps_sq)) for c in conditions]
+
+
+def _carve_units(
+    k: Complex, cells: Sequence[int],
+    prev_units: Sequence[CarveUnit], prev_ids: Sequence[int],
+) -> list[CarveUnit]:
+    """The certified units of one level of cells of one dimension: tubes,
+    or radial collars around vertices, each after the collars before it."""
+    if cells and k.dim_of(cells[0]) > 0:
+        return _carve_tubes(k, cells, prev_units, prev_ids)
+    units = []
+    for v in cells:
+        balls = [(w, u.outer.radius_sq) for w, u in zip(cells, units)]
+        check = _collar_conditions(k, v, balls, prev_units, prev_ids)
+        r_sq, certificate = _first_certified(check, f"no collar radius certified for vertex {v}")
+        units.append(CarveUnit(VertexBall(k.coords(v)[0], r_sq), certificate))
+    return units
+
+
+def _level(s: PLSet, prev_units: Sequence[CarveUnit], units: list[CarveUnit]):
+    """The set carved by the previous and the level's units, with the level's push and pull."""
+    return (CarvedSet(s, list(prev_units) + units),
+            DeformationMap(PUSH, [units], s), DeformationMap(PULL, [units], s))
 
 
 def carve_level(
     s: PLSet, eta_top: Sequence,
     prev_units: Sequence[CarveUnit] = (), prev_ids: Sequence[int] = (),
 ) -> tuple[CarvedSet, DeformationMap, DeformationMap]:
-    """Carve certified tubes around top-dimensional obstruction cells.
+    """Carve certified neighborhoods around obstruction cells of one
+    dimension: tubes around cells of dimension >= 1, radial collars (see
+    ``carve_base_vertices``) around vertices.
 
-    Returns the carved set (removal at parameter eps/2) together with the
-    glued push map (onto the carved set) and pull map (from the closure of
-    the carved set onto the closure of the input).
+    Returns the carved set (the previous units and this level's, removed at
+    parameter eps/2) together with the level's glued push map (onto the
+    carved set) and pull map (from the closure of the carved set onto the
+    closure of the input).
     """
     k = s.complex
-    top_ids = [k.id_of(t) for t in eta_top]
-    if not top_ids:
-        carved = CarvedSet(s, [])
-        ident = DeformationMap(PUSH, [[]], s)
-        return carved, ident, DeformationMap(PULL, [[]], s)
-    dims = {k.dim_of(t) for t in top_ids}
-    if len(dims) != 1:
+    ids = [k.id_of(t) for t in eta_top]
+    if len({k.dim_of(t) for t in ids}) > 1:
         raise PreconditionViolated("carve_level expects cells of equal dimension")
-    if dims == {0}:
-        return carve_base_vertices(s, eta_top, prev_units=prev_units, prev_ids=prev_ids)
-    units = _carve_tubes(s, top_ids, prev_units, prev_ids)
-    carved = CarvedSet(s, list(prev_units) + units)
-    push = DeformationMap(PUSH, [units], s)
-    pull = DeformationMap(PULL, [units], s)
-    return carved, push, pull
+    if ids and k.dim_of(ids[0]) == 0:
+        return carve_base_vertices(s, ids, prev_units=prev_units, prev_ids=prev_ids)
+    obstruction = eta(s).members
+    for t in ids:
+        if t not in obstruction:
+            raise PreconditionViolated(f"simplex {t} is not an obstruction cell")
+    return _level(s, prev_units, _carve_units(k, ids, prev_units, prev_ids))
 
 
 def _collar_conditions(
@@ -496,10 +499,11 @@ def _collar_conditions(
 ):
     """The conditions on a collar around vertex vid, built once.
 
-    Returns check(r_sq) -> (ok, records): the star clearance (exact), the
-    disjointness from the earlier balls ``peer_balls`` ((vertex id, r^2)
+    Returns check(r_sq) -> (refusal, records): the star clearance (exact),
+    the disjointness from the earlier balls ``peer_balls`` ((vertex id, r^2)
     pairs), and for each earlier tube its cone compatibility when its base
-    has vertex vid, or else the separation from it.
+    has vertex vid, or else the separation from it.  The refusal names the
+    first inequality that fails at r_sq, or is None.
     """
     star = _Conditions(k, vid)
     v = star.base
@@ -512,18 +516,18 @@ def _collar_conditions(
         for pid, pu in zip(prev_ids, prev_units, strict=True) if not pu.is_ball
     ]
 
-    def check(r_sq: Fraction) -> tuple[bool, list[dict]]:
-        ok, records = star.check(r_sq)
+    def check(r_sq: Fraction) -> tuple[str | None, list[dict]]:
+        refused, records = star.check(r_sq)
         r = rational_sqrt(r_sq)
         for wid, rw, gap_sq in balls:
             cond = (r + rw) ** 2 < gap_sq
             records.append({"kind": "ball_disjointness", "peer": wid, "ok": cond})
-            ok = ok and cond
+            refused = refused or _refusal(cond, records[-1], f"against vertex {wid}")
         for tube_check in tubes:
-            tube_ok, tube_records = tube_check(r_sq)
-            ok = ok and tube_ok
+            why, tube_records = tube_check(r_sq)
+            refused = refused or why
             records.extend(tube_records)
-        return ok, records
+        return refused, records
 
     return check
 
@@ -542,18 +546,18 @@ def _cone_compatibility(k: Complex, vid: int, pid: int, tube: Tube):
         if (fv := f(v)) != 0
     ]
 
-    def check(r_sq: Fraction) -> tuple[bool, list[dict]]:
-        ok = 4 * r_sq < d_sq
+    def check(r_sq: Fraction) -> tuple[str | None, list[dict]]:
         records = [{"kind": "cone_compatibility", "tube": pid,
                     "lhs": rat_str(4 * r_sq), "rhs": rat_str(d_sq)}]
+        refused = _refusal(4 * r_sq < d_sq, records[0], f"of tube {pid}")
         rv = interval_sqrt(Interval(r_sq), 64)
         for fv, nsq, un in facets:
             # need eps* (f(v) - ||u|| r) > ||u|| r, squared conservatively
             margin = Interval(fv) - un * rv
             cond = margin.lo > 0 and (margin.square() * tube.eps_star_sq).lo > r_sq * nsq
             records.append({"kind": "facet_domination", "tube": pid, "ok": cond})
-            ok = ok and cond
-        return ok, records
+            refused = refused or _refusal(cond, records[-1], f"of tube {pid}")
+        return refused, records
 
     return check
 
@@ -578,18 +582,7 @@ def carve_base_vertices(
             raise PreconditionViolated(f"simplex {v} is not a vertex")
         if v not in obstruction:
             raise PreconditionViolated(f"vertex {v} is not an obstruction cell")
-    chosen: dict[int, Fraction] = {}
-    certs: dict[int, list[dict]] = {}
-    for v in vids:
-        check = _collar_conditions(k, v, list(chosen.items()), prev_units, prev_ids)
-        chosen[v], certs[v] = _first_certified(check, f"no collar radius certified for vertex {v}")
-    units = [
-        CarveUnit(VertexBall(k.coords(v)[0], chosen[v]), certs[v]) for v in vids
-    ]
-    carved = CarvedSet(s, list(prev_units) + units)
-    push = DeformationMap(PUSH, [units], s)
-    pull = DeformationMap(PULL, [units], s)
-    return carved, push, pull
+    return _level(s, prev_units, _carve_units(k, vids, prev_units, prev_ids))
 
 
 @dataclass
@@ -604,43 +597,28 @@ class EmbedResult:
 def appropriate_embed(s: PLSet) -> EmbedResult:
     """Carve until no obstruction cell of the original skeleton remains.
 
-    Inducts on the dimension of the obstruction set: each level carves its
-    top-dimensional cells, the residual obstruction loses a dimension, and
-    isolated vertices get radial collars.  The pull map is the composition
-    of the level pulls; all eps certificates are returned.
+    Inducts on the dimension of the obstruction set: each level carves the
+    obstruction cells of one dimension, from the highest down, certified
+    against the tubes carved before it, and the vertices get radial
+    collars.  The pull map is the composition of the level pulls; all eps
+    certificates are returned.
     """
     k = s.complex
-    residual = set(eta(s).members)
-    level_units: list[list[CarveUnit]] = []
-    level_info: list[dict] = []
-    all_units: list[CarveUnit] = []
-    all_ids: list[int] = []
-    certificates: list[dict] = []
-    guard = k.dim + 2
-    while residual:
-        if len(level_info) > guard:  # pragma: no cover
-            raise RecursionDepthExceeded("obstruction dimension failed to decrease")
-        d = max(k.dim_of(t) for t in residual)
-        tops = sorted(t for t in residual if k.dim_of(t) == d)
-        carved, _, _ = carve_level(s, tops, prev_units=all_units, prev_ids=all_ids)
-        new_units = carved.units[len(all_units):]
-        level_units.append(new_units)
-        for t, u in zip(tops, new_units, strict=True):
-            all_units.append(u)
-            all_ids.append(t)
-            for rec in u.certificate:
-                certificates.append(rec)
-        level_info.append({"dim": d, "cells": tops,
-                           "eps_sq": rat_str(new_units[0].outer.eps_sq if not new_units[0].is_ball
-                                             else new_units[0].outer.radius_sq)})
-        residual -= set(tops)
-        if residual:
-            d_next = max(k.dim_of(t) for t in residual)
-            assert d_next < d  # monotone progress
-    carved = CarvedSet(s, all_units)
-    pull = DeformationMap(PULL, level_units, s)
-    push = DeformationMap(PUSH, level_units, s)
-    return EmbedResult(carved, pull, push, level_info, certificates)
+    obstruction = eta(s).members
+    levels: list[list[CarveUnit]] = []
+    info: list[dict] = []
+    units, ids = [], []
+    for d in sorted({k.dim_of(t) for t in obstruction}, reverse=True):
+        cells = sorted(t for t in obstruction if k.dim_of(t) == d)
+        level = _carve_units(k, cells, units, ids)
+        outer = level[0].outer
+        info.append({"dim": d, "cells": cells,
+                     "eps_sq": rat_str(outer.radius_sq if d == 0 else outer.eps_sq)})
+        levels.append(level)
+        units, ids = units + level, ids + cells
+    certificates = [rec for u in units for rec in u.certificate]
+    return EmbedResult(CarvedSet(s, units), DeformationMap(PULL, levels, s),
+                       DeformationMap(PUSH, levels, s), info, certificates)
 
 
 def probe_germ(

@@ -41,10 +41,6 @@ class OutOfDomain(SaetError):
     pass
 
 
-class RecursionDepthExceeded(SaetError):
-    pass
-
-
 class NotEventuallyInDomain(SaetError):
     """The path germ does not settle into a single member open simplex."""
 

@@ -64,10 +64,6 @@ class FaceFunctionals:
         ns.append(sum(ginv[i][j] for i in range(d) for j in range(d)))
         self.norm_sq = tuple(ns)
 
-    def facet(self, i: int) -> tuple[Vec, ...]:
-        """Vertices of the facet opposite vertex i."""
-        return tuple(v for j, v in enumerate(self.vertices) if j != i)
-
 
 def face_functionals(vertices: Sequence[Vec]) -> FaceFunctionals:
     return FaceFunctionals(vertices)
@@ -253,7 +249,7 @@ class _Conditions:
     Building computes all that does not depend on eps: tau's facet forms,
     the form and norm of each star facet that misses tau, and per peer the
     separating hyperplane and the peer's facet forms.  ``check`` then only
-    evaluates inequalities.
+    evaluates inequalities, for the eps search and the certificate alike.
     """
 
     def __init__(self, k: Complex, tau_id: int, peers=()):
@@ -273,7 +269,7 @@ class _Conditions:
         self.peers = [(pid, self.separation(pid, e)) for pid, e in _normalize_peers(k, peers)]
 
     def separation(self, peer_id: int, peer_eps_sq: Fraction | None = None):
-        """check(eps_sq) -> (ok, [tau's record, the peer's record]) for the
+        """check(eps_sq) -> (refusal, [tau's record, the peer's record]) for the
         hyperplane h = separating_hyperplane(tau, peer): tau's neighbourhood
         stays on h < 0 at eps^2, the peer's on h > 0 at its own eps^2 (at
         eps^2 when it has none)."""
@@ -287,15 +283,19 @@ class _Conditions:
         near = _Clearance(self.base, h.form, q, side=-1)
         far = _Clearance(_base(k.coords(peer_id)), h.form, q, side=+1)
 
-        def check(eps_sq: Fraction) -> tuple[bool, list[dict]]:
+        def check(eps_sq: Fraction) -> tuple[str | None, list[dict]]:
             peer_eps = eps_sq if peer_eps_sq is None else peer_eps_sq
             (ok1, lhs1), (ok2, lhs2) = near.test(eps_sq), far.test(peer_eps)
-            return ok1 and ok2, [near.record(eps_sq, lhs1), far.record(peer_eps, lhs2)]
+            near_rec, far_rec = near.record(eps_sq, lhs1), far.record(peer_eps, lhs2)
+            refused = (_refusal(ok1, near_rec, f"of simplex {tau_id} against peer {peer_id}")
+                       or _refusal(ok2, far_rec, f"of peer {peer_id} against simplex {tau_id}"))
+            return refused, [near_rec, far_rec]
 
         return check
 
-    def check(self, eps_sq: Fraction) -> tuple[bool, list[dict]]:
-        ok_all, records = True, []
+    def check(self, eps_sq: Fraction) -> tuple[str | None, list[dict]]:
+        """The first inequality that fails at eps^2 (None if none), and the records."""
+        refused, records = None, []
         for sid, i, clearance in self.faces:
             ok, lhs = clearance.test(eps_sq)
             record = {"kind": "face_clearance", "sigma": sid, "opposite_vertex": i}
@@ -304,13 +304,38 @@ class _Conditions:
             else:
                 record["eps_star_sq_norm_sq"] = rat_str(lhs)
             records.append(record)
-            ok_all = ok_all and ok
+            refused = refused or _refusal(ok, record, f"of simplex {sid} opposite vertex {i}")
         for peer_id, separated in self.peers:
-            ok, (rec1, rec2) = separated(eps_sq)
+            why, (rec1, rec2) = separated(eps_sq)
             rec1["peer"], rec2["peer"] = peer_id, self.tau_id
             records.extend((rec1, rec2))
-            ok_all = ok_all and ok
-        return ok_all, records
+            refused = refused or why
+        return refused, records
+
+    def first_certified(self) -> Fraction:
+        """The first candidate eps^2 at which every condition holds."""
+        eps_sq, _ = _first_certified(
+            self.check,
+            f"no eps certified for simplex {self.tau_id} after {len(_EPS_SQ_CANDIDATES)} rounds",
+        )
+        return eps_sq
+
+    def certificate(self, eps_sq: Fraction) -> list[dict]:
+        """The records at eps^2 stamped with tau and eps^2, or CertificationFailure."""
+        refused, records = self.check(eps_sq)
+        if refused is not None:
+            raise CertificationFailure(
+                f"eps^2 = {eps_sq} fails certification for {self.tau_id}: {refused} fails"
+            )
+        for r in records:
+            r["tau"] = self.tau_id
+            r["eps_sq"] = rat_str(eps_sq)
+        return records
+
+
+def _refusal(ok: bool, record: dict, where: str) -> str | None:
+    """None for a certified inequality, else its kind and where it sits."""
+    return None if ok else f"{record['kind']} {where}"
 
 
 def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:
@@ -331,12 +356,13 @@ def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:
 
 
 def _first_certified(check, failure: str) -> tuple[Fraction, list[dict]]:
-    """The first candidate eps^2 at which ``check`` holds, with its records."""
+    """The first candidate eps^2 at which ``check`` holds, with its records;
+    failing that, the inequality that refused the last candidate."""
     for eps_sq in _EPS_SQ_CANDIDATES:
-        ok, records = check(eps_sq)
-        if ok:
+        refused, records = check(eps_sq)
+        if refused is None:
             return eps_sq, records
-    raise CertificationFailure(failure)
+    raise CertificationFailure(f"{failure}: {refused} fails at the last candidate")
 
 
 def certify_epsilon(k: Complex, tau, peers=()) -> Fraction:
@@ -348,12 +374,7 @@ def certify_epsilon(k: Complex, tau, peers=()) -> Fraction:
     peer.  Deterministic policy: try eps^2 = 1/4, shrinking by 1/4 per
     failure down to 4^-40.  Vertex bases use balls of radius eps.
     """
-    tau_id = k.id_of(tau)
-    eps_sq, _ = _first_certified(
-        _Conditions(k, tau_id, peers).check,
-        f"no eps certified for simplex {tau_id} after {len(_EPS_SQ_CANDIDATES)} rounds",
-    )
-    return eps_sq
+    return _Conditions(k, k.id_of(tau), peers).first_certified()
 
 
 def certificate_for(k: Complex, tau, eps_sq: Fraction, peers=()) -> list[dict]:
@@ -361,11 +382,4 @@ def certificate_for(k: Complex, tau, eps_sq: Fraction, peers=()) -> list[dict]:
 
     Raises CertificationFailure when any inequality cannot be certified.
     """
-    tau_id, eps_sq = k.id_of(tau), Fraction(eps_sq)
-    ok, records = _Conditions(k, tau_id, peers).check(eps_sq)
-    if not ok:
-        raise CertificationFailure(f"eps^2 = {eps_sq} fails certification for {tau_id}")
-    for r in records:
-        r["tau"] = tau_id
-        r["eps_sq"] = rat_str(eps_sq)
-    return records
+    return _Conditions(k, k.id_of(tau), peers).certificate(Fraction(eps_sq))

@@ -15,7 +15,7 @@ from saet.carve import (
     snap_eps_sq,
 )
 from saet.complexes import PLSet, build_complex, closure, eta
-from saet.errors import BadOrder, OutOfDomain, PreconditionViolated
+from saet.errors import BadOrder, CertificationFailure, OutOfDomain, PreconditionViolated
 from saet.fixtures import punctured_square
 from saet.intervals import Interval, interval_sqrt
 from saet.probe import CONNECTED, DISCONNECTED
@@ -292,22 +292,39 @@ def grid_cut(n: int) -> PLSet:
 
 
 def test_carving_solves_each_separation_once(monkeypatch):
-    # 8 tubes along the cut, then 9 collars: one hyperplane per sibling pair
-    # in certify_epsilon and again in certificate_for (8 * 7 each), and one
-    # per collar and tube its base avoids (9 * 8 - 16), not one per candidate
+    # 8 tubes along the cut, then 9 collars: one hyperplane per ordered
+    # sibling pair (8 * 7), shared by the eps search and the certificate,
+    # and one per collar and tube its base avoids (9 * 8 - 16), not one per
+    # candidate; the obstruction set is found once, not once per level
     from saet import carve, metric
 
     original, calls = metric.separating_hyperplane, []
+    original_eta, eta_calls = carve.eta, []
 
     def counting(verts1, verts2):
         calls.append((verts1, verts2))
         return original(verts1, verts2)
 
+    def counting_eta(s):
+        eta_calls.append(s)
+        return original_eta(s)
+
     monkeypatch.setattr(metric, "separating_hyperplane", counting)
     monkeypatch.setattr(carve, "separating_hyperplane", counting, raising=False)
+    monkeypatch.setattr(carve, "eta", counting_eta)
     result = appropriate_embed(grid_cut(8))
     assert [len(lv["cells"]) for lv in result.levels] == [8, 9]
-    assert len(calls) <= 2 * 8 * 7 + 9 * 8 - 16
+    assert len(calls) <= 8 * 7 + 9 * 8 - 16
+    assert len(eta_calls) == 1
+
+
+def test_empty_level_keeps_earlier_units(fix_a, fix_a_embedded):
+    units = fix_a_embedded.carved.units
+    ids = [t for lv in fix_a_embedded.levels for t in lv["cells"]]
+    assert len(units) == 4
+    for carve_cells in (carve_level, carve_base_vertices):
+        carved, _, _ = carve_cells(fix_a, [], prev_units=units, prev_ids=ids)
+        assert carved.units == units
 
 
 def test_cut_grid_certificates_pinned():
@@ -316,6 +333,61 @@ def test_cut_grid_certificates_pinned():
     text = json.dumps(appropriate_embed(grid_cut(6)).certificates, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ad8ee3c7e01793665357e00868e486b634a6a4fd20db73d6e5c1105b5d982acf"
+    )
+
+
+def _generated_marked_sets():
+    """Seeded marked sets: for seeds 0..59 a 3, 4 or 5 grid, for seeds
+    0..19 a 2- or 3-prism wedge stack, each minus 1 to 4 random cells of
+    lower dimension."""
+    from test_complexes import grid_tops, wedge_stack_tops
+
+    for kind, seeds in (("grid", range(60)), ("wedges", range(20))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            if kind == "grid":
+                verts, tops = grid_tops(rng.choice([3, 4, 5]))
+            else:
+                verts, tops = wedge_stack_tops(rng.choice([2, 3]))
+            k = build_complex(verts, tops, validate=False)
+            lower = [sid for sid in range(len(k.simplices)) if sid not in k.top_ids]
+            drop = set(rng.sample(lower, rng.randint(1, 4)))
+            yield kind, seed, PLSet(k, set(range(len(k.simplices))) - drop)
+
+
+def test_carving_pinned_on_generated_inputs():
+    # levels and certificates of every generated input that embeds, byte for
+    # byte; the four refused grids separate a collar from an earlier tube
+    # by a plane the tube's fixed eps cannot clear (ROADMAP item 2)
+    digest, refused = hashlib.sha256(), []
+    for kind, seed, s in _generated_marked_sets():
+        try:
+            res = appropriate_embed(s)
+        except CertificationFailure:
+            refused.append((kind, seed))
+            continue
+        text = json.dumps([kind, seed, res.levels, res.certificates], sort_keys=True)
+        digest.update(text.encode())
+    assert refused == [("grid", 20), ("grid", 27), ("grid", 39), ("grid", 43)]
+    assert digest.hexdigest() == (
+        "efb06964cd00cda03ece773e9d517e9989129a687fa28db90784fbe30cf9aa67"
+    )
+
+
+def test_collar_refusal_names_the_inequality():
+    # the 5 x 5 grid minus the vertex (1/5, 2/5) and two edges: no radius
+    # lets the collar around that vertex clear the earlier tube around
+    # simplex 89, whose own apex balls cross the separating plane
+    from test_complexes import grid_tops
+
+    k = build_complex(*grid_tops(5), validate=False)
+    drop = {k.id_of((13,)), k.id_of((15, 21)), k.id_of((19, 26))}
+    s = PLSet(k, set(range(len(k.simplices))) - drop)
+    with pytest.raises(CertificationFailure) as failure:
+        appropriate_embed(s)
+    assert str(failure.value) == (
+        "no collar radius certified for vertex 13: apex_ball_clearance of peer 89"
+        " against simplex 13 fails at the last candidate"
     )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from saet.errors import NotCommonFace, PreconditionViolated
+from saet.errors import CertificationFailure, NotCommonFace, PreconditionViolated
 from saet.intervals import Interval, sqrt_enclosure
 from saet.metric import (
     certificate_for,
@@ -187,6 +187,21 @@ def test_certify_epsilon_with_peer(square):
 def test_certify_epsilon_rejects_nested_peer(square):
     with pytest.raises(PreconditionViolated):
         certify_epsilon(square, square.id_of((0, 1)), peers=[square.id_of((0,))])
+
+
+def test_certification_failure_names_the_inequality(square):
+    # a peer held at eps^2 = 1/2 fails its side of the separating plane at
+    # every candidate eps of tau; a given eps^2 = 1/2 fails tau's first
+    # face clearance
+    t1, t2 = square.id_of((0, 1)), square.id_of((0, 5))
+    with pytest.raises(CertificationFailure) as failure:
+        certify_epsilon(square, t1, peers=[(t2, F(1, 2))])
+    assert str(failure.value).endswith(
+        f": apex_ball_clearance of peer {t2} against simplex {t1} fails at the last candidate"
+    )
+    with pytest.raises(CertificationFailure) as failure:
+        certificate_for(square, t1, F(1, 2))
+    assert str(failure.value).endswith(f": face_clearance of simplex {t1} opposite vertex 0 fails")
 
 
 def test_peer_pair_of_vertex_ids_names_a_segment(square):
