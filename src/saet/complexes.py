@@ -14,8 +14,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
-from .geometry import SimplexGeometry
-from .lp import intersection_excess
+from .geometry import SimplexGeometry, common_face
 from .rationals import Vec, affinely_independent, vec
 
 
@@ -273,16 +272,22 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     """Build the face closure of the given top simplices and validate gluing.
 
     Raises DegenerateSimplex for affinely dependent vertex lists and BadGlue
-    when two simplices intersect outside a common face (exact LP check).
+    when two simplices intersect outside a common face.
 
-    Gluing is checked in two phases.  The broad phase sorts the tops by the
-    lower bound of their closed bounding boxes on axis 0 and sweeps, keeping
-    the pairs whose boxes meet on every axis.  The narrow phase runs the
-    exact ``intersection_excess`` LP on those pairs only, in the order of
+    Gluing is checked in three phases.  The broad phase sorts the tops by
+    the lower bound of their closed bounding boxes on axis 0 and sweeps,
+    keeping the pairs whose boxes meet on every axis.  The narrow phase runs
+    ``common_face`` on those pairs only, in the order of
     ``combinations(tops, 2)``, so the first BadGlue names the same pair an
-    all-pairs check would.  Skipping a pair is exact, not a heuristic:
-    disjoint closed boxes contain disjoint closed simplices, for which the
-    LP is infeasible (None), and None is accepted.
+    all-pairs check would.  ``common_face`` first looks for a separating
+    plane, and only when none is found falls back to the exact
+    ``intersection_excess`` LP, the one way to reject.  Neither skip is a
+    heuristic.  Disjoint closed boxes contain disjoint closed simplices, for
+    which the LP is infeasible (None), and None is accepted.  A plane that
+    has one simplex on its closed nonnegative side and the other on its
+    closed nonpositive side, zero at the shared vertices and at no unshared
+    vertex of one of them, confines the intersection to the shared face, and
+    there the LP's excess is 0.
     """
     pts = [vec(v) for v in vertices]
     if not pts:
@@ -295,22 +300,22 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
 
     tops = [Simplex(t) for t in top_simplices]
     for t in tops:
-        if max(t.vertex_ids) >= len(pts):
+        if not t.vertex_ids:
+            raise ValueError(f"top simplex {t} has no vertices")
+        if t.vertex_ids[0] < 0 or t.vertex_ids[-1] >= len(pts):
             raise ValueError(f"vertex id out of range in {t}")
         if not affinely_independent([pts[i] for i in t.vertex_ids]):
             raise DegenerateSimplex(f"{t} has affinely dependent vertices")
 
     if validate:
         boxes = [bounding_box([pts[i] for i in t.vertex_ids]) for t in tops]
+        geos = [SimplexGeometry([pts[i] for i in t.vertex_ids]) for t in tops]
         for ta, tb in _meeting_box_pairs(boxes):
             a, b = tops[ta], tops[tb]
             shared = set(a.vertex_ids) & set(b.vertex_ids)
-            ca = [pts[i] for i in a.vertex_ids]
-            cb = [pts[i] for i in b.vertex_ids]
             ia = [k for k, i in enumerate(a.vertex_ids) if i in shared]
             ib = [k for k, i in enumerate(b.vertex_ids) if i in shared]
-            excess = intersection_excess(ca, cb, ia, ib)
-            if excess is not None and excess != 0:
+            if not common_face(geos[ta], geos[tb], ia, ib):
                 raise BadGlue(f"{a} and {b} meet outside their common face")
 
     closure: set[tuple[int, ...]] = set()

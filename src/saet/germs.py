@@ -34,8 +34,7 @@ from .errors import (
     SameApex,
 )
 from .extend import ExtensionReport, PLFFunction, RatioForm
-from .geometry import SimplexGeometry
-from .lp import intersection_excess
+from .geometry import SimplexGeometry, common_face
 from .rationals import Vec, vec
 
 ADJACENT = "Adjacent"
@@ -589,13 +588,8 @@ def distinct_homs_witness(
     if eventual_simplex(alpha, k) != tau_id:
         raise GermNotInTau("the germ must lie in the open base cell")
     # the cones must intersect exactly in the base
-    shared = intersection_excess(
-        list(cone1.geometry.vertices),
-        list(cone2.geometry.vertices),
-        list(range(cone1.geometry.d)),
-        list(range(cone2.geometry.d)),
-    )
-    if shared is None or shared != 0:
+    base = list(range(cone1.geometry.d))
+    if not common_face(cone1.geometry, cone2.geometry, base, base):
         raise PreconditionViolated("cones do not meet exactly in the base cell")
 
     g = _boundary_vanishing_pl(k, tau_id)

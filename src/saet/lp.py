@@ -1,7 +1,9 @@
 """Exact rational linear programming (dense two-phase simplex, Bland's rule).
 
-Small and deterministic; used for the glue validation of complexes and for
-strict separating hyperplanes.  Tableau pivots go through
+Small and deterministic; used for strict separating hyperplanes and as the
+fallback of the glue check ``geometry.common_face``, which tries separating
+planes first and leaves to ``intersection_excess`` only the pairs no plane
+certifies; the LP is the one way that check rejects.  Tableau pivots go through
 ``rationals.pivot``, exactly over Fractions, so feasibility and optimality
 answers carry no tolerance.
 """

@@ -16,23 +16,22 @@ from typing import Sequence
 
 from .complexes import Complex
 from .errors import CertificationFailure, DegenerateSimplex, NotCommonFace, PreconditionViolated
+from .geometry import SimplexGeometry, common_face
 from .intervals import Interval, IntervalPoint, combination, sqrt_enclosure
-from .lp import intersection_excess, linear_feasible
+from .lp import linear_feasible
 from .rationals import AffineForm, Vec, dot, rat_str, vec
 
 
 class FaceFunctionals:
-    """Barycentric facet forms of a d-simplex (d >= 1) with exact normals.
+    """Barycentric facet forms of a d-simplex (d >= 1) with exact norms.
 
-    ``forms[i]`` vanishes exactly on the facet opposite ``vertices[i]``;
-    ``norm_sq[i]`` is the exact squared norm of the in-hull gradient u_i.
-    The last form is 1 minus the sum of the others (gradient -u_last with
-    u_last the sum of the other normals, as in the incenter construction).
+    ``forms[i]`` vanishes exactly on the facet opposite ``vertices[i]``
+    (``SimplexGeometry.forms``); ``norm_sq[i]`` is the exact squared norm
+    of its in-hull gradient u_i.  The last gradient is minus the sum of the
+    others, as in the incenter construction.
     """
 
     def __init__(self, vertices: Sequence[Vec]):
-        from .geometry import SimplexGeometry
-
         self.vertices = tuple(vec(v) for v in vertices)
         d = len(self.vertices) - 1
         if d < 1:
@@ -40,26 +39,9 @@ class FaceFunctionals:
         self.d = d
         self.n = len(self.vertices[0])
         self.geometry = SimplexGeometry(self.vertices)
+        self.forms: tuple[AffineForm, ...] = self.geometry.forms
+
         ginv = self.geometry.gram_inv
-        edges = self.geometry.edges
-        base = self.geometry.base
-
-        normals = []
-        for i in range(d):
-            u = tuple(
-                sum(ginv[k][i] * edges[k][c] for k in range(d)) for c in range(self.n)
-            )
-            normals.append(u)
-        u_last = tuple(sum(u[c] for u in normals) for c in range(self.n))
-        self.normals = tuple(normals) + (u_last,)
-
-        forms = [AffineForm(-dot(u, base), u) for u in normals]
-        total = forms[0]
-        for f in forms[1:]:
-            total = total + f
-        forms.append(AffineForm(1 - total.c0, [-c for c in total.c]))
-        self.forms: tuple[AffineForm, ...] = tuple(forms)
-
         ns = [Fraction(ginv[i][i]) for i in range(d)]
         ns.append(sum(ginv[i][j] for i in range(d) for j in range(d)))
         self.norm_sq = tuple(ns)
@@ -133,8 +115,7 @@ def separating_hyperplane(verts1: Sequence[Vec], verts2: Sequence[Vec]) -> Hyper
     verts1 = [vec(v) for v in verts1]
     verts2 = [vec(v) for v in verts2]
     shared1, shared2 = _shared_vertex_positions(verts1, verts2)
-    excess = intersection_excess(verts1, verts2, shared1, shared2)
-    if excess is not None and excess != 0:
+    if not common_face(SimplexGeometry(verts1), SimplexGeometry(verts2), shared1, shared2):
         raise NotCommonFace("simplices meet outside their shared face")
 
     n = len(verts1[0])

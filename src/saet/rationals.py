@@ -17,9 +17,15 @@ Vec = tuple[Fraction, ...]
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
+    """Coerce ints, Fractions and "p/q" strings to an exact Fraction.
+
+    bool is refused although it is an int: a coordinate ``true`` is a type
+    error, not the number 1.
+    """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"booleans are not accepted as rationals: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):

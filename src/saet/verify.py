@@ -28,6 +28,7 @@ from .complexes import (
     rho,
 )
 from .extend import graph_closure_oracle, ratio_forms_equal_on, weak_extension
+from .geometry import SimplexGeometry, common_face
 from .germs import PathGerm, evaluate
 from .intervals import Interval
 from .io import complex_to_dict
@@ -270,7 +271,6 @@ def _random_interior_point(rng: random.Random, verts):
 
 
 def _random_glued_pair(rng: random.Random):
-    from .lp import intersection_excess
     from .rationals import affinely_independent
 
     n = 3
@@ -284,8 +284,7 @@ def _random_glued_pair(rng: random.Random):
     if not (affinely_independent(v1) and affinely_independent(v2)):
         return None
     idx = list(range(len(shared)))
-    excess = intersection_excess(v1, v2, idx, idx)
-    if excess != 0:
+    if not common_face(SimplexGeometry(v1), SimplexGeometry(v2), idx, idx):
         return None
     return v1, v2, shared
 

@@ -1,12 +1,13 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from saet import complexes
+from saet import complexes, geometry
 from saet.complexes import (
     PLSet,
     Simplex,
@@ -22,7 +23,9 @@ from saet.complexes import (
 )
 from saet.errors import BadGlue, DegenerateSimplex, NotInClosure
 from saet.fixtures import fix_a as make_fix_a
+from saet.geometry import SimplexGeometry, common_face
 from saet.lp import intersection_excess
+from saet.rationals import affinely_independent
 
 
 def brute_closure(s: PLSet) -> frozenset:
@@ -61,6 +64,13 @@ def test_half_edge_overlap_rejected():
             [(0, 0), (2, 0), (0, 2), (1, 0), (3, 0), (1, -2)],
             [(0, 1, 2), (3, 4, 5)],
         )
+
+
+@pytest.mark.parametrize("top, named", [((-1, 0, 1), "Simplex(-1, 0, 1)"), ((), "Simplex()")])
+def test_bad_top_vertex_ids_rejected(top, named):
+    # a negative id would wrap around to the last vertex
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build_complex([(0, 0), (1, 0), (0, 1)], [top])
 
 
 def test_point_complex_in_r0():
@@ -265,11 +275,14 @@ def test_broad_phase_matches_all_pairs():
 
 def test_broad_phase_lp_count(monkeypatch):
     # the narrow phase runs on exactly the pairs whose closed boxes meet,
-    # in combinations order, not on all 41 328 pairs of the 12 x 12 grid
+    # in combinations order, not on all 41 328 pairs of the 12 x 12 grid,
+    # and a separating plane certifies every one of them without an LP
     verts, tops = grid_tops(12)
-    calls = []
-    monkeypatch.setattr(complexes, "intersection_excess",
-                        lambda ca, cb, ia, ib: calls.append((ca, cb)))
+    calls, lps = [], []
+    original = complexes.common_face
+    monkeypatch.setattr(complexes, "common_face", lambda g1, g2, s1, s2: (
+        calls.append((list(g1.vertices), list(g2.vertices))) or original(g1, g2, s1, s2)))
+    monkeypatch.setattr(geometry, "intersection_excess", lambda *args: lps.append(args))
     build_complex(verts, tops)
     coords = [[verts[v] for v in Simplex(t).vertex_ids] for t in tops]
     boxes = [[(min(axis), max(axis)) for axis in zip(*pts)] for pts in coords]
@@ -281,6 +294,100 @@ def test_broad_phase_lp_count(monkeypatch):
     assert len(tops) * (len(tops) - 1) // 2 == 41328
     assert calls == meeting
     assert len(calls) == 2168
+    assert lps == []
+
+
+def perturbed_complex(seed: int):
+    """The input of test_broad_phase_matches_all_pairs for one seed: a 3 x 3
+    grid or 3-prism wedge stack with one vertex moved toward the centroid,
+    part of the way, all of it or past it, and the tops shuffled."""
+    rng = random.Random(seed)
+    verts, tops = grid_tops(3) if seed % 2 == 0 else wedge_stack_tops(3)
+    centroid = [sum(axis) / len(verts) for axis in zip(*verts)]
+    step = F(rng.randint(1, 12), 8)
+    v = rng.randrange(len(verts))
+    verts[v] = tuple(c + step * (m - c) + F(rng.randint(-4, 4), 64)
+                     for c, m in zip(verts[v], centroid))
+    rng.shuffle(tops)
+    return verts, tops
+
+
+def common_face_against_lp(monkeypatch, verts1, verts2, shared1, shared2) -> tuple[bool, bool]:
+    """Run common_face on one pair and check it against the LP oracle;
+    return its answer and whether a plane certified it, with no LP."""
+    lps = []
+    monkeypatch.setattr(geometry, "intersection_excess",
+                        lambda *args: lps.append(intersection_excess(*args)) or lps[-1])
+    got = common_face(SimplexGeometry(verts1), SimplexGeometry(verts2), shared1, shared2)
+    excess = lps[0] if lps else intersection_excess(verts1, verts2, shared1, shared2)
+    assert got == (excess is None or excess == 0)
+    assert lps or (got and excess in (None, 0))
+    return got, not lps
+
+
+def test_common_face_matches_lp_on_perturbed_complexes(monkeypatch):
+    # every box-meeting pair of 100 perturbed grids and wedge stacks; most
+    # pairs miss the moved vertex and recur from seed to seed, and since
+    # both routes are deterministic each distinct pair is run once
+    routes, seen = {}, set()
+    for seed in range(100):
+        verts, tops = perturbed_complex(seed)
+        try:
+            build_complex(verts, tops, validate=False)
+        except (DegenerateSimplex, ValueError):
+            continue
+        simplices = [Simplex(t) for t in tops]
+        boxes = [complexes.bounding_box([verts[v] for v in s.vertex_ids]) for s in simplices]
+        for i, j in complexes._meeting_box_pairs(boxes):
+            a, b = simplices[i].vertex_ids, simplices[j].vertex_ids
+            pair = (tuple(verts[v] for v in a), tuple(verts[v] for v in b))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            shared = set(a) & set(b)
+            route = common_face_against_lp(
+                monkeypatch, list(pair[0]), list(pair[1]),
+                [k for k, v in enumerate(a) if v in shared],
+                [k for k, v in enumerate(b) if v in shared])
+            routes[route] = routes.get(route, 0) + 1
+    # (answer, certified): both routes run, and the LP rejects some pairs
+    assert (True, True) in routes and (False, False) in routes
+
+
+coords = st.integers(-2, 2).map(F) | st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two simplices of any dimensions up to n in R^2 or R^3, with 0 or
+    more shared vertices, from a small lattice so that collinear,
+    coplanar, touching and overlapping pairs are common."""
+    n = draw(st.sampled_from([2, 3]))
+    d1, d2 = draw(st.integers(0, n)), draw(st.integers(0, n))
+    k = draw(st.integers(0, min(d1, d2) + 1))
+    point = st.tuples(*[coords] * n)
+    pts = draw(st.lists(point, min_size=d1 + d2 + 2 - k, max_size=d1 + d2 + 2 - k,
+                        unique=True))
+    verts1, verts2 = pts[:d1 + 1], pts[:k] + pts[d1 + 1:]
+    assume(affinely_independent(verts1) and affinely_independent(verts2))
+    return verts1, verts2, list(range(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_pairs())
+@example(([(0, 0), (1, 0)], [(0, 0), (2, 0)], [0]))  # collinear edges, overlapping
+@example(([(0, 0), (1, 0)], [(0, 0), (-1, 0)], [0]))  # collinear edges at a vertex
+@example(([(0, 0), (1, 0), (0, 1)], [(0, 0), (-1, 0), (0, -1)], [0]))  # collinear edges
+@example(([(0, 0), (1, 0)], [(0, 1), (1, 1)], []))  # disjoint parallel edges
+@example(([(0, 0), (2, 0)], [(1, -1), (1, 1)], []))  # crossing edges, no shared vertex
+@example(([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 0, 0), (0, -1, 0)], [0, 1]))
+@example(([(0, 0, 0), (2, 0, 0), (0, 2, 0)], [(0, 0, 0), (1, 1, 0), (0, 0, 1)], [0]))
+@example(([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 1), (1, 0, 1), (0, 1, 1)], []))
+def test_common_face_matches_lp_on_generated_pairs(pair):
+    verts1, verts2, shared = pair
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        common_face_against_lp(monkeypatch, verts1, verts2, shared, shared)
+        common_face_against_lp(monkeypatch, verts2, verts1, shared, shared)
 
 
 def brute_star(s: PLSet, sid: int) -> list[int]:

@@ -302,6 +302,8 @@ _TRIANGLE = [[0, 0], [1, 0], [0, 1]]
     pytest.param({"vertices": [[0, 0], [1, 0, 0], [0, 1]], "simplices": [[0, 1, 2]]},
                  id="mixed-dimensions"),
     pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 2.9]]}, id="float-id"),
+    pytest.param({"vertices": [[True, 0], [0, 1], [0, 0]], "simplices": [[0, 1, 2]]},
+                 id="bool-coordinate"),
     pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, -1]]}, id="negative-id"),
     pytest.param({"vertices": _TRIANGLE, "simplices": [[0, True, 2]]}, id="bool-id"),
     pytest.param({"vertices": _TRIANGLE, "simplices": [[]]}, id="empty-simplex"),
