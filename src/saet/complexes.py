@@ -326,7 +326,12 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     simplices = [Simplex(ids) for ids in ordered]
     keys = {ids: i for i, ids in enumerate(ordered)}
     top_ids = sorted(keys[t.vertex_ids] for t in tops)
-    return Complex(pts, simplices, top_ids)
+    k = Complex(pts, simplices, top_ids)
+    if validate:
+        # the glue geometries are the ones Complex.geometry would build: the
+        # same sorted vertex order
+        k._geom.update((keys[t.vertex_ids], geo) for t, geo in zip(tops, geos))
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,17 @@ direction-dependent limits go to the conflict set, and denominator
 degenerations with nonvanishing numerator are excluded from the extension
 neighborhood.  The closed graph of a piecewise-linear input provides an
 independent fiber oracle for the same data.
+
+Every hull identity is decided from vertex values.  An affine form is
+fixed on a simplex's affine hull by its values at the vertices, and at a
+point of the order-3 principal lattice it takes the mean of three of them.
+So ``PLFFunction`` evaluates each piece's forms once at each vertex of its
+cell, as integers over one denominator, and the continuity check,
+``face_limit`` and the limit agreement in ``weak_extension`` read that
+table: cross-multiplied equality walks the lattice as sums of three
+integers, and proportionality and boundedness compare vertex values.  A
+limit carries its own vertex values on the face, so agreement evaluates no
+new form.
 """
 
 from __future__ import annotations
@@ -16,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 from .complexes import Complex, PLSet, closure, germ_connected, local_dim
 from .errors import ConflictFound, HypothesisViolated, NotAFace, Unbounded
 from .geometry import SimplexGeometry
-from .rationals import AffineForm, Vec, rat, vec
+from .rationals import AffineForm, Vec, vec
 
 VALUE = "Value"
 DIRECTION_DEPENDENT = "DirectionDependent"
@@ -39,6 +51,12 @@ class RatioForm:
             raise ValueError("numerator must have one or two affine factors")
         self.factors = factors
         self.den = den if den is not None else AffineForm.constant(1, len(factors[0].c))
+        dims = [len(g.c) for g in factors]
+        if any(d != len(self.den.c) for d in dims):
+            raise ValueError(
+                f"numerator factors of dimension {dims} over a denominator "
+                f"of dimension {len(self.den.c)}"
+            )
 
     @staticmethod
     def affine(form: AffineForm) -> "RatioForm":
@@ -96,54 +114,107 @@ def lattice_points(vertices: Sequence[Vec], order: int) -> list[Vec]:
     return pts
 
 
+class _VertexValues:
+    """A ratio form's values at the vertices of a cell, in vertex-id order.
+
+    The values are integers over one positive ``scale``: ``factors`` holds
+    one tuple per numerator factor and ``den`` one for the denominator, so
+    factor i takes the value factors[i][j] / scale at vertex j.  An affine
+    form is fixed on the cell's affine hull by these values.
+    """
+
+    __slots__ = ("factors", "den", "scale")
+
+    def __init__(self, factors, den, scale: int):
+        self.factors = factors
+        self.den = den
+        self.scale = scale
+
+    @staticmethod
+    def of(ratio: RatioForm, vertices: Sequence[Vec]) -> "_VertexValues":
+        """Evaluate each form of the ratio once at each vertex."""
+        forms = (*ratio.factors, ratio.den)
+        vals = [[form(v) for v in vertices] for form in forms]
+        scale = lcm(*(x.denominator for row in vals for x in row))
+        ints = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in vals]
+        return _VertexValues(tuple(ints[:-1]), ints[-1], scale)
+
+    def restrict(self, positions: Sequence[int]) -> "_VertexValues":
+        """The values at the listed vertices, for instance those of a face."""
+        return _VertexValues(
+            tuple(tuple(row[i] for i in positions) for row in self.factors),
+            tuple(self.den[i] for i in positions),
+            self.scale,
+        )
+
+
 def ratio_forms_equal_on(a: RatioForm, b: RatioForm, face_vertices: Sequence[Vec]) -> bool:
     """Exact equality of two ratio forms as functions on the affine hull.
 
     Cross-multiplied: num_a * den_b - num_b * den_a vanishes identically on
     the hull; this has degree <= 3, so the order-3 lattice decides it.
     """
-    for p in lattice_points(face_vertices, 3):
-        lhs = a.numerator_value(p) * b.den(p)
-        rhs = b.numerator_value(p) * a.den(p)
+    return _values_equal(
+        _VertexValues.of(a, face_vertices), _VertexValues.of(b, face_vertices)
+    )
+
+
+def _values_equal(a: _VertexValues, b: _VertexValues) -> bool:
+    """``ratio_forms_equal_on`` from the values at the hull's vertices.
+
+    At the order-3 lattice point (v_i + v_j + v_l) / 3 an affine form takes
+    the mean of its values at v_i, v_j and v_l, that is S / (3 D) with S the
+    sum of the three integer values and D the scale.  So num_a den_b equals
+    num_b den_a there iff, multiplied by (3 D_a)^n_a (3 D_b)^n_b with n the
+    number of numerator factors, the integers N_a S_den_b (3 D_b)^(n_b - 1)
+    and N_b S_den_a (3 D_a)^(n_a - 1) agree, N being the product of the
+    factors' sums.
+    """
+    mult_a = (3 * a.scale) ** (len(a.factors) - 1)
+    mult_b = (3 * b.scale) ** (len(b.factors) - 1)
+    for i, j, l in combinations_with_replacement(range(len(a.den)), 3):
+        lhs = mult_b * (b.den[i] + b.den[j] + b.den[l])
+        rhs = mult_a * (a.den[i] + a.den[j] + a.den[l])
+        for g in a.factors:
+            lhs *= g[i] + g[j] + g[l]
+        for g in b.factors:
+            rhs *= g[i] + g[j] + g[l]
         if lhs != rhs:
             return False
     return True
 
 
-def _vanishes_on_hull(form: AffineForm, vertices: Sequence[Vec]) -> bool:
-    return all(form(v) == 0 for v in vertices)
+def _proportional(f: Sequence[int], g: Sequence[int]) -> Fraction | None:
+    """lambda with f = lambda g on the affine hull, or None.
 
-
-def _proportional_on_hull(
-    f: AffineForm, g: AffineForm, vertices: Sequence[Vec]
-) -> Fraction | None:
-    """lambda with f = lambda g on the affine hull, or None."""
-    witness = next((v for v in vertices if g(v) != 0), None)
-    if witness is None:
+    f and g are vertex values over one scale; two affine forms agree on the
+    hull exactly when they agree at its vertices.
+    """
+    w = next((i for i, x in enumerate(g) if x != 0), None)
+    if w is None:
         return None  # g vanishes on the hull; no useful ratio
-    lam = f(witness) / g(witness)
-    for p in lattice_points(vertices, 1):
-        if f(p) != lam * g(p):
-            return None
-    return lam
+    if any(fv * g[w] != f[w] * gv for fv, gv in zip(f, g)):
+        return None
+    return Fraction(f[w], g[w])
 
 
-def _bounded_quotient_on(
-    num: AffineForm, den: AffineForm, vertices: Sequence[Vec]
-) -> bool:
-    """Whether num/den is bounded on the simplex (den nonvanishing inside).
+def _bounded_quotient(num: Sequence[int], den: Sequence[int]) -> bool:
+    """Whether num/den is bounded on the simplex (den nonvanishing inside),
+    from vertex values.
 
     With den > 0 on the open cell, num/den <= c holds iff num - c den <= 0
     at the vertices, so boundedness is exactly: num vanishes at every
     vertex where den does.
     """
-    return all(num(v) == 0 for v in vertices if den(v) == 0)
+    return all(nv == 0 for nv, dv in zip(num, den) if dv == 0)
 
 
 @dataclass
 class LimitResult:
     kind: str
     value: RatioForm | None = None
+    # the value's vertex values on the face, when face_limit built it
+    on_face: _VertexValues | None = field(default=None, repr=False, compare=False)
 
     def __repr__(self):
         if self.kind == VALUE:
@@ -160,25 +231,38 @@ class PLFFunction:
     cross-multiplied form equality; the check can be disabled to express
     the discontinuous step fixtures, in which case the violations are kept
     for the extension report.
+
+    Each piece's forms are evaluated once at each vertex of its cell; the
+    sign check, the continuity check, ``face_limit`` and ``weak_extension``
+    read their restrictions to faces from that table.
     """
 
     def __init__(self, domain: PLSet, pieces: dict, validate_continuity: bool = True):
         self.domain = domain
         self.complex: Complex = domain.complex
         self.pieces: dict[int, RatioForm] = {}
+        n = self.complex.n
         for key, ratio in pieces.items():
             sid = self.complex.id_of(key)
             if sid not in domain.members:
                 raise ValueError(f"piece assigned to non-member simplex {sid}")
             if not isinstance(ratio, RatioForm):
                 ratio = RatioForm.affine(ratio)
+            if len(ratio.den.c) != n:
+                raise ValueError(
+                    f"piece on simplex {sid} has forms of dimension {len(ratio.den.c)}, "
+                    f"but the complex is in {n}-dimensional space"
+                )
             self.pieces[sid] = ratio
         missing = domain.members - set(self.pieces)
         if missing:
             raise ValueError(f"missing pieces for member simplices {sorted(missing)}")
-        for sid, ratio in self.pieces.items():
-            vals = [ratio.den(v) for v in self.complex.coords(sid)]
-            pos, neg = any(v > 0 for v in vals), any(v < 0 for v in vals)
+        self._table = {
+            sid: _VertexValues.of(ratio, self.complex.coords(sid))
+            for sid, ratio in self.pieces.items()
+        }
+        for sid, vals in self._table.items():
+            pos, neg = any(v > 0 for v in vals.den), any(v < 0 for v in vals.den)
             if (pos and neg) or not (pos or neg):
                 raise ValueError(
                     f"denominator changes sign or vanishes on open simplex {sid}"
@@ -189,16 +273,21 @@ class PLFFunction:
                 f"pieces disagree on shared member faces: {self.continuity_violations}"
             )
 
+    def _on(self, sid: int, beta: int) -> _VertexValues:
+        """The piece on sid at the vertices of its face beta."""
+        ids = self.complex.simplices[sid].vertex_ids
+        return self._table[sid].restrict(
+            [ids.index(v) for v in self.complex.simplices[beta].vertex_ids]
+        )
+
     def _continuity_violations(self) -> list[tuple[int, int]]:
         out = []
         for beta in sorted(self.domain.members):
-            face_verts = self.complex.coords(beta)
+            own = self._table[beta]
             for sigma in self.complex.cofaces[beta]:
                 if sigma == beta or sigma not in self.domain.members:
                     continue
-                if not ratio_forms_equal_on(
-                    self.pieces[beta], self.pieces[sigma], face_verts
-                ):
+                if not _values_equal(own, self._on(sigma, beta)):
                     out.append((beta, sigma))
         return out
 
@@ -210,7 +299,8 @@ class PLFFunction:
 
     # algebra on shared piece structure (piecewise-linear operands)
     def __add__(self, other: "PLFFunction") -> "PLFFunction":
-        assert self.domain == other.domain
+        if self.domain != other.domain:
+            raise ValueError("sum of functions on different domains")
         pieces = {}
         for sid in self.domain.members:
             a, b = self.pieces[sid], other.pieces[sid]
@@ -222,7 +312,8 @@ class PLFFunction:
         return PLFFunction(self.domain, pieces, validate_continuity=False)
 
     def __mul__(self, other: "PLFFunction") -> "PLFFunction":
-        assert self.domain == other.domain
+        if self.domain != other.domain:
+            raise ValueError("product of functions on different domains")
         pieces = {}
         for sid in self.domain.members:
             a, b = self.pieces[sid], other.pieces[sid]
@@ -243,66 +334,82 @@ def face_limit(f: PLFFunction, sigma, beta) -> LimitResult:
     surviving quotient has a well-defined limit exactly when a vanishing
     factor is proportional to the denominator over the hull of sigma, with
     a bounded-quotient fallback when the remaining prefactor vanishes.
+    Every case reads the piece's vertex values from f's table.
     """
     k = f.complex
     sigma_id, beta_id = k.id_of(sigma), k.id_of(beta)
     if not k.simplex(beta_id).is_face_of(k.simplex(sigma_id)):
         raise NotAFace(f"{beta_id} is not a face of {sigma_id}")
     piece = f.pieces[sigma_id]
-    beta_verts = k.coords(beta_id)
-    sigma_verts = k.coords(sigma_id)
+    on_sigma = f._table[sigma_id]
+    on_beta = f._on(sigma_id, beta_id)
     n = k.n
 
-    den = piece.den
-    if not _vanishes_on_hull(den, beta_verts):
-        return _restrict_ratio(piece, beta_verts, sigma_verts, n)
+    if any(on_beta.den):
+        return _restrict_ratio(piece, on_beta, n)
 
-    zero = [f_ for f_ in piece.factors if _vanishes_on_hull(f_, beta_verts)]
-    nonzero = [f_ for f_ in piece.factors if not _vanishes_on_hull(f_, beta_verts)]
+    zero = [i for i, vals in enumerate(on_beta.factors) if not any(vals)]
     if not zero:
         return LimitResult(INFINITE)
 
     if len(zero) == 1:
-        lam = _proportional_on_hull(zero[0], den, sigma_verts)
+        lam = _proportional(on_sigma.factors[zero[0]], on_sigma.den)
         if lam is not None:
-            rest = nonzero[0] if nonzero else AffineForm.constant(1, n)
-            return LimitResult(VALUE, RatioForm([rest.scale(lam)]))
+            rest = 1 - zero[0] if len(piece.factors) == 2 else None
+            return _scaled_rest(piece, on_beta, rest, lam, n)
         return LimitResult(DIRECTION_DEPENDENT)
 
     # both factors vanish on the hull of beta, denominator too
-    for i in (0, 1):
-        lam = _proportional_on_hull(zero[i], den, sigma_verts)
-        if lam is not None:
-            return LimitResult(VALUE, RatioForm.constant(0, n))
-        if _bounded_quotient_on(zero[i], den, sigma_verts):
-            # bounded quotient times a factor vanishing on beta: limit 0
-            return LimitResult(VALUE, RatioForm.constant(0, n))
+    for i in zero:
+        if _bounded_quotient(on_sigma.factors[i], on_sigma.den):
+            # bounded quotient (a factor proportional to the denominator
+            # gives one) times a factor vanishing on beta: limit 0
+            count = len(on_beta.den)
+            return LimitResult(
+                VALUE,
+                RatioForm.constant(0, n),
+                _VertexValues(((0,) * count,), (1,) * count, 1),
+            )
     return LimitResult(DIRECTION_DEPENDENT)
 
 
-def _restrict_ratio(
-    piece: RatioForm, beta_verts, sigma_verts, n: int
+def _scaled_rest(
+    piece: RatioForm, on_beta: _VertexValues, rest: int | None, lam: Fraction, n: int
 ) -> LimitResult:
+    """The value lam * (factor ``rest`` of the piece, or 1 when None), with
+    its values on the face: lam times the table's."""
+    count = len(on_beta.den)
+    if rest is not None:
+        form, vals = piece.factors[rest], on_beta.factors[rest]
+    else:
+        form, vals = AffineForm.constant(1, n), (on_beta.scale,) * count
+    p, q = lam.numerator, lam.denominator
+    scale = on_beta.scale * q
+    return LimitResult(
+        VALUE,
+        RatioForm([form.scale(lam)]),
+        _VertexValues((tuple(v * p for v in vals),), (scale,) * count, scale),
+    )
+
+
+def _restrict_ratio(piece: RatioForm, on_beta: _VertexValues, n: int) -> LimitResult:
     """Restriction of a ratio with nonvanishing denominator to a face."""
-    factors = list(piece.factors)
-    den = piece.den
+    den = on_beta.den
     # cancel factors proportional to the denominator over the face hull
-    for i, f_ in enumerate(factors):
-        lam = _proportional_on_hull(f_, den, beta_verts)
+    for i, vals in enumerate(on_beta.factors):
+        lam = _proportional(vals, den)
         if lam is not None:
-            rest = factors[1 - i] if len(factors) == 2 else AffineForm.constant(1, n)
-            return LimitResult(VALUE, RatioForm([rest.scale(lam)]))
-    den_vals = [den(v) for v in beta_verts]
-    if any(v > 0 for v in den_vals) and any(v < 0 for v in den_vals):
+            rest = 1 - i if len(on_beta.factors) == 2 else None
+            return _scaled_rest(piece, on_beta, rest, lam, n)
+    if any(v > 0 for v in den) and any(v < 0 for v in den):
         return LimitResult(INFINITE)  # pole crosses the face
-    if any(v == 0 for v in den_vals):
-        # denominator vanishes on part of the closed face: keep the ratio
-        # only when the numerator vanishes there too (bounded), else the
-        # extension cannot cover the face
-        for v in beta_verts:
-            if den(v) == 0 and piece.numerator_value(v) != 0:
-                return LimitResult(INFINITE)
-    return LimitResult(VALUE, RatioForm(factors, den))
+    # denominator vanishes on part of the closed face: keep the ratio only
+    # when the numerator vanishes there too (bounded), else the extension
+    # cannot cover the face
+    for j, d in enumerate(den):
+        if d == 0 and all(vals[j] != 0 for vals in on_beta.factors):
+            return LimitResult(INFINITE)
+    return LimitResult(VALUE, piece, on_beta)
 
 
 @dataclass
@@ -358,10 +465,9 @@ def weak_extension(f: PLFFunction) -> ExtensionReport:
         if any(r.kind == DIRECTION_DEPENDENT for r in limits):
             conflicts[beta] = limits
             continue
-        beta_verts = k.coords(beta)
-        first = limits[0].value
-        if all(ratio_forms_equal_on(first, r.value, beta_verts) for r in limits[1:]):
-            values[beta] = first
+        first = limits[0]
+        if all(_values_equal(first.on_face, r.on_face) for r in limits[1:]):
+            values[beta] = first.value
         else:
             conflicts[beta] = limits
 

@@ -609,3 +609,27 @@ def test_locate_checks_dimension():
     assert point.locate(()) == 0
     with pytest.raises(ValueError, match="1-dimensional point.* 0-dimensional"):
         point.locate((0,))
+
+
+def test_validated_build_keeps_its_glue_geometries(monkeypatch):
+    # the geometries built for the glue check are the ones Complex.geometry
+    # hands out afterwards; a top's Gram matrix is inverted once
+    built = []
+
+    class Recording(SimplexGeometry):
+        def __init__(self, vertices):
+            super().__init__(vertices)
+            built.append(self)
+
+    monkeypatch.setattr(complexes, "SimplexGeometry", Recording)
+    verts, tops = wedge_stack_tops(3)
+    k = build_complex(verts, tops)
+    glue = {geo.vertices: geo for geo in built}
+    assert len(built) == len(glue) == len(tops)
+    for sid in k.top_ids:
+        assert k.geometry(sid) is glue[k.coords(sid)]
+    assert len(built) == len(tops)
+    k.geometry(0)  # a vertex: built on demand
+    assert len(built) == len(tops) + 1
+    unvalidated = build_complex(verts, tops, validate=False)
+    assert unvalidated.geometry(unvalidated.top_ids[0]) is not glue[k.coords(k.top_ids[0])]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -24,6 +25,7 @@ from saet.fixtures import (
     slope_function_c,
     step_function_a,
 )
+from saet.geometry import SimplexGeometry
 from saet.rationals import AffineForm
 
 X = AffineForm(0, (1, 0, 0))
@@ -99,6 +101,23 @@ def test_face_limit_infinite():
     assert r.kind == INFINITE
     rep = weak_extension(f)
     assert k.id_of((0,)) not in rep.v_set.members
+
+
+def test_face_limit_two_vanishing_factors():
+    # both factors and the denominator vanish at the corner: the limit is 0
+    # when one factor over the denominator is bounded on the cell, and
+    # depends on the direction when neither is (y^2/x along y = x^(1/2))
+    from saet.complexes import build_complex
+
+    k = build_complex([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    tri, corner = k.id_of((0, 1, 2)), k.id_of((0,))
+    x, y = AffineForm.coordinate(0, 2), AffineForm.coordinate(1, 2)
+    m = PLSet(k, [tri])
+    bounded = face_limit(PLFFunction(m, {tri: RatioForm([x, y], x + y)}), tri, corner)
+    assert bounded.kind == VALUE and bounded.value.as_affine().is_zero()
+    assert face_limit(PLFFunction(m, {tri: RatioForm([y, y], x)}), tri, corner).kind == (
+        DIRECTION_DEPENDENT
+    )
 
 
 def test_weak_extension_sharpness(wedge, fix_c):
@@ -271,3 +290,264 @@ def test_denominator_sign_validation(square, fix_a):
            for sid in fix_a.members}
     with pytest.raises(ValueError):
         PLFFunction(fix_a, bad, validate_continuity=False)
+
+
+# --- the vertex-value kernel against the lattice-point reference ------------
+
+
+def lattice_equal(a, b, verts):
+    """ratio_forms_equal_on as it used to be computed: the cross-multiplied
+    identity at every point of the order-3 principal lattice."""
+    return all(
+        a.numerator_value(p) * b.den(p) == b.numerator_value(p) * a.den(p)
+        for p in lattice_points(verts, 3)
+    )
+
+
+def random_simplex(rng, n, d):
+    from saet.rationals import affinely_independent
+
+    while True:
+        verts = [
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+            for _ in range(d + 1)
+        ]
+        if affinely_independent(verts):
+            return verts
+
+
+def random_form(rng, n):
+    return AffineForm(
+        F(rng.randint(-5, 5), rng.randint(1, 4)),
+        [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)],
+    )
+
+
+def vanishing_form(rng, verts, n):
+    """A random affine form that is 0 at every vertex (0 when the simplex is
+    full-dimensional): a random gradient made orthogonal to the edges."""
+    from saet.rationals import dot, vscale, vsub
+
+    basis = []
+    for v in verts[1:]:
+        e = vsub(v, verts[0])
+        for u in basis:
+            e = vsub(e, vscale(dot(e, u) / dot(u, u), u))
+        basis.append(e)
+    c = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+    for u in basis:
+        c = vsub(c, vscale(dot(c, u) / dot(u, u), u))
+    return AffineForm(-dot(c, verts[0]), c)
+
+
+def test_ratio_forms_equal_on_matches_lattice_reference():
+    # 360 seeded pairs over simplices of dimension 0-3 in R^1-R^3: random
+    # pairs, pairs equal on the hull but not off it (summands vanishing on
+    # the hull), pairs equal at some lattice points but not at all, one-
+    # against two-factor numerators, and denominators that vanish at a vertex
+    seen = {True: 0, False: 0}
+    seen_off_hull = seen_vertex_zero = seen_mixed = 0
+    for seed in range(360):
+        rng = random.Random(seed)
+        n = 1 + seed % 3
+        d = rng.randint(0, n)
+        verts = random_simplex(rng, n, d)
+        f, g, den = (random_form(rng, n) for _ in range(3))
+        if seed % 4 == 3:
+            den = den - AffineForm.constant(den(verts[rng.randrange(d + 1)]), n)
+            seen_vertex_zero += 1
+        h1, h2, h3 = (vanishing_form(rng, verts, n) for _ in range(3))
+        c = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+        kind = seed // 3 % 6
+        if kind == 0:  # unrelated forms
+            a = RatioForm([f], den)
+            b = RatioForm([g, random_form(rng, n)], random_form(rng, n))
+        elif kind == 1:  # one factor, scaled numerator and denominator
+            a = RatioForm([f], den)
+            b = RatioForm([f.scale(c) + h1], den.scale(c) + h2)
+        elif kind == 2:  # two factors against two factors
+            a = RatioForm([f, g], den)
+            b = RatioForm([g + h1, f.scale(c) + h2], den.scale(c) + h3)
+        elif kind == 3:  # f / 1 against (f + h) (den + h) / (den + h)
+            a = RatioForm([f])
+            b = RatioForm([f + h1, den + h2], den + h3)
+        elif kind == 4:  # one factor off by a constant
+            a = RatioForm([f, g], den)
+            bump = AffineForm.constant(F(1, rng.randint(1, 5)), n)
+            b = RatioForm([f + h1 + bump, g], den + h2)
+        elif seed % 2:  # f g against its interpolant: equal at the vertices only
+            a = RatioForm([f, g])
+            b = RatioForm([sum(
+                (lam.scale(f(v) * g(v)) for lam, v in zip(SimplexGeometry(verts).forms, verts)),
+                AffineForm.constant(0, n),
+            ) + h1])
+        else:  # cross-multiplied: the cubic that vanishes at every lattice
+            # point but one, a product of shifted barycentric coordinates
+            lam = SimplexGeometry(verts).forms
+            combo = rng.choice(list(combinations_with_replacement(range(d + 1), 3)))
+            cubic = [lam[i].scale(3) - AffineForm.constant(j, n)
+                     for i in sorted(set(combo)) for j in range(combo.count(i))]
+            a = RatioForm(cubic[:2])
+            b = RatioForm([h1], cubic[2])
+        seen_mixed += len(a.factors) != len(b.factors)
+        seen_off_hull += d < n and not (h1.is_zero() and h2.is_zero())
+        want = lattice_equal(a, b, verts)
+        assert ratio_forms_equal_on(a, b, verts) == want, seed
+        assert ratio_forms_equal_on(b, a, verts) == want, seed
+        seen[want] += 1
+    assert min(seen.values()) > 60
+    assert seen_off_hull > 100 and seen_vertex_zero == 90 and seen_mixed > 100
+
+
+# --- the extension against the graph-closure oracle on generated inputs ----
+
+
+def generated_marked_set(seed):
+    """A small grid or wedge stack minus random lower cells, with the rng."""
+    from saet.complexes import build_complex
+    from test_complexes import grid_tops, wedge_stack_tops
+
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        verts, tops = grid_tops(2 + seed // 2 % 3)
+    else:
+        verts, tops = wedge_stack_tops(1 + seed // 2 % 3)
+    k = build_complex(verts, tops, validate=False)
+    lower = [sid for sid in range(len(k.simplices)) if sid not in k.top_ids]
+    removed = rng.sample(lower, rng.randint(1, len(lower) // 3))
+    return rng, PLSet(k, set(range(len(k.simplices))) - set(removed))
+
+
+def vertex_interpolant(k, top, values):
+    # the affine form taking values[v] at each vertex v of the top
+    acc = AffineForm.constant(0, k.n)
+    for form, vid in zip(k.geometry(top).forms, k.simplex(top).vertex_ids):
+        acc = acc + form.scale(values[vid])
+    return acc
+
+
+def brute_continuity_violations(f):
+    # every (face, coface) pair of members, found by vertex sets, compared
+    # at the lattice points of the face
+    k, members = f.complex, sorted(f.domain.members)
+    out = []
+    for beta in members:
+        ids = set(k.simplex(beta).vertex_ids)
+        for sigma in members:
+            if sigma != beta and ids <= set(k.simplex(sigma).vertex_ids):
+                if not lattice_equal(f.pieces[beta], f.pieces[sigma], k.coords(beta)):
+                    out.append((beta, sigma))
+    return out
+
+
+def test_extension_matches_oracle_on_generated_inputs():
+    # continuous inputs (interpolated seeded vertex values) and discontinuous
+    # ones (each top interpolates its own perturbed copy of the values, and a
+    # lower cell takes the form of a random member top above it)
+    seen_values = seen_conflicts = seen_violations = 0
+    for seed in range(24):
+        rng, m = generated_marked_set(seed)
+        k = m.complex
+        values = {v: F(rng.randint(-9, 9), rng.randint(1, 3)) for v in range(len(k.vertices))}
+        if seed % 3:
+            f = interpolated_pl_function(m, values)
+            assert not f.continuity_violations
+        else:
+            forms = {}
+            for top in k.top_ids:
+                own = dict(values)
+                if rng.random() < 0.5:
+                    own[rng.choice(k.simplex(top).vertex_ids)] += 1
+                forms[top] = vertex_interpolant(k, top, own)
+            pieces = {
+                sid: RatioForm.affine(forms[rng.choice(
+                    [t for t in k.top_ids if k.simplex(sid).is_face_of(k.simplex(t))]
+                )])
+                for sid in m.members
+            }
+            f = PLFFunction(m, pieces, validate_continuity=False)
+            assert f.continuity_violations == brute_continuity_violations(f)
+            seen_violations += bool(f.continuity_violations)
+        rep = weak_extension(f)
+        orc = graph_closure_oracle(f)
+        boundary = sorted(closure(m).members - m.members)
+        assert set(rep.values) | set(rep.conflicts) >= set(boundary)
+        for beta in boundary:
+            forms_on_beta = orc.fiber_forms(beta)
+            if beta in rep.values:
+                assert len(forms_on_beta) == 1, (seed, beta)
+                assert ratio_forms_equal_on(
+                    forms_on_beta[0], rep.values[beta], k.coords(beta)
+                )
+                seen_values += 1
+            else:
+                assert len(forms_on_beta) > 1, (seed, beta)
+                seen_conflicts += 1
+    assert seen_values > 100 and seen_conflicts > 10 and seen_violations > 4
+
+
+def test_extension_evaluates_each_form_once_per_vertex(monkeypatch):
+    # on the 16-prism wedge stack with f = z (x - y) / x, loading the
+    # function and extending it evaluate each piece form once at each vertex
+    # of its cell, and nothing else: the hull identities read vertex values
+    from saet import io
+    from saet.complexes import build_complex
+    from test_complexes import wedge_stack_tops
+
+    verts, tops = wedge_stack_tops(16)
+    verts = [(x, y, z - 8) for x, y, z in verts]
+    k = build_complex(verts, tops, validate=False)
+    origin = k.id_of((verts.index((0, 0, 0)),))
+    members = {origin} | {
+        sid for sid in range(len(k.simplices))
+        if 0 < sum(p[1] for p in k.coords(sid)) < sum(p[0] for p in k.coords(sid))
+    }
+    m = PLSet(k, members)
+    pieces = {sid: RatioForm([Z, X - Y], X) for sid in members - {origin}}
+    pieces[origin] = RatioForm.constant(0, 3)
+    data = io.function_to_dict(PLFFunction(m, pieces, validate_continuity=False))
+
+    original, calls = AffineForm.__call__, []
+
+    def counting(form, x):
+        calls.append(x)
+        return original(form, x)
+
+    monkeypatch.setattr(AffineForm, "__call__", counting)
+    f = io.function_from_dict(data, m)
+    rep = weak_extension(f)
+    bound = sum(
+        (len(piece.factors) + 1) * len(k.coords(sid)) for sid, piece in f.pieces.items()
+    )
+    assert bound == 1505
+    assert len(calls) <= bound
+    zaxis = set(wall_ids(k, lambda v: v[0] == 0 and v[1] == 0)) - {origin}
+    assert rep.y_set.members == zaxis and len(zaxis) == 32
+
+
+def test_wrong_dimensions_refused(square, fix_a):
+    with pytest.raises(ValueError, match=r"dimension \[2\] over a denominator of dimension 3"):
+        RatioForm([AffineForm(0, (1, 0))], AffineForm(1, (0, 0, 0)))
+    with pytest.raises(ValueError, match=r"dimension \[2, 3\]"):
+        RatioForm([AffineForm(0, (1, 0)), AffineForm(0, (1, 0, 0))])
+    pieces = {sid: RatioForm.constant(1, 2) for sid in fix_a.members}
+    bad = min(fix_a.members)
+    pieces[bad] = RatioForm.constant(1, 3)
+    with pytest.raises(
+        ValueError, match=rf"simplex {bad} has forms of dimension 3.* 2-dimensional"
+    ):
+        PLFFunction(fix_a, pieces)
+    pieces[bad] = AffineForm(0, (1,))
+    with pytest.raises(ValueError, match=rf"simplex {bad} has forms of dimension 1"):
+        PLFFunction(fix_a, pieces)
+
+
+def test_algebra_refuses_different_domains(square, fix_a, fix_b):
+    one_a = PLFFunction(fix_a, {sid: RatioForm.constant(1, 2) for sid in fix_a.members})
+    one_b = PLFFunction(fix_b, {sid: RatioForm.constant(1, 2) for sid in fix_b.members})
+    with pytest.raises(ValueError, match="sum of functions on different domains"):
+        one_a + one_b
+    with pytest.raises(ValueError, match="product of functions on different domains"):
+        one_a * one_b
+    two = one_a + one_a
+    assert all(two.pieces[sid].as_affine() == AffineForm.constant(2, 2) for sid in fix_a.members)
