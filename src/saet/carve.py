@@ -96,6 +96,7 @@ class CarveUnit:
         self.inner = outer.shrink_half()
         self.certificate = certificate
         self.is_ball = isinstance(outer, VertexBall)
+        self._coeff_cache: dict[int, DeformCoeffs] = {}
         if not self.is_ball:
             ff: FaceFunctionals = outer.ff
             n = ff.n
@@ -113,6 +114,9 @@ class CarveUnit:
     # --- interval-box evaluation -------------------------------------------
 
     def _box_data(self, box: IntervalPoint):
+        """Enclosures of what the map tests and formulas read at a box: a
+        ball's squared distance to its center, or a tube's barycentric
+        coordinates, projection and squared height over its base."""
         if self.is_ball:
             rho_sq = box.dist_sq(IntervalPoint(self.outer.center))
             return None, None, rho_sq
@@ -123,11 +127,12 @@ class CarveUnit:
             hsq = hsq + _eval_affine(f, box).square()
         return bary, pi, hsq
 
-    def certainly_outside_outer(self, box: IntervalPoint) -> bool:
+    def certainly_outside_outer(self, data) -> bool:
+        """The box of ``data`` (from ``_box_data``) misses the closed outer
+        neighborhood, as far as its enclosures prove."""
         if self.is_ball:
-            _, _, rho_sq = self._box_data(box)
-            return rho_sq.lo > self.outer.radius_sq
-        bary, _, hsq = self._box_data(box)
+            return data[2].lo > self.outer.radius_sq
+        bary, _, hsq = data
         if any(b.hi < 0 for b in bary):
             return True
         ess = self.outer.eps_star_sq
@@ -137,11 +142,12 @@ class CarveUnit:
                 return True
         return False
 
-    def certainly_inside_outer_open(self, box: IntervalPoint) -> bool:
+    def certainly_inside_outer_open(self, data) -> bool:
+        """The box of ``data`` lies in the open outer neighborhood, as far as
+        its enclosures prove."""
         if self.is_ball:
-            _, _, rho_sq = self._box_data(box)
-            return rho_sq.hi < self.outer.radius_sq
-        bary, _, hsq = self._box_data(box)
+            return data[2].hi < self.outer.radius_sq
+        bary, _, hsq = data
         if not all(b.lo >= 0 for b in bary):
             return False
         ess = self.outer.eps_star_sq
@@ -157,9 +163,13 @@ class CarveUnit:
 
     @cached_property
     def reach_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The box of the base inflated by reach, which holds the outer
-        neighborhood: reach is a ball's radius, or a tube's maximal normal
-        height eps* diam (both rounded up to a rational)."""
+        """The box of the base inflated by reach, which holds the closed
+        outer neighborhood: reach is a ball's radius, or a tube's maximal
+        normal height eps* diam (both rounded up to a rational).
+
+        A point or box outside it is outside the unit's inner and outer
+        neighborhoods, so member tests and the deformation maps skip the
+        unit there; the test compares rationals, so the skip is exact."""
         outer = self.outer
         if self.is_ball:
             reach = _sqrt_upper(outer.radius_sq)
@@ -173,6 +183,11 @@ class CarveUnit:
         """x lies in the reach box; when it does not, x is outside the outer
         neighborhood and so outside the inner one too (exact)."""
         return all(lo <= c <= hi for c, (lo, hi) in zip(x, self.reach_box))
+
+    def meets(self, box: IntervalPoint) -> bool:
+        """The box meets the reach box; when it does not, this unit's maps
+        act as the identity on all of it (exact)."""
+        return all(c.lo <= hi and lo <= c.hi for c, (lo, hi) in zip(box.coords, self.reach_box))
 
     @cached_property
     def wall_forms(self) -> list[AffineForm]:
@@ -195,19 +210,22 @@ class CarveUnit:
     # --- map evaluation -----------------------------------------------------
 
     def _coeffs(self, bits: int) -> DeformCoeffs:
+        """The tube's push/pull coefficients at a precision, solved once per bits."""
         if self.is_ball:
             raise TypeError("ball units use closed-form radial scales")
-        s_sq = self.inner.eps_star_sq
-        sp_sq = self.outer.eps_star_sq
-        s = interval_sqrt(Interval(s_sq), bits)
-        sp = interval_sqrt(Interval(sp_sq), bits)
-        return deformation_coeffs(s, sp)
+        co = self._coeff_cache.get(bits)
+        if co is None:
+            s = interval_sqrt(Interval(self.inner.eps_star_sq), bits)
+            sp = interval_sqrt(Interval(self.outer.eps_star_sq), bits)
+            co = self._coeff_cache[bits] = deformation_coeffs(s, sp)
+        return co
 
-    def map_box(self, box: IntervalPoint, direction: str, bits: int) -> IntervalPoint:
-        """Apply this unit's push or pull formula to an enclosure."""
+    def map_box(self, box: IntervalPoint, data, direction: str, bits: int) -> IntervalPoint:
+        """Apply this unit's push or pull formula to an enclosure, with
+        ``data`` its ``_box_data``."""
         if self.is_ball:
             v = IntervalPoint(self.outer.center)
-            rho = interval_sqrt(box.dist_sq(v), bits)
+            rho = interval_sqrt(data[2], bits)
             r = rational_sqrt(self.outer.radius_sq)
             r = Interval(r) if r is not None else interval_sqrt(
                 Interval(self.outer.radius_sq), bits
@@ -217,7 +235,7 @@ class CarveUnit:
             else:
                 scale = (rho * 2 - r) / rho
             return v + (box - v).scale(scale)
-        bary, pi, hsq = self._box_data(box)
+        bary, pi, hsq = data
         co = self._coeffs(bits)
         t = interval_sqrt(hsq, bits)
         bdist_sq = _boundary_dist_sq_box(self.outer, pi, bary)
@@ -361,6 +379,13 @@ class DeformationMap:
     decisions on rational inputs and returns interval enclosures; where a
     propagated enclosure straddles a branch interface the hull of the
     applicable formulas is returned (valid since the maps agree there).
+
+    A level touches only the units whose reach box meets the enclosure.
+    The reach box holds the unit's closed outer neighborhood, outside of
+    which its map is the identity, so a unit it misses would add nothing
+    to the hull; the test compares rationals, so skipping is exact.  The
+    units met are evaluated once per enclosure, and that data serves the
+    outside test, the inside test and the formula alike.
     """
 
     def __init__(self, direction: str, levels: Sequence[Sequence[CarveUnit]], base: PLSet):
@@ -373,10 +398,11 @@ class DeformationMap:
         candidates = []
         identity_possible = True
         for u in units:
-            if u.certainly_outside_outer(box):
+            data = u._box_data(box)
+            if u.certainly_outside_outer(data):
                 continue
-            candidates.append(u.map_box(box, self.direction, bits))
-            if u.certainly_inside_outer_open(box):
+            candidates.append(u.map_box(box, data, self.direction, bits))
+            if u.certainly_inside_outer_open(data):
                 identity_possible = False
         if identity_possible:
             candidates.append(box)
@@ -395,18 +421,19 @@ class DeformationMap:
         box = x if isinstance(x, IntervalPoint) else IntervalPoint(vec(x))
         order = self.levels if self.direction == PUSH else list(reversed(self.levels))
         for units in order:
+            near = [u for u in units if u.meets(box)]
             # points exactly on a carved base boundary are fixed by the level
             if box.width == 0:
                 p = box.mid()
-                if any(u.on_boundary_base(p) for u in units):
+                if any(u.on_boundary_base(p) for u in near):
                     continue
                 if any(
                     (u.is_ball and p == u.outer.center)
                     or (not u.is_ball and u.outer.geometry.contains_open(p))
-                    for u in units
+                    for u in near
                 ):
                     raise OutOfDomain("map is undefined on the carved cell itself")
-            box = self._apply_level(units, box, bits)
+            box = self._apply_level(near, box, bits)
         return box
 
     def __call__(self, x, bits: int = 64) -> IntervalPoint:

@@ -209,12 +209,41 @@ def _bounded_quotient(num: Sequence[int], den: Sequence[int]) -> bool:
     return all(nv == 0 for nv, dv in zip(num, den) if dv == 0)
 
 
-@dataclass
 class LimitResult:
-    kind: str
-    value: RatioForm | None = None
-    # the value's vertex values on the face, when face_limit built it
-    on_face: _VertexValues | None = field(default=None, repr=False, compare=False)
+    """The limit of a piece at a face: its kind, and for a value the form
+    together with its vertex values on the face (``on_face``, when
+    face_limit built them).
+
+    A value that rescales a factor of the piece, lam * factor (``scaled``
+    = (factor, lam, n), the factor None for the constant 1 on Q^n), is
+    formed on the first read of ``value``: ``weak_extension`` compares
+    limits by their vertex values, so only the value it keeps, and those of
+    conflicts when read, are ever formed.
+    """
+
+    __slots__ = ("kind", "on_face", "_value", "_scaled")
+
+    def __init__(self, kind: str, value: RatioForm | None = None,
+                 on_face: _VertexValues | None = None,
+                 scaled: tuple[AffineForm | None, Fraction, int] | None = None):
+        self.kind, self.on_face = kind, on_face
+        self._value, self._scaled = value, scaled
+
+    @property
+    def value(self) -> RatioForm | None:
+        if self._scaled is not None:
+            form, lam, n = self._scaled
+            if form is None:
+                form = AffineForm.constant(1, n)
+            self._value, self._scaled = RatioForm([form.scale(lam)]), None
+        return self._value
+
+    def __eq__(self, other):
+        if not isinstance(other, LimitResult):
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    __hash__ = None
 
     def __repr__(self):
         if self.kind == VALUE:
@@ -377,18 +406,19 @@ def _scaled_rest(
     piece: RatioForm, on_beta: _VertexValues, rest: int | None, lam: Fraction, n: int
 ) -> LimitResult:
     """The value lam * (factor ``rest`` of the piece, or 1 when None), with
-    its values on the face: lam times the table's."""
+    its values on the face: lam times the table's.  The value's form is
+    built when first read."""
     count = len(on_beta.den)
     if rest is not None:
         form, vals = piece.factors[rest], on_beta.factors[rest]
     else:
-        form, vals = AffineForm.constant(1, n), (on_beta.scale,) * count
+        form, vals = None, (on_beta.scale,) * count
     p, q = lam.numerator, lam.denominator
     scale = on_beta.scale * q
     return LimitResult(
         VALUE,
-        RatioForm([form.scale(lam)]),
-        _VertexValues((tuple(v * p for v in vals),), (scale,) * count, scale),
+        on_face=_VertexValues((tuple(v * p for v in vals),), (scale,) * count, scale),
+        scaled=(form, lam, n),
     )
 
 

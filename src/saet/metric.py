@@ -104,18 +104,22 @@ def _shared_vertex_positions(verts1, verts2):
     return shared1, shared2
 
 
-def separating_hyperplane(verts1: Sequence[Vec], verts2: Sequence[Vec]) -> Hyperplane:
+def separating_hyperplane(simplex1: Sequence[Vec] | SimplexGeometry,
+                          simplex2: Sequence[Vec] | SimplexGeometry) -> Hyperplane:
     """Strict separation of two simplices meeting in a common face.
 
+    Each simplex is given by its vertices or by its ``SimplexGeometry``
+    (a complex's cached one spares the common-face test a Gram inversion).
     Returns h with h = 0 on the shared face, h <= -1 at the other vertices
     of the first simplex and h >= +1 at the other vertices of the second
     (so by convexity the open sides contain the simplices minus the face).
     Raises NotCommonFace when the intersection is not a common face.
     """
-    verts1 = [vec(v) for v in verts1]
-    verts2 = [vec(v) for v in verts2]
+    geo1, geo2 = (s if isinstance(s, SimplexGeometry) else SimplexGeometry([vec(v) for v in s])
+                  for s in (simplex1, simplex2))
+    verts1, verts2 = list(geo1.vertices), list(geo2.vertices)
     shared1, shared2 = _shared_vertex_positions(verts1, verts2)
-    if not common_face(SimplexGeometry(verts1), SimplexGeometry(verts2), shared1, shared2):
+    if not common_face(geo1, geo2, shared1, shared2):
         raise NotCommonFace("simplices meet outside their shared face")
 
     n = len(verts1[0])
@@ -259,7 +263,7 @@ class _Conditions:
             raise PreconditionViolated(
                 f"peer {peer_id} and tube base {tau_id} do not meet in a proper common face"
             )
-        h = separating_hyperplane(k.coords(tau_id), k.coords(peer_id))
+        h = separating_hyperplane(k.geometry(tau_id), k.geometry(peer_id))
         q = h.gradient_norm_sq()
         near = _Clearance(self.base, h.form, q, side=-1)
         far = _Clearance(_base(k.coords(peer_id)), h.form, q, side=+1)

@@ -484,3 +484,169 @@ def test_probes_build_wall_forms_once(monkeypatch):
     for seed in (3, 4):
         probe_germ(emb.carved, q, radius=F(1, 256), samples=8, seed=seed)
     assert emb.carved.crossing_forms() == first and len(calls) == len(tubes)
+
+
+def _shell_points(unit, rng, count: int) -> list[tuple]:
+    """Rational points between a unit's inner and outer neighborhoods,
+    where its maps move points: a ball's annulus, or over a seeded point of
+    a tube's base, at a height between the inner and the outer tube's."""
+    from saet.intervals import sqrt_enclosure
+    from saet.rationals import dot, vsub
+
+    out = []
+    for _ in range(count):
+        v = tuple(F(rng.randint(-8, 8), 8) for _ in unit.outer.vertices[0])
+        if unit.is_ball:
+            p, w = unit.outer.center, v
+            lo, hi = unit.inner.radius_sq, unit.outer.radius_sq
+        else:
+            geo = unit.outer.geometry
+            weights = [F(rng.randint(1, 8)) for _ in geo.vertices]
+            p = geo.point_at([b / sum(weights) for b in weights])
+            q = tuple(a + b for a, b in zip(p, v))
+            w = vsub(q, geo.project(q)[0])
+            # over p the tube at parameter eps holds the heights up to
+            # eps* times min_i f_i(p) / ||u_i||
+            m = min(b * b / sum(weights) ** 2 / nsq
+                    for b, nsq in zip(weights, unit.outer.ff.norm_sq))
+            lo, hi = unit.inner.eps_star_sq * m, unit.outer.eps_star_sq * m
+        if not any(w):
+            continue
+        # a rational t with lo < t^2 |w|^2 <= target < hi
+        ww = dot(w, w)
+        target = (lo + (hi - lo) * F(rng.randint(1, 15), 16)) / ww
+        bits = 32
+        while (t := sqrt_enclosure(target, bits).lo) ** 2 * ww <= lo:
+            bits *= 2
+        out.append(tuple(a + t * b for a, b in zip(p, w)))
+    return out
+
+
+def _assert_in_shell(unit, x):
+    from saet.tubes import OUTSIDE, membership
+
+    assert membership(unit.inner, x) == OUTSIDE and membership(unit.outer, x) != OUTSIDE
+
+
+def _map_outcomes(res, points, bits: int = 64) -> list:
+    """push and pull at each point, as bounds, or the error's type."""
+    out = []
+    for x in points:
+        for dmap in (res.push, res.pull):
+            try:
+                box = dmap.evaluate(x, bits=bits)
+            except OutOfDomain:
+                out.append("OutOfDomain")
+                continue
+            out.append([(c.lo, c.hi) for c in box.coords])
+    return out
+
+
+def _probe_pool(res, rng) -> list[tuple]:
+    """Per unit: shell points, and points drawn from its reach box grown
+    by half its size on each side, inside and outside the reach box."""
+    points = []
+    for u in res.carved.units:
+        shell = _shell_points(u, rng, 3)
+        for x in shell:
+            _assert_in_shell(u, x)
+        points += shell
+        points += [tuple(lo - (hi - lo) / 2 + 2 * (hi - lo) * F(rng.randint(0, 64), 64)
+                         for lo, hi in u.reach_box) for _ in range(3)]
+    return points
+
+
+def test_pruned_maps_match_unpruned(monkeypatch):
+    # skipping the units whose reach box misses the enclosure changes no
+    # bound of any push or pull enclosure, nor which points are refused
+    from saet.carve import CarveUnit
+
+    inputs = [grid_cut(6), grid_punctured(6, [(1, 1), (3, 4), (4, 2)])]
+    inputs += [s for _, seed, s in _generated_marked_sets() if seed % 5 == 0]
+    rng = random.Random(11)
+    cases = []
+    for s in inputs:
+        try:
+            res = appropriate_embed(s)
+        except CertificationFailure:  # the refusals of the carving pin
+            continue
+        cases.append((res, _probe_pool(res, rng)))
+    assert len(cases) >= len(inputs) - 1
+    assert sum(len(pool) for _, pool in cases) > 200
+    pruned = [_map_outcomes(res, pool) for res, pool in cases]
+    monkeypatch.setattr(CarveUnit, "meets", lambda unit, box: True)
+    unpruned = [_map_outcomes(res, pool) for res, pool in cases]
+    assert pruned == unpruned
+
+
+@pytest.fixture(scope="module")
+def cut8():
+    return appropriate_embed(grid_cut(8))
+
+
+def test_maps_evaluate_only_reaching_units(monkeypatch, cut8):
+    # far from every reach box a point costs no interval evaluation; near
+    # a unit each level evaluates each unit it reaches once per enclosure;
+    # a tube's coefficients are solved once per precision
+    from saet import carve
+    from saet.carve import CarveUnit
+
+    original, calls = CarveUnit._box_data, []
+
+    def counting(unit, box):
+        calls.append((unit, box))
+        return original(unit, box)
+
+    solved = []
+    original_coeffs = carve.deformation_coeffs
+
+    def counting_coeffs(s, s_prime):
+        solved.append((s, s_prime))
+        return original_coeffs(s, s_prime)
+
+    monkeypatch.setattr(CarveUnit, "_box_data", counting)
+    monkeypatch.setattr(carve, "deformation_coeffs", counting_coeffs)
+    units = cut8.carved.units
+    assert len(units) == 17
+    far = (F(1, 16), F(1, 16))
+    assert not any(u.reaches(far) for u in units)
+    for dmap in (cut8.push, cut8.pull):
+        assert dmap.evaluate(far).mid() == far
+    assert calls == []
+    rng = random.Random(8)
+    for u in units:
+        for x in _shell_points(u, rng, 3):
+            for bits in (64, 128):
+                for dmap in (cut8.push, cut8.pull):
+                    calls.clear()
+                    dmap.evaluate(x, bits=bits)
+                    seen = [(id(w), id(box)) for w, box in calls]
+                    assert len(set(seen)) == len(seen)
+                    assert all(w.meets(box) for w, box in calls)
+                    assert len(calls) <= 4
+    tubes = [u for u in units if not u.is_ball]
+    assert 0 < len(solved) <= 2 * len(tubes)
+
+
+def _assert_round_trips_near_every_unit(res, rng):
+    # at 128 bits push(pull(x)) and pull(push(x)) enclose x to within
+    # 2^-30 at points in the outer shell of every unit
+    checked = 0
+    for u in res.carved.units:
+        shell = [x for x in _shell_points(u, rng, 4) if res.carved.member(x)]
+        assert shell
+        for x in shell:
+            for first, second in ((res.pull, res.push), (res.push, res.pull)):
+                img = second.evaluate(first.evaluate(x, bits=128), bits=128)
+                assert img.contains(x) and img.width <= F(1, 2**30), (u.outer, x)
+            checked += 1
+    assert checked >= 3 * len(res.carved.units)
+
+
+def test_round_trip_near_every_unit_of_cut_grid_8(cut8):
+    _assert_round_trips_near_every_unit(cut8, random.Random(30))
+
+
+def test_round_trip_near_every_unit_of_punctured_grid_6():
+    res = appropriate_embed(grid_punctured(6, [(1, 1), (3, 4), (4, 2)]))
+    _assert_round_trips_near_every_unit(res, random.Random(30))
