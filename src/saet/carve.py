@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .complexes import Complex, PLSet, bounding_box, closure, eta
 from .errors import BadOrder, OutOfDomain, PreconditionViolated
+from .geometry import homogeneous
 from .intervals import Interval, IntervalPoint, interval_sqrt
 from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers, _refusal
 from .probe import ProbeReport, probe_shell
@@ -114,25 +115,23 @@ class CarveUnit:
     # --- interval-box evaluation -------------------------------------------
 
     def _box_data(self, box: IntervalPoint):
-        """Enclosures of what the map tests and formulas read at a box: a
-        ball's squared distance to its center, or a tube's barycentric
-        coordinates, projection and squared height over its base."""
+        """Enclosures of what the map tests read at a box: a ball's squared
+        distance to its center, or a tube's barycentric coordinates and
+        squared height over its base.  ``map_box`` forms the projection."""
         if self.is_ball:
-            rho_sq = box.dist_sq(IntervalPoint(self.outer.center))
-            return None, None, rho_sq
+            return None, box.dist_sq(IntervalPoint(self.outer.center))
         bary = [_eval_affine(f, box) for f in self.outer.ff.forms]
-        pi = IntervalPoint([_eval_affine(f, box) for f in self.pi_forms])
         hsq = Interval(0)
         for f in self.diff_forms:
             hsq = hsq + _eval_affine(f, box).square()
-        return bary, pi, hsq
+        return bary, hsq
 
     def certainly_outside_outer(self, data) -> bool:
         """The box of ``data`` (from ``_box_data``) misses the closed outer
         neighborhood, as far as its enclosures prove."""
         if self.is_ball:
-            return data[2].lo > self.outer.radius_sq
-        bary, _, hsq = data
+            return data[1].lo > self.outer.radius_sq
+        bary, hsq = data
         if any(b.hi < 0 for b in bary):
             return True
         ess = self.outer.eps_star_sq
@@ -146,8 +145,8 @@ class CarveUnit:
         """The box of ``data`` lies in the open outer neighborhood, as far as
         its enclosures prove."""
         if self.is_ball:
-            return data[2].hi < self.outer.radius_sq
-        bary, _, hsq = data
+            return data[1].hi < self.outer.radius_sq
+        bary, hsq = data
         if not all(b.lo >= 0 for b in bary):
             return False
         ess = self.outer.eps_star_sq
@@ -179,10 +178,20 @@ class CarveUnit:
             reach = _sqrt_upper(outer.eps_star_sq * diam_sq)
         return tuple((lo - reach, hi + reach) for lo, hi in bounding_box(outer.vertices))
 
+    @cached_property
+    def _reach_bounds(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The reach box over the integers: (scale, bounds), with axis a
+        spanning bounds[a] / scale."""
+        scale, *ends = homogeneous([c for axis in self.reach_box for c in axis])
+        return scale, tuple(zip(ends[::2], ends[1::2]))
+
     def reaches(self, x: Vec) -> bool:
         """x lies in the reach box; when it does not, x is outside the outer
-        neighborhood and so outside the inner one too (exact)."""
-        return all(lo <= c <= hi for c, (lo, hi) in zip(x, self.reach_box))
+        neighborhood and so outside the inner one too (exact, compared on
+        the numerators and denominators of x)."""
+        scale, bounds = self._reach_bounds
+        return all(lo * c.denominator <= c.numerator * scale <= hi * c.denominator
+                   for c, (lo, hi) in zip(x, bounds))
 
     def meets(self, box: IntervalPoint) -> bool:
         """The box meets the reach box; when it does not, this unit's maps
@@ -225,7 +234,7 @@ class CarveUnit:
         ``data`` its ``_box_data``."""
         if self.is_ball:
             v = IntervalPoint(self.outer.center)
-            rho = interval_sqrt(data[2], bits)
+            rho = interval_sqrt(data[1], bits)
             r = rational_sqrt(self.outer.radius_sq)
             r = Interval(r) if r is not None else interval_sqrt(
                 Interval(self.outer.radius_sq), bits
@@ -235,7 +244,8 @@ class CarveUnit:
             else:
                 scale = (rho * 2 - r) / rho
             return v + (box - v).scale(scale)
-        bary, pi, hsq = data
+        bary, hsq = data
+        pi = IntervalPoint([_eval_affine(f, box) for f in self.pi_forms])
         co = self._coeffs(bits)
         t = interval_sqrt(hsq, bits)
         bdist_sq = _boundary_dist_sq_box(self.outer, pi, bary)
@@ -316,7 +326,7 @@ class CarvedSet:
         thanks to the eps snapping)."""
         if self._facet_forms is None:
             k = self.base.complex
-            tops = [FaceFunctionals(k.coords(sid)) for sid in k.top_ids if k.dim_of(sid) >= 1]
+            tops = [FaceFunctionals(k.geometry(sid)) for sid in k.top_ids if k.dim_of(sid) >= 1]
             self._facet_forms = list(dict.fromkeys(f for ff in tops for f in ff.forms))
         forms = list(self._facet_forms)
         for u in self.units:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
-from .geometry import SimplexGeometry, common_face
+from .geometry import SimplexGeometry, common_face, homogeneous
 from .rationals import Vec, affinely_independent, vec
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 
 
 def bounding_box(pts: Sequence[Vec]) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -145,7 +146,8 @@ class Complex:
     def locate(self, x: Vec) -> int | None:
         """Id of the unique simplex whose open cell contains x, or None.
 
-        Only the top cells listed in x's bucket are tested.  The first whose
+        Only the top cells listed in x's bucket are tested, each first by its
+        closed bounding box and then by its integer kernel.  The first whose
         closed simplex holds x gives the answer: the face spanned by the
         vertices with positive barycentric coordinate.  Every cell is a face
         of a top and open cells are disjoint, so that face is the only cell
@@ -157,12 +159,14 @@ class Complex:
                              f"in {self.n}-dimensional space")
         if self._grid is None:
             self._grid = _BucketGrid(self)
-        for sid, ids, box in self._grid.candidates(x):
-            if any(not lo <= c <= hi for c, (lo, hi) in zip(x, box)):
+        h = homogeneous(x)
+        q, *p = h
+        for sid, ids, scale, bounds in self._grid.candidates(x):
+            if any(not lo * q <= c * scale <= hi * q for c, (lo, hi) in zip(p, bounds)):
                 continue
-            bary, h2 = self.geometry(sid).coords_and_height_sq(x)
-            if h2 == 0 and all(b >= 0 for b in bary):
-                return self.index[tuple(v for v, b in zip(ids, bary) if b)]
+            nums, height = self.geometry(sid).numerators(h)
+            if not height and all(v >= 0 for v in nums):
+                return self.index[tuple(vid for vid, num in zip(ids, nums) if num)]
         return None
 
     def barycenter(self, sid: int) -> Vec:
@@ -179,54 +183,84 @@ class Complex:
 
 
 class _BucketGrid:
-    """A uniform grid of buckets over the closed bounding boxes of the top
-    cells (Ericson, *Real-Time Collision Detection*, 2004, ch. 7).
+    """A grid of buckets over the closed bounding boxes of the top cells
+    (Ericson, *Real-Time Collision Detection*, 2004, ch. 7).
 
-    There are about len(tops) ** (1/n) buckets per axis, and an axis of
-    zero extent gets step 1.  A coordinate c falls in bucket
-    floor((c - lo) / step), clamped to the last one, computed exactly on
-    the numerators and denominators.  Each top is listed, in ``top_ids``
-    order, in every bucket its closed box meets, by the same map; since the
-    map is monotone, a point in the closed box of a top lies in one of that
-    top's buckets, on a bucket boundary too.
+    Each axis gets a bucket count in proportion to its extent measured in
+    the mean width of the tops' boxes on that axis, scaled so that there
+    are about len(tops) buckets in all; an axis of zero extent gets one
+    bucket of step 1.  A slab-shaped complex, such as a stack of prisms
+    that each span the whole cross-section, is thus cut along the stack
+    only.  A coordinate c falls in bucket floor((c - lo) / step), clamped to
+    the last one, computed exactly on the numerators and denominators.
+    Each top is listed, in ``top_ids`` order, in every bucket its closed box
+    meets, by the same map; since the map is monotone, a point in the
+    closed box of a top lies in one of that top's buckets, on a bucket
+    boundary too.  The counts only choose the buckets; no test reads them.
     """
 
-    __slots__ = ("axes", "last", "buckets")
+    __slots__ = ("axes", "buckets")
 
     def __init__(self, k: Complex):
         tops = [(sid, k.simplices[sid].vertex_ids, bounding_box(k.coords(sid)))
                 for sid in k.top_ids]
-        per_axis = max(1, round(len(tops) ** (1 / k.n))) if k.n else 1
-        self.last = per_axis - 1
-        # per axis: lo, hi and step, each as a (numerator, denominator) pair
+        counts = _bucket_counts([box for _, _, box in tops])
+        # per axis: lo, hi and step, each as a (numerator, denominator)
+        # pair, and the last bucket
         self.axes = []
-        for a in range(k.n):
-            lo = min((box[a][0] for _, _, box in tops), default=_ZERO)
-            hi = max((box[a][1] for _, _, box in tops), default=_ZERO)
+        for a, per_axis in enumerate(counts):
+            lo = min(box[a][0] for _, _, box in tops)
+            hi = max(box[a][1] for _, _, box in tops)
             step = (hi - lo) / per_axis or _ONE
-            self.axes.append(tuple((f.numerator, f.denominator) for f in (lo, hi, step)))
+            self.axes.append((*((f.numerator, f.denominator) for f in (lo, hi, step)),
+                              per_axis - 1))
         self.buckets: dict[tuple[int, ...], list] = {}
-        for top in tops:
-            low = self.key(tuple(lo for lo, _ in top[2]))
-            high = self.key(tuple(hi for _, hi in top[2]))
+        for sid, ids, box in tops:
+            scale, *bounds = homogeneous([c for axis in box for c in axis])
+            entry = (sid, ids, scale, tuple(zip(bounds[::2], bounds[1::2])))
+            low = self.key(tuple(lo for lo, _ in box))
+            high = self.key(tuple(hi for _, hi in box))
             for key in product(*(range(a, b + 1) for a, b in zip(low, high))):
-                self.buckets.setdefault(key, []).append(top)
+                self.buckets.setdefault(key, []).append(entry)
 
     def key(self, x: Vec) -> tuple[int, ...] | None:
         """The bucket of x; None when x lies outside the box of all tops."""
         out = []
-        for c, ((ln, ld), (hn, hd), (sn, sd)) in zip(x, self.axes):
+        for c, ((ln, ld), (hn, hd), (sn, sd), last) in zip(x, self.axes):
             p, q = c.numerator, c.denominator
             above = p * ld - ln * q  # (c - lo) * ld * q
             if above < 0 or p * hd > hn * q:
                 return None
-            out.append(min(self.last, above * sd // (ld * sn * q)))
+            out.append(min(last, above * sd // (ld * sn * q)))
         return tuple(out)
 
     def candidates(self, x: Vec) -> list:
-        """(id, vertex ids, closed box) of the tops listed in x's bucket."""
+        """The tops listed in x's bucket, each as (id, vertex ids, scale,
+        bounds): its closed box is bounds[a] / scale on axis a, over the
+        integers, for a test against a point written by ``homogeneous``."""
         key = self.key(x)
         return [] if key is None else self.buckets.get(key, [])
+
+
+def _bucket_counts(boxes: Sequence[tuple]) -> list[int]:
+    """Buckets per axis for ``_BucketGrid``, about len(boxes) in all.
+
+    Axis a of extent E_a gets a count in proportion to E_a / w_a, with w_a
+    the mean width of the boxes on that axis but at least E_a / len(boxes);
+    an axis of zero extent gets 1.  The counts are rounded, at least 1.
+    """
+    if not boxes:
+        return []
+    ratios = []
+    for axis in zip(*boxes):
+        extent = max(hi for _, hi in axis) - min(lo for lo, _ in axis)
+        width = sum(hi - lo for lo, hi in axis) / len(boxes)
+        ratios.append(float(extent / max(width, extent / len(boxes))) if extent else 0.0)
+    spread = [r for r in ratios if r]
+    if not spread:
+        return [1] * len(ratios)
+    scale = (len(boxes) / prod(spread)) ** (1 / len(spread))
+    return [max(1, round(r * scale)) if r else 1 for r in ratios]
 
 
 class PLSet:

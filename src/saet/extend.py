@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Sequence
 
 from .complexes import Complex, PLSet, closure, germ_connected, local_dim
 from .errors import ConflictFound, HypothesisViolated, NotAFace, Unbounded
-from .geometry import SimplexGeometry
+from .geometry import SimplexGeometry, homogeneous
 from .rationals import AffineForm, Vec, vec
 
 VALUE = "Value"
@@ -134,9 +133,9 @@ class _VertexValues:
     def of(ratio: RatioForm, vertices: Sequence[Vec]) -> "_VertexValues":
         """Evaluate each form of the ratio once at each vertex."""
         forms = (*ratio.factors, ratio.den)
-        vals = [[form(v) for v in vertices] for form in forms]
-        scale = lcm(*(x.denominator for row in vals for x in row))
-        ints = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in vals]
+        size = len(vertices)
+        scale, *flat = homogeneous([form(v) for form in forms for v in vertices])
+        ints = [tuple(flat[i * size:(i + 1) * size]) for i in range(len(forms))]
         return _VertexValues(tuple(ints[:-1]), ints[-1], scale)
 
     def restrict(self, positions: Sequence[int]) -> "_VertexValues":

@@ -2,8 +2,14 @@
 forms, orthogonal projection onto the affine hull, squared distances to
 faces, and the common-face test of two simplices.
 
-A ``SimplexGeometry`` caches the Gram matrix of the edge vectors and its
-inverse, which makes every query a couple of exact matrix-vector products.
+A ``SimplexGeometry`` inverts the Gram matrix of its edge vectors once, to
+build the barycentric forms.  Point queries then run over the integers: the
+forms become integer rows over one common denominator and the vertices
+integer rows over another (``SimplexGeometry.integral``), a query point is
+written once as homogeneous integers (``homogeneous``), and ``numerators``
+returns the barycentric numerators and the height numerator of the point
+from a few integer dot products.  Every sign and equality test reads those
+integers; Fractions are formed only where a caller needs the values.
 """
 
 from __future__ import annotations
@@ -13,14 +19,21 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateSimplex
 from .lp import intersection_excess
-from .rationals import AffineForm, Vec, dot, gram, invert, norm_sq, vsub
+from .rationals import AffineForm, Vec, dot, gram, invert, vsub
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+class IntegerTable(NamedTuple):
+    """A simplex's forms and vertices over the integers (``SimplexGeometry.integral``)."""
+
+    rows: tuple[tuple[int, ...], ...]  # form i times d_scale: (c0, c_1, ..., c_n)
+    points: tuple[tuple[int, ...], ...]  # vertex j as (v_scale, v_scale * v_j)
+    d_scale: int
+    v_scale: int
+    columns: tuple[tuple[int, ...], ...]  # columns[k][j] = points[j][k + 1]
 
 
 class SimplexGeometry:
@@ -62,29 +75,48 @@ class SimplexGeometry:
         return tuple(forms) + (last,)
 
     @cached_property
-    def integral(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The forms and the vertices over the integers, for sign tests.
+    def integral(self) -> IntegerTable:
+        """The forms and the vertices as integer rows, built once.
 
-        Form i becomes ``_integer_row(forms[i])`` and vertex j, as p/q with
-        one denominator q > 0, becomes (q, p_1, ..., p_n); the sign of form
-        i at vertex j, or at any point so written, is that of the integer
-        dot product of the two rows.
+        Form i is ``rows[i] / D`` for one common D > 0, with the constant
+        term first, and vertex j is W_j / V for one common V > 0; ``points[j]``
+        is (V, W_j).  The sign of form i at vertex j, or at any point (q, p)
+        written by ``homogeneous``, is that of the integer dot product of the
+        two rows.
         """
-        return (tuple(_integer_row(f) for f in self.forms),
-                tuple(_homogeneous(v) for v in self.vertices))
+        n, size = self.n, self.d + 1
+        d_scale, *form_ints = homogeneous([c for f in self.forms for c in (f.c0, *f.c)])
+        v_scale, *vertex_ints = homogeneous([c for v in self.vertices for c in v])
+        rows = tuple(tuple(form_ints[i * (n + 1):(i + 1) * (n + 1)]) for i in range(size))
+        points = tuple((v_scale, *vertex_ints[j * n:(j + 1) * n]) for j in range(size))
+        columns = tuple(zip(*(p[1:] for p in points)))
+        return IntegerTable(rows, points, d_scale, v_scale, columns)
+
+    def numerators(self, h: Sequence[int]) -> tuple[list[int], int]:
+        """Integer numerators of the point x = p/q given as h = (q, p_1, ..., p_n).
+
+        Returns N with N_i = rows_i . h = D q lambda_i(x), the barycentric
+        coordinates of the projection pi(x) onto the affine hull, and
+        H = ||p D V - sum_i N_i W_i||^2 = (D q V)^2 ||x - pi(x)||^2.  The N_i
+        have the signs of the coordinates and sum to D q, and H is 0 exactly
+        when x lies in the hull; a full-dimensional simplex (d = n) has
+        H = 0 without work.
+        """
+        table = self.integral
+        nums = [sum(map(mul, row, h)) for row in table.rows]
+        if self.d == self.n:
+            return nums, 0
+        dv = table.d_scale * table.v_scale
+        return nums, sum((dv * p - sum(map(mul, nums, col))) ** 2
+                         for p, col in zip(h[1:], table.columns))
 
     def coords_and_height_sq(self, x: Vec) -> tuple[list[Fraction], Fraction]:
-        """Barycentric coords of pi(x) and ||x - pi(x)||^2, without pi itself.
-
-        Uses ||x - pi(x)||^2 = ||x - base||^2 - t.r where G t = r.
-        """
-        diff = vsub(x, self.base)
-        if self.d == 0:
-            return [_ONE], norm_sq(diff)
-        r = [dot(diff, e) for e in self.edges]
-        t = [sum(self.gram_inv[j][k] * r[k] for k in range(self.d)) for j in range(self.d)]
-        height_sq = norm_sq(diff) - sum(tj * rj for tj, rj in zip(t, r))
-        return t + [_ONE - sum(t)], height_sq
+        """Barycentric coords of pi(x) and ||x - pi(x)||^2, from ``numerators``."""
+        h = homogeneous(x)
+        nums, height = self.numerators(h)
+        table = self.integral
+        dq = table.d_scale * h[0]
+        return [Fraction(v, dq) for v in nums], Fraction(height, (dq * table.v_scale) ** 2)
 
     def project(self, x: Vec) -> tuple[Vec, list[Fraction], Fraction]:
         """Orthogonal projection onto the affine hull.
@@ -108,12 +140,12 @@ class SimplexGeometry:
 
     def contains(self, x: Vec) -> bool:
         """Exact membership in the closed simplex."""
-        bary, h2 = self.coords_and_height_sq(x)
-        return h2 == 0 and all(b >= 0 for b in bary)
+        nums, height = self.numerators(homogeneous(x))
+        return not height and all(v >= 0 for v in nums)
 
     def contains_open(self, x: Vec) -> bool:
-        bary, h2 = self.coords_and_height_sq(x)
-        return h2 == 0 and all(b > 0 for b in bary)
+        nums, height = self.numerators(homogeneous(x))
+        return not height and all(v > 0 for v in nums)
 
     def face_geometry(self, idxs: tuple[int, ...]) -> "SimplexGeometry":
         geo = self._face_geom.get(idxs)
@@ -163,10 +195,11 @@ def common_face(geo1: SimplexGeometry, geo2: SimplexGeometry,
     exactly over the integers.  When no plane separates, the exact LP
     ``intersection_excess`` decides, and it is the only way to answer False.
     """
-    (rows1, pts1), (rows2, pts2) = geo1.integral, geo2.integral
-    near = [p for i, p in enumerate(pts1) if i not in shared1]
-    far = [p for j, p in enumerate(pts2) if j not in shared2]
-    for rows, shared, a, b in ((rows1, shared1, near, far), (rows2, shared2, far, near)):
+    table1, table2 = geo1.integral, geo2.integral
+    near = [p for i, p in enumerate(table1.points) if i not in shared1]
+    far = [p for j, p in enumerate(table2.points) if j not in shared2]
+    for rows, shared, a, b in ((table1.rows, shared1, near, far),
+                               (table2.rows, shared2, far, near)):
         for i, row in enumerate(rows):
             if i not in shared and _separates(row, a, b):
                 return True
@@ -187,7 +220,7 @@ def _separates(row: tuple[int, ...], near: Sequence[tuple[int, ...]],
             and (all(x > 0 for x in a) or all(y < 0 for y in b)))
 
 
-def _homogeneous(x: Sequence[Fraction]) -> tuple[int, ...]:
+def homogeneous(x: Sequence[Fraction]) -> tuple[int, ...]:
     """(q, p_1, ..., p_n) with x = p/q and q the least common denominator."""
     q = lcm(*(c.denominator for c in x))
     return (q, *(c.numerator * (q // c.denominator) for c in x))
@@ -195,7 +228,7 @@ def _homogeneous(x: Sequence[Fraction]) -> tuple[int, ...]:
 
 def _integer_row(form: AffineForm) -> tuple[int, ...]:
     """(c0, c_1, ..., c_n) times the least common multiple of their denominators."""
-    return _homogeneous((form.c0, *form.c))[1:]
+    return homogeneous((form.c0, *form.c))[1:]
 
 
 def _shared_face_plane(geo1: SimplexGeometry, geo2: SimplexGeometry,

@@ -34,7 +34,7 @@ from .errors import (
     SameApex,
 )
 from .extend import ExtensionReport, PLFFunction, RatioForm
-from .geometry import SimplexGeometry, common_face
+from .geometry import SimplexGeometry, common_face, homogeneous
 from .rationals import Vec, vec
 
 ADJACENT = "Adjacent"
@@ -246,23 +246,25 @@ def eventual_simplex(alpha: PathGerm, k: Complex) -> int | None:
     """The unique cell whose open part contains c + t v for all small t > 0.
 
     That cell has the limit c in its closure, so only the open star of the
-    cell carrying c is searched; a limit outside |K| gives None.  Exact:
-    along the germ line the squared distance to each affine hull is a
-    quadratic that either vanishes identically or eventually doesn't, and
-    the barycentric coordinates are affine in t, so eventual strict
-    positivity is a lexicographic sign condition.
+    cell carrying c is searched; a limit outside |K| gives None.  Exact,
+    from the integer numerators at c and c + v: x - pi(x) is affine in x, so
+    the germ line stays in an affine hull exactly when both points lie in
+    it, and each barycentric coordinate is affine in t, so it is eventually
+    positive exactly when it is positive at c, or zero at c and positive at
+    c + v.
     """
     c, v = alpha.germ()
     carrier = k.locate(c)
     if carrier is None:
         return None
-    xs = [c, tuple(a + b for a, b in zip(c, v)), tuple(a + 2 * b for a, b in zip(c, v))]
+    h0, h1 = homogeneous(c), homogeneous(tuple(a + b for a, b in zip(c, v)))
     for sid in k.cofaces[carrier]:
-        data = [k.geometry(sid).coords_and_height_sq(x) for x in xs]
-        if any(h != 0 for _, h in data):
-            continue  # height^2 is a quadratic vanishing at 3 points iff zero
-        bary0, bary1 = data[0][0], data[1][0]
-        if all(_lex_positive(b0, b1 - b0) for b0, b1 in zip(bary0, bary1)):
+        geo = k.geometry(sid)
+        nums0, height0 = geo.numerators(h0)
+        if height0:
+            continue
+        nums1, height1 = geo.numerators(h1)
+        if not height1 and all(a > 0 or (a == 0 and b > 0) for a, b in zip(nums0, nums1)):
             return sid
     return None
 

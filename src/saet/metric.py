@@ -28,17 +28,20 @@ class FaceFunctionals:
     ``forms[i]`` vanishes exactly on the facet opposite ``vertices[i]``
     (``SimplexGeometry.forms``); ``norm_sq[i]`` is the exact squared norm
     of its in-hull gradient u_i.  The last gradient is minus the sum of the
-    others, as in the incenter construction.
+    others, as in the incenter construction.  The simplex is given by its
+    vertices or by its ``SimplexGeometry``, which is then shared, as a
+    complex's cached one is.
     """
 
-    def __init__(self, vertices: Sequence[Vec]):
-        self.vertices = tuple(vec(v) for v in vertices)
+    def __init__(self, simplex: Sequence[Vec] | SimplexGeometry):
+        shared = simplex if isinstance(simplex, SimplexGeometry) else None
+        self.vertices = shared.vertices if shared else tuple(vec(v) for v in simplex)
         d = len(self.vertices) - 1
         if d < 1:
             raise DegenerateSimplex("facet functionals need dimension >= 1")
         self.d = d
         self.n = len(self.vertices[0])
-        self.geometry = SimplexGeometry(self.vertices)
+        self.geometry = shared or SimplexGeometry(self.vertices)
         self.forms: tuple[AffineForm, ...] = self.geometry.forms
 
         ginv = self.geometry.gram_inv
@@ -158,9 +161,10 @@ def _decide_strict_less(lhs: Fraction, rhs_factory) -> bool | None:
     return None
 
 
-def _base(verts: Sequence[Vec]) -> Vec | FaceFunctionals:
-    """A vertex as its point, a simplex of dimension >= 1 as its facet forms."""
-    return verts[0] if len(verts) == 1 else FaceFunctionals(verts)
+def _base(k: Complex, sid: int) -> Vec | FaceFunctionals:
+    """A vertex as its point, a simplex of dimension >= 1 as its facet forms
+    on the complex's cached geometry."""
+    return k.coords(sid)[0] if k.dim_of(sid) == 0 else FaceFunctionals(k.geometry(sid))
 
 
 class _Clearance:
@@ -239,14 +243,14 @@ class _Conditions:
 
     def __init__(self, k: Complex, tau_id: int, peers=()):
         self.k, self.tau_id = k, tau_id
-        self.base = _base(k.coords(tau_id))
+        self.base = _base(k, tau_id)
         tau_vertices = k.simplex(tau_id).vertex_ids
         self.faces = []
         for sid in k.cofaces[tau_id]:
             sigma = k.simplex(sid)
             if sigma.dim < 1:
                 continue
-            ff = FaceFunctionals(k.coords(sid))
+            ff = FaceFunctionals(k.geometry(sid))
             for i, vid in enumerate(sigma.vertex_ids):
                 # the facet opposite vertex i misses tau iff tau has vertex i
                 if vid in tau_vertices:
@@ -266,7 +270,7 @@ class _Conditions:
         h = separating_hyperplane(k.geometry(tau_id), k.geometry(peer_id))
         q = h.gradient_norm_sq()
         near = _Clearance(self.base, h.form, q, side=-1)
-        far = _Clearance(_base(k.coords(peer_id)), h.form, q, side=+1)
+        far = _Clearance(_base(k, peer_id), h.form, q, side=+1)
 
         def check(eps_sq: Fraction) -> tuple[str | None, list[dict]]:
             peer_eps = eps_sq if peer_eps_sq is None else peer_eps_sq

@@ -6,6 +6,9 @@ of tau.  With s := eps^2 rational all membership decisions reduce to exact
 comparisons: the ratio condition is equivalent (inside the orthogonal
 cylinder over tau) to  ||x - pi(x)||^2 * ||u_i||^2 <= eps*^2 * f_i(pi(x))^2
 for every facet functional, where eps*^2 = eps^2/(1 - eps^2).
+``tube_membership`` decides it over the integers: with the barycentric
+numerators N_i and the height numerator H of ``SimplexGeometry.numerators``
+it reads H a_i <= c_i N_i^2, for integers a_i and c_i fixed once per tube.
 
 Two independent evaluation routes are provided on purpose:
 
@@ -23,10 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InPlane, NotAFace
-from .geometry import SimplexGeometry
+from .geometry import SimplexGeometry, homogeneous
 from .intervals import Interval, IntervalPoint, interval_sqrt, sqrt_enclosure
 from .metric import FaceFunctionals, incenter
 from .rationals import Vec, vec, vsub
@@ -55,6 +59,21 @@ class Tube:
         self.geometry = self.ff.geometry
         self.dim = self.geometry.d
 
+    @cached_property
+    def weights(self) -> tuple[tuple[int, int], ...]:
+        """(a_i, c_i) with H a_i <= c_i N_i^2 the facet-i inequality on the
+        numerators of ``SimplexGeometry.numerators``.
+
+        With height^2 = H / (D q V)^2 and f_i(pi(x)) = N_i / (D q), the
+        inequality height^2 ||u_i||^2 <= eps*^2 f_i^2 reads
+        H ||u_i||^2 <= eps*^2 V^2 N_i^2; both sides are cleared of the
+        denominators of ||u_i||^2 and eps*^2.
+        """
+        e = self.eps_star_sq
+        v_sq = self.geometry.integral.v_scale ** 2
+        return tuple((nsq.numerator * e.denominator, e.numerator * v_sq * nsq.denominator)
+                     for nsq in self.ff.norm_sq)
+
     def shrink_half(self) -> "Tube":
         """The tube at half the width parameter (eps/2, exact)."""
         return Tube(self.vertices, self.eps_sq / 4)
@@ -64,8 +83,8 @@ class Tube:
 
     def on_base_boundary(self, x: Vec) -> bool:
         """Exact test for x in the boundary of the base simplex."""
-        bary = self.geometry.barycentric(vec(x))
-        return bary is not None and all(b >= 0 for b in bary) and any(b == 0 for b in bary)
+        nums, height = self.geometry.numerators(homogeneous(vec(x)))
+        return not height and all(v >= 0 for v in nums) and 0 in nums
 
     def incenter(self, target_width=Fraction(1, 2**60)):
         return incenter(self.vertices, target_width)
@@ -76,14 +95,13 @@ class Tube:
 
 def tube_membership(tube: Tube, x: Vec) -> str:
     """Exact trichotomy for the closed/open tube via facet functionals."""
-    x = vec(x)
-    bary, height_sq = tube.geometry.coords_and_height_sq(x)
-    if any(b < 0 for b in bary):
+    nums, height = tube.geometry.numerators(homogeneous(vec(x)))
+    if any(v < 0 for v in nums):
         return OUTSIDE
     boundary = False
-    for b, nsq in zip(bary, tube.ff.norm_sq, strict=True):
-        lhs = height_sq * nsq
-        rhs = tube.eps_star_sq * b * b
+    for v, (a, c) in zip(nums, tube.weights, strict=True):
+        lhs = height * a
+        rhs = c * v * v
         if lhs > rhs:
             return OUTSIDE
         if lhs == rhs:
@@ -117,6 +135,7 @@ class VertexBall:
             raise ValueError("radius^2 must be positive")
         self.vertices = (self.center,)
         self.dim = 0
+        self.geometry = SimplexGeometry(self.vertices)
 
     def shrink_half(self) -> "VertexBall":
         return VertexBall(self.center, self.radius_sq / 4)
@@ -126,10 +145,16 @@ class VertexBall:
 
 
 def ball_membership(ball: VertexBall, x: Vec) -> str:
-    d2 = sum((a - b) ** 2 for a, b in zip(vec(x), ball.center, strict=True))
-    if d2 > ball.radius_sq:
+    """Exact trichotomy for the closed/open ball over the integers: the
+    height numerator of the center's kernel is (D q V)^2 ||x - center||^2."""
+    h = homogeneous(vec(x))
+    _, height = ball.geometry.numerators(h)
+    table, r_sq = ball.geometry.integral, ball.radius_sq
+    lhs = height * r_sq.denominator
+    rhs = r_sq.numerator * (table.d_scale * h[0] * table.v_scale) ** 2
+    if lhs > rhs:
         return OUTSIDE
-    return ON_BOUNDARY if d2 == ball.radius_sq else INSIDE_OPEN
+    return ON_BOUNDARY if lhs == rhs else INSIDE_OPEN
 
 
 def membership(tube_or_ball, x: Vec) -> str:

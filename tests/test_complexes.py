@@ -571,19 +571,27 @@ def test_locate_matches_all_simplices_reference():
 
 
 def test_locate_makes_few_exact_solves(monkeypatch):
-    # on the 12 x 12 grid (913 simplices) each query solves for the
-    # barycentric coordinates of at most 4 top cells, not of every cell
-    from saet.geometry import SimplexGeometry
+    # on the 12 x 12 grid (913 simplices) each query evaluates the integer
+    # kernel of at most 4 top cells, not of every cell; locate, tube
+    # membership and the germ cell search never form Fraction coordinates
+    from saet.germs import PathGerm, eventual_simplex
+    from saet.tubes import Tube, tube_membership
 
     verts, tops = grid_tops(12)
     k = build_complex(verts, tops, validate=False)
-    original, calls = SimplexGeometry.coords_and_height_sq, []
+    kernel, calls = SimplexGeometry.numerators, []
+    wrapper, fraction_calls = SimplexGeometry.coords_and_height_sq, []
 
-    def counting(geo, x):
-        calls.append(x)
-        return original(geo, x)
+    def counting(geo, h):
+        calls.append(h)
+        return kernel(geo, h)
 
-    monkeypatch.setattr(SimplexGeometry, "coords_and_height_sq", counting)
+    def counting_fractions(geo, x):
+        fraction_calls.append(x)
+        return wrapper(geo, x)
+
+    monkeypatch.setattr(SimplexGeometry, "numerators", counting)
+    monkeypatch.setattr(SimplexGeometry, "coords_and_height_sq", counting_fractions)
     rng = random.Random(12)
     pts = list(k.vertices) + [k.barycenter(sid) for sid in range(len(k.simplices))]
     pts += [(F(rng.randint(-8, 104), 96), F(rng.randint(-8, 104), 96)) for _ in range(300)]
@@ -593,7 +601,33 @@ def test_locate_makes_few_exact_solves(monkeypatch):
         calls.clear()
         k.locate(x)
         worst = max(worst, len(calls))
-    assert worst <= 4
+    assert 1 <= worst <= 4
+    tube = Tube(k.coords(k.id_of((13, 27))), F(1, 4))  # a diagonal edge near the corner
+    for x in pts:
+        tube_membership(tube, x)
+        eventual_simplex(PathGerm.linear(x, (F(1, 7), F(-1, 3))), k)
+    assert calls and not fraction_calls
+
+
+def test_bucket_counts_follow_the_tops_widths():
+    # the wedge stack is a slab of prisms that each span the whole (x, y)
+    # cross-section: its grid cuts only along z, so no bucket lists more
+    # than the 6 tetrahedra of two prisms; the 12 x 12 grid keeps 17 x 17
+    # buckets; and points on the new bucket walls locate as the
+    # all-simplices reference does
+    verts, tops = wedge_stack_tops(16)
+    k = build_complex(verts, tops, validate=False)
+    grid = complexes._BucketGrid(k)
+    assert [axis[3] + 1 for axis in grid.axes] == [1, 1, 23]
+    assert max(len(listed) for listed in grid.buckets.values()) <= 6
+    square = complexes._BucketGrid(build_complex(*grid_tops(12), validate=False))
+    assert [axis[3] + 1 for axis in square.axes] == [17, 17]
+    rng = random.Random(16)
+    boxes = [complexes.bounding_box(k.coords(sid)) for sid in range(len(k.simplices))]
+    for i in range(24):
+        for _ in range(6):
+            x = (F(rng.randint(0, 8), 8), F(rng.randint(0, 8), 8), F(16 * i, 23))
+            assert k.locate(x) == all_simplices_locate(k, boxes, x), x
 
 
 def test_locate_checks_dimension():
