@@ -16,7 +16,6 @@ from .carve import (
     carve_level,
     deformation_coeffs,
     probe_germ,
-    push_point,
 )
 from .complexes import (
     Complex,
@@ -71,15 +70,9 @@ from .tubes import (
     INSIDE_OPEN,
     ON_BOUNDARY,
     OUTSIDE,
-    CrossSection,
-    HatSimplex,
     Tube,
     VertexBall,
-    carved_difference_eta,
-    cross_section,
     hat_lift_membership,
-    hat_simplex,
-    slice_containment_check,
     tube_membership,
 )
 

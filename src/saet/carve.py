@@ -450,14 +450,6 @@ class DeformationMap:
         return self.evaluate(x, bits)
 
 
-def push_point(dmap: DeformationMap, x, bits: int = 64) -> IntervalPoint:
-    """Evaluate a deformation map at a rational point with a domain check."""
-    x = vec(x)
-    if dmap.direction == PUSH and not dmap.base.contains_point(x):
-        raise OutOfDomain(f"{x} is not in the map's domain set")
-    return dmap.evaluate(x, bits)
-
-
 # ---------------------------------------------------------------------------
 # carve levels
 

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: analyze, carve, extend, eval, verify, export.  There are no
-global options; ``verify --precision BITS`` sets the enclosure width
-target (2^-BITS) of the invariant suite.
+global options; ``verify --precision BITS`` (BITS >= 1) sets the enclosure
+width target (2^-BITS) of the invariant suite.
 Exit codes: 0 ok, 1 check failure or rejected input (one ``error:`` line on
 stderr), 2 usage error.
 """
@@ -214,6 +214,13 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="saet",
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("verify", help="run the invariant suite")
     pf.add_argument("suite", nargs="?", default="full")
     pf.add_argument("--out")
-    pf.add_argument("--precision", type=int, default=60,
+    pf.add_argument("--precision", type=_positive_int, default=60,
                     help="target enclosure width exponent (2^-BITS)")
     pf.set_defaults(fn=cmd_verify)
 

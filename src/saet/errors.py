@@ -29,10 +29,6 @@ class NotAFace(SaetError):
     pass
 
 
-class InPlane(SaetError):
-    """The point lies in the affine hull of the base simplex."""
-
-
 class BadOrder(SaetError):
     """Deformation scales must satisfy 0 < s < s'."""
 

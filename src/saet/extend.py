@@ -151,7 +151,9 @@ def ratio_forms_equal_on(a: RatioForm, b: RatioForm, face_vertices: Sequence[Vec
     """Exact equality of two ratio forms as functions on the affine hull.
 
     Cross-multiplied: num_a * den_b - num_b * den_a vanishes identically on
-    the hull; this has degree <= 3, so the order-3 lattice decides it.
+    the hull; this has degree <= 3, so its values on the order-3 lattice
+    decide it.  ``_values_equal`` reads those values as sums over the
+    vertex-value table of each form, so no lattice point is built.
     """
     return _values_equal(
         _VertexValues.of(a, face_vertices), _VertexValues.of(b, face_vertices)

@@ -17,7 +17,6 @@ depth, together with an exact witness function separating two of them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -385,27 +384,6 @@ class ConeSet:
 
     def member(self, x: Vec) -> bool:
         return self.geometry.contains(vec(x)) and self.m.contains_point(x)
-
-    def validate_inclusions(self, samples: int = 50, seed: int = 0) -> dict:
-        """Sampled exact check of tau_open ⊆ cone \\ T(q) ⊆ tau."""
-        rng = random.Random(seed)
-        k = self.complex
-        tau_geo = k.geometry(self.tau_id)
-        bad = []
-        for _ in range(samples):
-            w = [Fraction(rng.randint(1, 16)) for _ in range(tau_geo.d + 1)]
-            tot = sum(w)
-            p = tau_geo.point_at([x / tot for x in w])
-            if self.m.contains_point(p) or not self.geometry.contains(p):
-                bad.append(("tau_open", p))
-        for _ in range(samples):
-            w = [Fraction(rng.randint(1, 16)) for _ in range(self.geometry.d + 1)]
-            w[-1] += 1  # keep positive apex weight: off the base cell
-            tot = sum(w)
-            p = self.geometry.point_at([x / tot for x in w])
-            if not self.m.contains_point(p):
-                bad.append(("cone_minus_tau", p))
-        return {"ok": not bad, "violations": bad, "samples": 2 * samples}
 
 
 def _canonical_segment(k: Complex, tau_id: int, sigma_id: int) -> tuple[Vec, Vec]:

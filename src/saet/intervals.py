@@ -1,10 +1,10 @@
 """Certified interval arithmetic over exact rational endpoints.
 
-Irrational quantities (norms, incenters, tube apex heights, deformation
-coefficients) are carried as enclosures [lo, hi] with Fraction endpoints.
-Precision is a bit count: sqrt enclosures have width <= 2**-bits, and all
-other operations are outward-exact, so widths only grow through honest
-arithmetic.  Refinement means recomputing at a higher bit count.
+Irrational quantities (norms, incenters, deformation coefficients) are
+carried as enclosures [lo, hi] with Fraction endpoints.  Precision is a bit
+count: sqrt enclosures have width <= 2**-bits, and all other operations are
+outward-exact, so widths only grow through honest arithmetic.  Refinement
+means recomputing at a higher bit count.
 """
 
 from __future__ import annotations
@@ -147,14 +147,6 @@ class IntervalPoint:
 
     def mid(self) -> Vec:
         return tuple(c.mid for c in self.coords)
-
-    def corners(self):
-        """All 2^n corner points of the box (exact rational points)."""
-        pts = [()]
-        for c in self.coords:
-            ends = (c.lo,) if c.is_exact() else (c.lo, c.hi)
-            pts = [p + (e,) for p in pts for e in ends]
-        return pts
 
     def __add__(self, other: "IntervalPoint") -> "IntervalPoint":
         return IntervalPoint(a + b for a, b in zip(self.coords, other.coords, strict=True))

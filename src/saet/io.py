@@ -77,13 +77,18 @@ def save_complex(path: str, k: Complex, marked: PLSet | None = None) -> None:
         fh.write("\n")
 
 
-def load_complex(path: str, validate: bool = True) -> tuple[Complex, PLSet | None]:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
+            return json.load(fh)
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ParseError(f"invalid JSON in {path}: {e}") from None
-    return complex_from_dict(data, validate=validate)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
+
+
+def load_complex(path: str, validate: bool = True) -> tuple[Complex, PLSet | None]:
+    return complex_from_dict(_read_json(path), validate=validate)
 
 
 def _affine_to_list(form: AffineForm) -> list[str]:
@@ -143,12 +148,7 @@ def save_function(path: str, f: PLFFunction) -> None:
 
 def load_function(path: str, domain: PLSet,
                   validate_continuity: bool = True) -> PLFFunction:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e}") from None
-    return function_from_dict(data, domain, validate_continuity=validate_continuity)
+    return function_from_dict(_read_json(path), domain, validate_continuity=validate_continuity)
 
 
 def path_to_dict(alpha: PathGerm) -> dict:
@@ -189,12 +189,7 @@ def save_path(path: str, alpha: PathGerm) -> None:
 
 
 def load_path(path: str) -> PathGerm:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e}") from None
-    return path_from_dict(data)
+    return path_from_dict(_read_json(path))
 
 
 def carved_to_dict(carved) -> dict:

@@ -23,17 +23,13 @@ lemma for tubes and is tested exhaustively on samples.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InPlane, NotAFace
 from .geometry import SimplexGeometry, homogeneous
-from .intervals import Interval, IntervalPoint, interval_sqrt, sqrt_enclosure
-from .metric import FaceFunctionals, incenter
-from .rationals import Vec, vec, vsub
+from .metric import FaceFunctionals
+from .rationals import Vec, vec
 
 INSIDE_OPEN = "InsideOpen"
 ON_BOUNDARY = "OnBoundary"
@@ -85,9 +81,6 @@ class Tube:
         """Exact test for x in the boundary of the base simplex."""
         nums, height = self.geometry.numerators(homogeneous(vec(x)))
         return not height and all(v >= 0 for v in nums) and 0 in nums
-
-    def incenter(self, target_width=Fraction(1, 2**60)):
-        return incenter(self.vertices, target_width)
 
     def __repr__(self):
         return f"Tube(dim={self.dim}, eps_sq={self.eps_sq})"
@@ -161,209 +154,3 @@ def membership(tube_or_ball, x: Vec) -> str:
     if isinstance(tube_or_ball, VertexBall):
         return ball_membership(tube_or_ball, x)
     return tube_membership(tube_or_ball, x)
-
-
-@dataclass
-class HatSimplex:
-    """The lifted simplex over the base: cone to (p_tau, eps* inradius)."""
-
-    base_vertices: tuple[Vec, ...]
-    apex_base: IntervalPoint  # enclosure of the incenter
-    apex_height: Interval  # enclosure of eps* * inradius
-
-
-def hat_simplex(tube: Tube, target_width=Fraction(1, 2**60)) -> HatSimplex:
-    p, r = tube.incenter(target_width)
-    eps_star = interval_sqrt(Interval(tube.eps_star_sq, tube.eps_star_sq), bits=80)
-    return HatSimplex(tube.vertices, p, eps_star * r)
-
-
-@dataclass
-class CrossSection:
-    """Closed tube sliced by the half-plane through the base and a point.
-
-    The slice is the simplex spanned by the base and the apex; the apex is
-    returned as a certified enclosure (its height above the base hull is
-    eps* times the inradius, an irrational quantity in general).
-    """
-
-    base_vertices: tuple[Vec, ...]
-    apex: IntervalPoint
-    apex_height: Interval
-
-
-def cross_section(tube: Tube, p: Vec, target_width=Fraction(1, 2**40)) -> CrossSection:
-    """Slice of the closed tube by the half-plane of aff(tau) and p."""
-    p = vec(p)
-    pi, _, height_sq = tube.project(p)
-    if height_sq == 0:
-        raise InPlane("point lies in the affine hull of the base")
-    normal = vsub(p, pi)
-    bits = 64
-    while True:
-        inc, r = tube.incenter(Fraction(1, 1 << bits))
-        eps_star = interval_sqrt(Interval(tube.eps_star_sq), bits=bits)
-        inv_len = 1 / interval_sqrt(Interval(height_sq), bits=bits)
-        scale = eps_star * r * inv_len
-        apex = inc + IntervalPoint([scale * c for c in normal])
-        height = eps_star * r
-        if apex.width <= target_width and height.width <= target_width:
-            return CrossSection(tube.vertices, apex, height)
-        bits *= 2
-
-
-def _random_bary(rng: random.Random, k: int, denom: int = 64) -> list[Fraction]:
-    weights = [Fraction(rng.randint(1, denom)) for _ in range(k)]
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
-def _box_misses(sigma_geo: SimplexGeometry, corners: Sequence[Vec]) -> bool:
-    """Exact proof that the box with these corners misses sigma, for a box
-    around a point of aff(sigma): one barycentric coordinate is negative at
-    every corner.
-
-    The coordinate (of the orthogonal projection onto aff(sigma), which is
-    the point itself on the hull) is affine, so its maximum over the box is
-    at a corner; negative there, it is negative on the whole box.  Corners
-    that are merely all outside sigma prove nothing: the box may straddle it.
-    """
-    coords = [sigma_geo.coords_and_height_sq(c)[0] for c in corners]
-    return any(all(b[k] < 0 for b in coords) for k in range(len(coords[0])))
-
-
-def slice_containment_check(
-    tube: Tube,
-    sigma_vertices: Sequence[Vec],
-    samples: int = 100,
-    seed: int = 0,
-    max_bits: int = 512,
-) -> dict:
-    """Sampling check that tube slices through a cofacet stay inside it.
-
-    The base must be a face of sigma.  For each random rational p in the
-    open cofacet, the slice simplex is conv(base ∪ {apex}); by convexity it
-    lies in sigma iff the apex does, so the check certifies apex-in-sigma
-    by exact tests on the corners of a refined apex enclosure.  It reports
-    a counterexample (a falsifier for uncertified eps) only when the whole
-    enclosure provably misses sigma (see ``_box_misses``); an enclosure
-    that neither proof settles by ``max_bits`` counts as unresolved.
-    """
-    sigma_vertices = [vec(v) for v in sigma_vertices]
-    base = set(tube.vertices)
-    if not base <= set(sigma_vertices):
-        raise NotAFace("tube base is not a face of the given simplex")
-    sigma_geo = SimplexGeometry(sigma_vertices)
-    rng = random.Random(seed)
-    counterexamples = []
-    unresolved = 0
-    checked = 0
-    for _ in range(samples):
-        bary = _random_bary(rng, len(sigma_vertices))
-        p = sigma_geo.point_at(bary)
-        _, _, h2 = tube.project(p)
-        if h2 == 0:
-            continue  # p in aff(base): no slice
-        checked += 1
-        bits = 64
-        while True:
-            cs = cross_section(tube, p, target_width=Fraction(1, 1 << bits))
-            corners = cs.apex.corners()
-            if all(sigma_geo.contains(c) for c in corners):
-                break
-            if _box_misses(sigma_geo, corners):
-                counterexamples.append({"p": p, "apex_box": cs.apex})
-                break
-            bits *= 2
-            if bits > max_bits:
-                unresolved += 1
-                break
-    return {
-        "samples": checked,
-        "counterexamples": counterexamples,
-        "unresolved": unresolved,
-        "ok": not counterexamples and unresolved == 0,
-    }
-
-
-def carved_difference_eta(
-    sigma_vertices: Sequence[Vec],
-    tube: Tube,
-    probes: int = 50,
-    shell_samples: int = 64,
-    seed: int = 0,
-) -> dict:
-    """Probe that carving a tube out of a cofacet creates no obstruction.
-
-    Samples probe centers on the tube wall inside the open cofacet, away
-    from the base boundary, and classifies a rational shell around each by
-    exact membership in sigma_open \\ closed-tube.  Reports disconnected or
-    dimension-defective germs; expected empty away from the base boundary.
-
-    Exact rational points on the wall quadric only exist for special eps,
-    so centers are taken as rational points within a small gap of the wall
-    with shell radius several times that gap; the germ classification is
-    unchanged by this offset.
-    """
-    from .probe import probe_shell  # local import to avoid a cycle
-
-    sigma_vertices = [vec(v) for v in sigma_vertices]
-    base = set(tube.vertices)
-    if not base <= set(sigma_vertices):
-        raise NotAFace("tube base is not a face of the given simplex")
-    sigma_geo = SimplexGeometry(sigma_vertices)
-    rng = random.Random(seed)
-
-    def member(x: Vec) -> bool:
-        return sigma_geo.contains_open(x) and tube_membership(tube, x) == OUTSIDE
-
-    tau_geo = tube.geometry
-    scale = max(
-        abs(a - b)
-        for v in sigma_vertices
-        for w in sigma_vertices
-        for a, b in zip(v, w)
-    )
-    obstructions = []
-    inconclusive = 0
-    used = 0
-    for _ in range(probes * 4):
-        if used >= probes:
-            break
-        # ray from a point over the open base toward a random interior point
-        foot = tau_geo.point_at(_random_bary(rng, len(tube.vertices)))
-        target = sigma_geo.point_at(_random_bary(rng, len(sigma_vertices)))
-        if tube_membership(tube, target) != OUTSIDE:
-            continue
-        direction = vsub(target, foot)
-        # binary search for the wall crossing; stop just outside
-        lo, hi = Fraction(0), Fraction(1)
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            q = tuple(f + mid * d for f, d in zip(foot, direction))
-            if tube_membership(tube, q) == OUTSIDE:
-                hi = mid
-            else:
-                lo = mid
-        center = tuple(f + hi * d for f, d in zip(foot, direction))
-        if not member(center):
-            continue
-        radius = scale / 128
-        report = probe_shell(member, None, center, radius, shell_samples, rng)
-        used += 1
-        if report.status == "Disconnected":
-            # confirm at triple density before reporting: sparse shells can
-            # miss the path around the lens apex
-            confirm = probe_shell(member, None, center, radius, 3 * shell_samples, rng)
-            if confirm.status == "Disconnected":
-                obstructions.append(
-                    {"center": center, "components": confirm.components}
-                )
-        elif report.status == "Inconclusive":
-            inconclusive += 1
-    return {
-        "probes": used,
-        "obstructions": obstructions,
-        "inconclusive": inconclusive,
-        "ok": not obstructions,
-    }

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fixtures
-from .carve import CarvedSet, appropriate_embed, deformation_coeffs, probe_germ
+from .carve import appropriate_embed, deformation_coeffs
 from .complexes import (
     PLSet,
     barycentric_subdivide,
@@ -27,14 +27,15 @@ from .complexes import (
     lc_part,
     rho,
 )
+from .errors import SaetError
 from .extend import graph_closure_oracle, ratio_forms_equal_on, weak_extension
 from .geometry import SimplexGeometry, common_face
 from .germs import PathGerm, evaluate
-from .intervals import Interval
 from .io import complex_to_dict
 from .metric import certificate_for, certify_epsilon, face_functionals, incenter, separating_hyperplane
-from .rationals import rat_str
 from .tubes import OUTSIDE, Tube, hat_lift_membership, tube_membership
+
+GROUPS = ("complex", "metric", "tube", "carve", "extend", "germs")
 
 
 def default_corpus() -> dict:
@@ -86,7 +87,15 @@ def _digest(data: dict) -> str:
 def run_suite(suite: str = "full", corpus: dict | None = None,
               precision_bits: int = 60) -> RunManifest:
     """Run the named suite ('full' or a comma list of check groups) on the
-    corpus; returns the manifest.  An empty selection is a no-op pass."""
+    corpus; returns the manifest.  An empty selection is a no-op pass; a
+    group name outside ``GROUPS`` raises ``SaetError``."""
+    groups = [] if suite in ("", "none") else (
+        list(GROUPS) if suite == "full" else [g.strip() for g in suite.split(",")]
+    )
+    unknown = [g for g in groups if g not in GROUPS]
+    if unknown:
+        raise SaetError(f"unknown check group(s) {', '.join(map(repr, unknown))}; a suite "
+                        f"is 'full' or a comma list of {', '.join(GROUPS)}")
     corpus = corpus if corpus is not None else default_corpus()
     manifest = RunManifest(
         command=f"verify {suite}",
@@ -97,10 +106,6 @@ def run_suite(suite: str = "full", corpus: dict | None = None,
             if not isinstance(v, Tube)
         },
         precision_bits=precision_bits,
-    )
-    groups = [] if suite in ("", "none") else (
-        ["complex", "metric", "tube", "carve", "extend", "germs"]
-        if suite == "full" else [g.strip() for g in suite.split(",")]
     )
     rng = random.Random(20260810)
     a = corpus["fix_a"]

@@ -7,7 +7,7 @@ import pytest
 
 from saet.cli import main
 from saet.complexes import PLSet, build_complex, eta
-from saet.errors import DimensionTooHigh, ParseError
+from saet.errors import DimensionTooHigh, ParseError, SaetError
 from saet.export import export_carved, export_mesh, export_tube
 from saet.fixtures import (
     fix_a,
@@ -26,6 +26,8 @@ from saet.io import (
     function_from_dict,
     function_to_dict,
     load_complex,
+    load_function,
+    load_path,
     path_from_dict,
     path_to_dict,
     save_complex,
@@ -200,6 +202,24 @@ def test_cli_verify_precision(tmp_path):
     out = tmp_path / "m.json"
     assert main(["verify", "complex", "--precision", "80", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["precision_bits"] == 80
+
+
+def test_cli_verify_unknown_suite(capsys):
+    with pytest.raises(SaetError, match="'bogus', 'nope'"):
+        run_suite("bogus, tube,nope")
+    assert main(["verify", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "'bogus'" in captured.err
+
+
+@pytest.mark.parametrize("bits", ["-3", "0"])
+def test_cli_verify_rejects_nonpositive_precision(capsys, bits):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "none", "--precision", bits])
+    assert exc.value.code == 2
+    assert "--precision: must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_has_no_jobs_flag():
@@ -424,3 +444,28 @@ def test_cli_eval_rejects_path_of_other_dimension(tmp_path, capsys, c, v):
     assert err.startswith("error: ") and err.count("\n") == 1
     save_path(str(tmp_path / "path.json"), PathGerm.linear((0, 0), (0, 1)))
     assert main(argv) == 0 and capsys.readouterr().out.strip() == "(0, 0)"
+
+
+@pytest.mark.parametrize("load, argv", [
+    pytest.param(load_complex, ["analyze", "{missing}"], id="complex"),
+    pytest.param(lambda p: load_function(p, _fix_b_x_function()[1]),
+                 ["extend", "{fixb}", "{missing}"], id="function"),
+    pytest.param(load_path, ["eval", "{fixb}", "{f}", "--path", "{missing}"], id="path"),
+])
+def test_loaders_reject_unreadable_input(tmp_path, capsys, load, argv):
+    k, m, data = _fix_b_x_function()
+    save_complex(str(tmp_path / "fixb.json"), k, m)
+    (tmp_path / "f.json").write_text(json.dumps(data))
+    (tmp_path / "truncated.json").write_text('{"pieces": [')
+    (tmp_path / "latin1.json").write_bytes(b'\xff\xfe{}')
+    names = {"missing": str(tmp_path / "missing.json"),
+             "fixb": str(tmp_path / "fixb.json"), "f": str(tmp_path / "f.json")}
+    for unreadable in (names["missing"], str(tmp_path)):  # absent file, directory
+        with pytest.raises(ParseError, match="cannot read"):
+            load(unreadable)
+    for undecodable in ("truncated.json", "latin1.json"):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load(str(tmp_path / undecodable))
+    assert main([a.format(**names) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1

@@ -1,26 +1,15 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from saet import tubes
-from saet.errors import InPlane, NotAFace
 from saet.fixtures import fix_t
-from saet.geometry import SimplexGeometry
-from saet.intervals import Interval, IntervalPoint
 from saet.tubes import (
     INSIDE_OPEN,
     ON_BOUNDARY,
     OUTSIDE,
-    CrossSection,
     Tube,
     VertexBall,
     ball_membership,
-    carved_difference_eta,
-    cross_section,
     hat_lift_membership,
-    hat_simplex,
-    slice_containment_check,
     tube_membership,
 )
 
@@ -72,28 +61,11 @@ def test_hat_lift_outside_cylinder():
     assert hat_lift_membership(t, (2, F(1, 100))) is False
 
 
-def test_hat_apex_enclosure():
+def test_slice_simplex_inside_tube():
+    # the slice of fix_t through (1/2, 1) has its apex at (1/2, 1/4); a
+    # rational apex strictly below it is in the open tube, hence the whole
+    # slice simplex is inside (the tube is convex)
     t = fix_t()
-    hs = hat_simplex(t)
-    # apex at (incenter, eps* inradius) = ((1/2, 0), 1/2 * 1/2)
-    assert hs.apex_base[0].contains(F(1, 2))
-    assert hs.apex_height.contains(F(1, 4))
-
-
-def test_cross_section_apex():
-    t = fix_t()
-    cs = cross_section(t, (F(1, 2), 1))
-    assert cs.apex[0].contains(F(1, 2))
-    assert cs.apex[1].contains(F(1, 4))
-    with pytest.raises(InPlane):
-        cross_section(t, (F(1, 3), 0))
-
-
-def test_cross_section_points_inside():
-    t = fix_t()
-    cs = cross_section(t, (F(1, 2), 1))
-    # a rational apex strictly below the enclosure is in the open tube,
-    # hence the whole slice simplex is inside (tube is convex)
     q_inner = (F(1, 2), F(15, 64))
     assert tube_membership(t, q_inner) == INSIDE_OPEN
     rng = random.Random(3)
@@ -107,45 +79,6 @@ def test_cross_section_points_inside():
         assert tube_membership(t, p) != OUTSIDE
     # beyond the apex slab: outside
     assert tube_membership(t, (F(1, 2), F(17, 64))) == OUTSIDE
-
-
-def test_slice_containment_certified():
-    sigma = [(0, 0), (1, 0), (0, 1)]
-    tube = Tube([(1, 0), (0, 1)], F(1, 64))
-    rep = slice_containment_check(tube, sigma, samples=60, seed=2)
-    assert rep["ok"] and rep["samples"] > 0
-
-
-def test_slice_containment_falsifier():
-    # deliberately oversized eps on a thin triangle: the slice pokes out
-    thin = [(0, 0), (1, 0), (F(1, 2), F(1, 20))]
-    tube = Tube([(0, 0), (1, 0)], F(1, 2))
-    rep = slice_containment_check(tube, thin, samples=40, seed=3)
-    assert rep["counterexamples"]
-
-
-def test_slice_containment_straddling_box_unresolved(monkeypatch):
-    # every corner of this apex box lies outside the thin triangle, yet the
-    # box holds points of it: that is no proof, so nothing is certified
-    thin = [(0, 0), (1, 0), (F(1, 2), F(1, 20))]
-    box = IntervalPoint([Interval(F(1, 4), F(3, 4)), Interval(-1, 1)])
-    geo = SimplexGeometry(thin)
-    assert not any(geo.contains(c) for c in box.corners())
-    assert box.contains((F(1, 2), F(1, 40))) and geo.contains((F(1, 2), F(1, 40)))
-    monkeypatch.setattr(
-        tubes, "cross_section",
-        lambda tube, p, target_width: CrossSection(tube.vertices, box, Interval(1)),
-    )
-    rep = slice_containment_check(Tube([(0, 0), (1, 0)], F(1, 2)), thin, samples=5, seed=3)
-    assert rep["samples"] > 0
-    assert rep["counterexamples"] == []
-    assert rep["unresolved"] == rep["samples"]
-    assert not rep["ok"]
-
-
-def test_slice_containment_needs_face():
-    with pytest.raises(NotAFace):
-        slice_containment_check(fix_t(), [(5, 5), (6, 5), (5, 6)], samples=4)
 
 
 def test_tube_monotone_in_eps():
@@ -182,17 +115,3 @@ def test_vertex_ball():
     assert ball_membership(b, (0, 0)) == INSIDE_OPEN
     assert ball_membership(b, (F(1, 4), 0)) == ON_BOUNDARY
     assert ball_membership(b, (F(1, 2), 0)) == OUTSIDE
-
-
-def test_carved_difference_probe_triangle():
-    sigma = [(0, 0), (1, 0), (0, 1)]
-    tube = Tube([(1, 0), (0, 1)], F(1, 16))
-    rep = carved_difference_eta(sigma, tube, probes=10, shell_samples=40, seed=4)
-    assert rep["ok"]
-
-
-def test_carved_difference_probe_tetrahedron():
-    sigma = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    tube = Tube([(1, 0, 0), (0, 1, 0)], F(1, 32))
-    rep = carved_difference_eta(sigma, tube, probes=6, shell_samples=40, seed=5)
-    assert rep["ok"]
