@@ -24,11 +24,11 @@ from typing import Sequence
 
 from .complexes import Complex, PLSet, bounding_box, closure, eta
 from .errors import BadOrder, OutOfDomain, PreconditionViolated
-from .geometry import homogeneous
 from .intervals import Interval, IntervalPoint, interval_sqrt
 from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers, _refusal
 from .probe import ProbeReport, probe_shell
-from .rationals import AffineForm, Vec, dot, rat_str, rational_sqrt, solve, vec
+from .rationals import (AffineForm, Vec, dot, homogeneous, rat_str, rational_sqrt, solve,
+                        vec)
 from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership
 
 PUSH = "push"

@@ -15,8 +15,8 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
-from .geometry import SimplexGeometry, common_face, homogeneous
-from .rationals import Vec, affinely_independent, vec
+from .geometry import SimplexGeometry, common_face
+from .rationals import Vec, affinely_independent, homogeneous, vec
 
 
 _ONE = Fraction(1)

@@ -31,8 +31,8 @@ from typing import Sequence
 
 from .complexes import Complex, PLSet, closure, germ_connected, local_dim
 from .errors import ConflictFound, HypothesisViolated, NotAFace, Unbounded
-from .geometry import SimplexGeometry, homogeneous
-from .rationals import AffineForm, Vec, vec
+from .geometry import SimplexGeometry
+from .rationals import AffineForm, Vec, homogeneous, vec
 
 VALUE = "Value"
 DIRECTION_DEPENDENT = "DirectionDependent"

@@ -6,9 +6,9 @@ A ``SimplexGeometry`` inverts the Gram matrix of its edge vectors once, to
 build the barycentric forms.  Point queries then run over the integers: the
 forms become integer rows over one common denominator and the vertices
 integer rows over another (``SimplexGeometry.integral``), a query point is
-written once as homogeneous integers (``homogeneous``), and ``numerators``
-returns the barycentric numerators and the height numerator of the point
-from a few integer dot products.  Every sign and equality test reads those
+written once as homogeneous integers (``rationals.homogeneous``), and
+``numerators`` returns the barycentric numerators and the height numerator
+of the point from a few integer dot products.  Every sign and equality test reads those
 integers; Fractions are formed only where a caller needs the values.
 """
 
@@ -17,13 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateSimplex
 from .lp import intersection_excess
-from .rationals import AffineForm, Vec, dot, gram, invert, vsub
+from .rationals import AffineForm, Vec, dot, gram, homogeneous, invert, vsub
 
 
 class IntegerTable(NamedTuple):
@@ -218,12 +217,6 @@ def _separates(row: tuple[int, ...], near: Sequence[tuple[int, ...]],
     b = [sum(map(mul, row, p)) for p in far]
     return (all(x >= 0 for x in a) and all(y <= 0 for y in b)
             and (all(x > 0 for x in a) or all(y < 0 for y in b)))
-
-
-def homogeneous(x: Sequence[Fraction]) -> tuple[int, ...]:
-    """(q, p_1, ..., p_n) with x = p/q and q the least common denominator."""
-    q = lcm(*(c.denominator for c in x))
-    return (q, *(c.numerator * (q // c.denominator) for c in x))
 
 
 def _integer_row(form: AffineForm) -> tuple[int, ...]:

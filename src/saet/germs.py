@@ -33,8 +33,8 @@ from .errors import (
     SameApex,
 )
 from .extend import ExtensionReport, PLFFunction, RatioForm
-from .geometry import SimplexGeometry, common_face, homogeneous
-from .rationals import Vec, vec
+from .geometry import SimplexGeometry, common_face
+from .rationals import Vec, homogeneous, vec
 
 ADJACENT = "Adjacent"
 NOT_ADJACENT = "NotAdjacent"

@@ -3,69 +3,96 @@
 Small and deterministic; used for strict separating hyperplanes and as the
 fallback of the glue check ``geometry.common_face``, which tries separating
 planes first and leaves to ``intersection_excess`` only the pairs no plane
-certifies; the LP is the one way that check rejects.  Tableau pivots go through
-``rationals.pivot``, exactly over Fractions, so feasibility and optimality
-answers carry no tolerance.
+certifies; the LP is the one way that check rejects.  The tableau holds
+Python ints: each row, the reduced-cost row included, is a positive multiple
+of the rational row it stands for, and pivots go through the fraction-free
+step ``rationals.pivot``.  Signs and the ratio test read the integers
+(cross-multiplied), so the pivots and the vertex are those of the rational
+tableau, and feasibility and optimality answers carry no tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .rationals import pivot, rat
+from .rationals import homogeneous, pivot, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _simplex(tableau, basis, cost):
-    """Maximize; returns status. tableau rows are constraints, last col rhs."""
-    m = len(tableau)
-    width = len(tableau[0]) - 1
+def _simplex(rows: list[list[int]], basis: list[int]) -> str:
+    """Maximize; returns status.
+
+    ``rows`` holds the len(basis) constraint rows, then any rows carried
+    along, then the reduced-cost row; the last column is the right-hand
+    side.  The entering column is the first with a positive reduced cost
+    (Bland); the leaving row has the least ratio rhs/a over a > 0, ties to
+    the smallest basis index.
+    """
+    m = len(basis)
+    width = len(rows[-1]) - 1
     while True:
-        # reduced costs: c_j - c_B . B^{-1} A_j
-        reduced = []
-        for j in range(width):
-            rj = cost[j] - sum(cost[basis[r]] * tableau[r][j] for r in range(m))
-            reduced.append(rj)
-        enter = next((j for j in range(width) if reduced[j] > 0), None)  # Bland
+        cost = rows[-1]
+        enter = next((j for j in range(width) if cost[j] > 0), None)
         if enter is None:
             return OPTIMAL
-        ratios = [
-            (tableau[r][width] / tableau[r][enter], basis[r], r)
-            for r in range(m)
-            if tableau[r][enter] > 0
-        ]
-        if not ratios:
+        leave = None
+        for r in range(m):
+            a = rows[r][enter]
+            if a <= 0:
+                continue
+            rhs = rows[r][width]
+            # rhs/a against the least ratio so far, by cross-multiplication
+            if leave is None or rhs * best_a < best_rhs * a or (
+                    rhs * best_a == best_rhs * a and basis[r] < basis[leave]):
+                leave, best_rhs, best_a = r, rhs, a
+        if leave is None:
             return UNBOUNDED
-        _, _, leave = min(ratios)  # ties broken by smallest basis index (Bland)
-        pivot(tableau, leave, enter)
+        pivot(rows, leave, enter)
         basis[leave] = enter
 
 
 def solve_max(
     c: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence
 ) -> tuple[str, Fraction | None, list[Fraction] | None]:
-    """Maximize c.x subject to a_eq x = b_eq, x >= 0 (all exact rationals)."""
+    """Maximize c.x subject to a_eq x = b_eq, x >= 0 (all exact rationals).
+
+    Raises ValueError when a row of a_eq is not as long as c or b_eq is not
+    as long as a_eq.
+    """
     c = [rat(x) for x in c]
-    rows = [[rat(x) for x in row] for row in a_eq]
-    rhs = [rat(x) for x in b_eq]
     n = len(c)
-    m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1: artificials
-    tableau = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    m = len(a_eq)
+    if len(b_eq) != m:
+        raise ValueError(f"{len(b_eq)} right-hand sides for {m} equations")
+    if any(len(row) != n for row in a_eq):
+        raise ValueError(f"every equation needs {n} coefficients")
+    # row i: (a_i | e_i | b_i) with b_i >= 0, times the lcm q of its denominators
+    rows = []
+    for i, (row, b) in enumerate(zip(a_eq, b_eq)):
+        q, *ints = homogeneous([rat(x) for x in row] + [rat(b)])
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
+        rows.append(ints[:n] + [q if j == i else 0 for j in range(m)] + ints[n:])
+    # phase 2 costs (c, 0), carried through phase 1 and the drive-out
+    p2_cost = list(homogeneous(c)[1:]) + [0] * (m + 1)
+    # phase 1 reduced costs: the sum of the rational rows, 0 on artificials;
+    # row i is row[n + i] times its rational row
+    scale = lcm(*(row[n + i] for i, row in enumerate(rows)))
+    p1_cost = [0] * (n + m + 1)
+    for i, row in enumerate(rows):
+        k = scale // row[n + i]
+        p1_cost = [x + k * y for x, y in zip(p1_cost, row)]
+    p1_cost[n:n + m] = [0] * m
+    tableau = rows + [p2_cost, p1_cost]
     basis = [n + i for i in range(m)]
-    p1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
-    status = _simplex(tableau, basis, p1_cost)
+    status = _simplex(tableau, basis)
     assert status == OPTIMAL  # phase 1 is always bounded
-    infeas = -sum(p1_cost[basis[r]] * tableau[r][-1] for r in range(m))
-    if infeas != 0:
+    if tableau.pop()[-1] != 0:  # a positive multiple of the total artificial value
         return INFEASIBLE, None, None
     # drive artificials out of the basis when possible; drop their columns
     for r in range(m):
@@ -75,15 +102,15 @@ def solve_max(
                 pivot(tableau, r, col)
                 basis[r] = col
     keep = [r for r in range(m) if basis[r] < n]
-    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep + [m]]
     basis = [basis[r] for r in keep]
-    status = _simplex(tableau, basis, c)
+    status = _simplex(tableau, basis)
     if status != OPTIMAL:
         return status, None, None
     x = [Fraction(0)] * n
     for r, b in enumerate(basis):
-        x[b] = tableau[r][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
+        x[b] = Fraction(tableau[r][-1], tableau[r][b])
+    value = sum((c[b] * x[b] for b in basis if c[b]), Fraction(0))
     return OPTIMAL, value, x
 
 

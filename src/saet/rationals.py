@@ -2,15 +2,20 @@
 
 Everything in this module is exact: inputs and outputs are
 ``fractions.Fraction`` and no operation ever rounds.  It holds the one
-Gauss–Jordan step ``pivot`` of the package: ``solve``, ``invert`` and
-``rank`` reduce through it, and so does the simplex tableau of ``lp``.
+elimination step ``pivot`` of the package, which works on rows of Python
+ints: each row stands for a positive multiple of a rational row, and the
+step clears a column by integer cross-multiplication and a gcd, with no
+division of values (fraction-free Gauss–Jordan).  ``solve``, ``invert`` and
+``rank`` scale each row by the least common multiple of its denominators
+(``homogeneous``), reduce through ``_rref`` and read Fractions off the
+reduced rows; the simplex tableau of ``lp`` pivots through the same step.
 ``rational_sqrt`` is the exact square root on perfect rational squares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -69,20 +74,39 @@ def dist_sq(a: Vec, b: Vec) -> Fraction:
     return norm_sq(vsub(a, b))
 
 
-def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """One Gauss–Jordan step, in place: scale row r so that rows[r][c] == 1,
-    then clear column c from every other row."""
-    inv = 1 / rows[r][c]
-    prow = rows[r] = [x * inv for x in rows[r]]
+def homogeneous(x: Sequence[Fraction]) -> tuple[int, ...]:
+    """(q, p_1, ..., p_n) with x = p/q and q the least common denominator."""
+    q = lcm(*(c.denominator for c in x))
+    return (q, *(c.numerator * (q // c.denominator) for c in x))
+
+
+def pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """One fraction-free Gauss–Jordan step on integer rows, in place.
+
+    Each row is a positive multiple of the rational row it stands for.  Row
+    r is made positive at column c; every other row with a nonzero entry f
+    in column c becomes p*row - f*rows[r] (p = rows[r][c]), which is 0 in
+    column c.  Each touched row is divided by the gcd of its entries, so
+    every row stays a positive multiple of the Fraction Gauss–Jordan row
+    (pivot row scaled to 1 at c) and entries stay small.
+    """
+    prow = rows[r]
+    g = gcd(*prow) if prow[c] > 0 else -gcd(*prow)
+    if g != 1:
+        prow = rows[r] = [x // g for x in prow]
+    p = prow[c]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [x - f * y for x, y in zip(row, prow)]
+        f = row[c]
+        if i != r and f:
+            row = [p * x - f * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> int:
-    """Reduce rows in place to reduced row echelon form over their first
-    ncols columns, pivoting on the first nonzero entry; return the rank."""
+def _rref(rows: list[list[int]], ncols: int) -> int:
+    """Reduce integer rows in place to reduced row echelon form over their
+    first ncols columns (up to a positive factor per row), pivoting on the
+    first nonzero entry; return the rank."""
     rk = 0
     for c in range(ncols):
         if rk == len(rows):
@@ -96,27 +120,48 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> int:
     return rk
 
 
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly by Gauss–Jordan elimination."""
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row coerced by ``rat`` and scaled by the lcm of its denominators.
+
+    Raises ValueError when the rows differ in length."""
+    out = [list(homogeneous([rat(x) for x in row])[1:]) for row in rows]
+    if any(len(row) != len(out[0]) for row in out):
+        raise ValueError("rows of different lengths")
+    return out
+
+
+def _order(matrix: Sequence[Sequence]) -> int:
+    """The order n of a square matrix; ValueError when it is not square."""
     n = len(matrix)
-    a = [list(row) + [r] for row, r in zip(matrix, rhs, strict=True)]
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"expected a square matrix of {n} rows")
+    return n
+
+
+def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a square nonsingular system exactly."""
+    n = _order(matrix)
+    if len(rhs) != n:
+        raise ValueError(f"right-hand side of length {len(rhs)} for {n} equations")
+    a = _integer_rows([list(row) + [r] for row, r in zip(matrix, rhs)])
     if _rref(a, n) < n:
         raise ZeroDivisionError("singular matrix")
-    return [row[n] for row in a]
+    return [Fraction(row[n], row[i]) for i, row in enumerate(a)]
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a square nonsingular matrix."""
-    n = len(matrix)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    n = _order(matrix)
+    a = _integer_rows([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(matrix)])
     if _rref(a, n) < n:
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in a]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(a)]
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a list of row vectors."""
-    a = [list(r) for r in rows]
+    a = _integer_rows(rows)
     return _rref(a, len(a[0])) if a else 0
 
 

@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .geometry import SimplexGeometry, homogeneous
+from .geometry import SimplexGeometry
 from .metric import FaceFunctionals
-from .rationals import Vec, vec
+from .rationals import Vec, homogeneous, vec
 
 INSIDE_OPEN = "InsideOpen"
 ON_BOUNDARY = "OnBoundary"

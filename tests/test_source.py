@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+the elimination kernel divides no values and builds no Fraction."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,34 @@ def test_unused_imports_checker():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def divisions_and_fractions(source: str, name: str) -> list[str]:
+    """True divisions (``/``, ``/=``) and ``Fraction(...)`` calls inside the
+    module-level function ``name``, as "line: what"."""
+    tree = ast.parse(source)
+    func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{node.lineno}: /")
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            callee = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            if callee == "Fraction":
+                found.append(f"{node.lineno}: Fraction(")
+    return found
+
+
+def test_division_checker():
+    src = ("def f(a, b):\n    a /= b\n    return a // b + fractions.Fraction(a, b)\n"
+           "def g(a, b):\n    return a / b\n")
+    assert divisions_and_fractions(src, "f") == ["2: /", "3: Fraction("]
+    assert divisions_and_fractions(src, "g") == ["5: /"]
+
+
+@pytest.mark.parametrize("module, name", [("rationals", "pivot"), ("rationals", "_rref"),
+                                          ("lp", "_simplex")])
+def test_elimination_kernel_is_fraction_free(module, name):
+    path = Path(saet.__file__).parent / f"{module}.py"
+    assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
