@@ -25,7 +25,7 @@ from typing import Sequence
 from .complexes import Complex, PLSet, bounding_box, closure, eta
 from .errors import BadOrder, OutOfDomain, PreconditionViolated
 from .intervals import Interval, IntervalPoint, interval_sqrt
-from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers, _refusal
+from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers
 from .probe import ProbeReport, probe_shell
 from .rationals import (AffineForm, Vec, dot, homogeneous, rat_str, rational_sqrt, solve,
                         vec)
@@ -484,9 +484,9 @@ def _carve_units(
     units = []
     for v in cells:
         balls = [(w, u.outer.radius_sq) for w, u in zip(cells, units)]
-        check = _collar_conditions(k, v, balls, prev_units, prev_ids)
-        r_sq, certificate = _first_certified(check, f"no collar radius certified for vertex {v}")
-        units.append(CarveUnit(VertexBall(k.coords(v)[0], r_sq), certificate))
+        collar = _Collar(k, v, balls, prev_units, prev_ids)
+        r_sq = _first_certified(collar, f"no collar radius certified for vertex {v}")
+        units.append(CarveUnit(VertexBall(k.coords(v)[0], r_sq), collar.records(r_sq)))
     return units
 
 
@@ -522,73 +522,94 @@ def carve_level(
     return _level(s, prev_units, _carve_units(k, ids, prev_units, prev_ids))
 
 
-def _collar_conditions(
-    k: Complex, vid: int, peer_balls: Sequence[tuple[int, Fraction]],
-    prev_units: Sequence[CarveUnit], prev_ids: Sequence[int],
-):
+class _Collar:
     """The conditions on a collar around vertex vid, built once.
 
-    Returns check(r_sq) -> (refusal, records): the star clearance (exact),
-    the disjointness from the earlier balls ``peer_balls`` ((vertex id, r^2)
-    pairs), and for each earlier tube its cone compatibility when its base
-    has vertex vid, or else the separation from it.  The refusal names the
-    first inequality that fails at r_sq, or is None.
+    They are the star clearance (exact), the disjointness from the earlier
+    balls ``peer_balls`` ((vertex id, r^2) pairs), and for each earlier tube
+    its cone compatibility when its base has vertex vid, or else the
+    separation from it.  ``refusal(r_sq)`` names the first of them that
+    fails at r_sq, or is None; ``records(r_sq)`` builds the certificate.
     """
-    star = _Conditions(k, vid)
-    v = star.base
-    # every candidate r^2 is a power of 1/4, so the radii are rational
-    balls = [(wid, rational_sqrt(w_rsq), sum((a - b) ** 2 for a, b in zip(v, k.coords(wid)[0])))
-             for wid, w_rsq in peer_balls]
-    tubes = [
-        _cone_compatibility(k, vid, pid, pu.outer) if vid in k.simplex(pid).vertex_ids
-        else star.separation(pid, pu.outer.eps_sq)
-        for pid, pu in zip(prev_ids, prev_units, strict=True) if not pu.is_ball
-    ]
 
-    def check(r_sq: Fraction) -> tuple[str | None, list[dict]]:
-        refused, records = star.check(r_sq)
+    def __init__(self, k: Complex, vid: int, peer_balls: Sequence[tuple[int, Fraction]],
+                 prev_units: Sequence[CarveUnit], prev_ids: Sequence[int]):
+        self.star = _Conditions(k, vid)
+        v = self.star.base
+        # every candidate r^2 is a power of 1/4, so the radii are rational
+        self.balls = [(wid, rational_sqrt(w_rsq),
+                       sum((a - b) ** 2 for a, b in zip(v, k.coords(wid)[0])))
+                      for wid, w_rsq in peer_balls]
+        self.tubes = [
+            _ConeCompatibility(k, vid, pid, pu.outer) if vid in k.simplex(pid).vertex_ids
+            else self.star.separation(pid, pu.outer.eps_sq)
+            for pid, pu in zip(prev_ids, prev_units, strict=True) if not pu.is_ball
+        ]
+
+    def _disjoint(self, r_sq: Fraction):
+        """(vertex id, whether the balls are disjoint) per earlier ball, lazily."""
         r = rational_sqrt(r_sq)
-        for wid, rw, gap_sq in balls:
-            cond = (r + rw) ** 2 < gap_sq
-            records.append({"kind": "ball_disjointness", "peer": wid, "ok": cond})
-            refused = refused or _refusal(cond, records[-1], f"against vertex {wid}")
-        for tube_check in tubes:
-            why, tube_records = tube_check(r_sq)
-            refused = refused or why
-            records.extend(tube_records)
-        return refused, records
+        return ((wid, (r + rw) ** 2 < gap_sq) for wid, rw, gap_sq in self.balls)
 
-    return check
+    def refusal(self, r_sq: Fraction) -> str | None:
+        refused = self.star.refusal(r_sq)
+        if refused is not None:
+            return refused
+        for wid, disjoint in self._disjoint(r_sq):
+            if not disjoint:
+                return f"ball_disjointness against vertex {wid}"
+        for tube in self.tubes:
+            refused = tube.refusal(r_sq)
+            if refused is not None:
+                return refused
+        return None
+
+    def records(self, r_sq: Fraction) -> list[dict]:
+        records = self.star.records(r_sq)
+        records += [{"kind": "ball_disjointness", "peer": wid, "ok": disjoint}
+                    for wid, disjoint in self._disjoint(r_sq)]
+        for tube in self.tubes:
+            records += tube.records(r_sq)
+        return records
 
 
-def _cone_compatibility(k: Complex, vid: int, pid: int, tube: Tube):
+class _ConeCompatibility:
     """Within the ball the tube is a cone from v, so the radial collar maps
     preserve its membership (every face of its base that avoids v lies in
     the facet opposite v), and the base's facets away from v stay inactive
     inside the ball."""
-    v = k.coords(vid)[0]
-    opposite = tuple(i for i, w in enumerate(k.simplex(pid).vertex_ids) if w != vid)
-    d_sq = k.geometry(pid).face_geometry(opposite).dist_sq(v)
-    facets = [
-        (fv, nsq, interval_sqrt(Interval(nsq), 64))
-        for f, nsq in zip(tube.ff.forms, tube.ff.norm_sq, strict=True)
-        if (fv := f(v)) != 0
-    ]
 
-    def check(r_sq: Fraction) -> tuple[str | None, list[dict]]:
-        records = [{"kind": "cone_compatibility", "tube": pid,
-                    "lhs": rat_str(4 * r_sq), "rhs": rat_str(d_sq)}]
-        refused = _refusal(4 * r_sq < d_sq, records[0], f"of tube {pid}")
+    def __init__(self, k: Complex, vid: int, pid: int, tube: Tube):
+        v = k.coords(vid)[0]
+        opposite = tuple(i for i, w in enumerate(k.simplex(pid).vertex_ids) if w != vid)
+        self.pid, self.tube = pid, tube
+        self.d_sq = k.geometry(pid).face_geometry(opposite).dist_sq(v)
+        self.facets = [
+            (fv, nsq, interval_sqrt(Interval(nsq), 64))
+            for f, nsq in zip(tube.ff.forms, tube.ff.norm_sq, strict=True)
+            if (fv := f(v)) != 0
+        ]
+
+    def _dominated(self, r_sq: Fraction):
+        """Whether each facet away from v stays inactive in the ball, lazily."""
         rv = interval_sqrt(Interval(r_sq), 64)
-        for fv, nsq, un in facets:
+        for fv, nsq, un in self.facets:
             # need eps* (f(v) - ||u|| r) > ||u|| r, squared conservatively
             margin = Interval(fv) - un * rv
-            cond = margin.lo > 0 and (margin.square() * tube.eps_star_sq).lo > r_sq * nsq
-            records.append({"kind": "facet_domination", "tube": pid, "ok": cond})
-            refused = refused or _refusal(cond, records[-1], f"of tube {pid}")
-        return refused, records
+            yield margin.lo > 0 and (margin.square() * self.tube.eps_star_sq).lo > r_sq * nsq
 
-    return check
+    def refusal(self, r_sq: Fraction) -> str | None:
+        if not 4 * r_sq < self.d_sq:
+            return f"cone_compatibility of tube {self.pid}"
+        if not all(self._dominated(r_sq)):
+            return f"facet_domination of tube {self.pid}"
+        return None
+
+    def records(self, r_sq: Fraction) -> list[dict]:
+        return [{"kind": "cone_compatibility", "tube": self.pid,
+                 "lhs": rat_str(4 * r_sq), "rhs": rat_str(self.d_sq)}] + [
+            {"kind": "facet_domination", "tube": self.pid, "ok": ok}
+            for ok in self._dominated(r_sq)]
 
 
 def carve_base_vertices(

@@ -190,9 +190,11 @@ def common_face(geo1: SimplexGeometry, geo2: SimplexGeometry,
     intersection lies in the face of the second spanned by its zero
     vertices, which are the shared ones; and their span lies in both.  The
     planes tried are the barycentric forms of either simplex that vanish at
-    every shared vertex, then ``_shared_face_plane``; every sign is decided
-    exactly over the integers.  When no plane separates, the exact LP
-    ``intersection_excess`` decides, and it is the only way to answer False.
+    every shared vertex, then ``_shared_face_plane``, then
+    ``_hull_normal_plane``, which is 0 on all of the first simplex; every
+    sign is decided exactly over the integers.  When no plane separates,
+    the exact LP ``intersection_excess`` decides, and it is the only way to
+    answer False.
     """
     table1, table2 = geo1.integral, geo2.integral
     near = [p for i, p in enumerate(table1.points) if i not in shared1]
@@ -204,6 +206,9 @@ def common_face(geo1: SimplexGeometry, geo2: SimplexGeometry,
                 return True
     h = _shared_face_plane(geo1, geo2, shared1)
     if h is not None and _separates(_integer_row(h), near, far):
+        return True
+    h = _hull_normal_plane(geo1, geo2, shared2)
+    if h is not None and _separates(_integer_row(h), far, near):
         return True
     excess = intersection_excess(geo1.vertices, geo2.vertices, shared1, shared2)
     return excess is None or excess == 0
@@ -248,3 +253,26 @@ def _shared_face_plane(geo1: SimplexGeometry, geo2: SimplexGeometry,
     if not any(normal):
         return None
     return AffineForm(-dot(normal, anchor), normal)
+
+
+def _hull_normal_plane(geo1: SimplexGeometry, geo2: SimplexGeometry,
+                       shared2: Sequence[int]) -> AffineForm | None:
+    """The plane through the affine hull of the first simplex with normal
+    w - pi(w), where w is the centroid of the second simplex's unshared
+    vertices and pi the projection onto that hull.  The form is 0 on the
+    first simplex and positive at w; None when w lies in the hull, or when
+    every vertex of the second simplex is shared.
+
+    When it is positive at every unshared vertex of the second simplex, the
+    two meet only in the shared face.  It separates pairs that the other
+    planes miss, such as two triangles of R^3 folded at an acute angle
+    along a common edge.
+    """
+    rest = [v for j, v in enumerate(geo2.vertices) if j not in shared2]
+    if not rest:
+        return None
+    w = tuple(Fraction(sum(axis), len(rest)) for axis in zip(*rest))
+    normal = vsub(w, geo1.project(w)[0])
+    if not any(normal):
+        return None
+    return AffineForm(-dot(normal, geo1.base), normal)

@@ -56,6 +56,12 @@ def _simplex(rows: list[list[int]], basis: list[int]) -> str:
         basis[leave] = enter
 
 
+def _exact(x):
+    """x itself when it is an int or a Fraction, whose numerator and
+    denominator ``homogeneous`` reads directly; else ``rat(x)``."""
+    return x if type(x) is Fraction or type(x) is int else rat(x)
+
+
 def solve_max(
     c: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence
 ) -> tuple[str, Fraction | None, list[Fraction] | None]:
@@ -64,7 +70,7 @@ def solve_max(
     Raises ValueError when a row of a_eq is not as long as c or b_eq is not
     as long as a_eq.
     """
-    c = [rat(x) for x in c]
+    c = [*map(_exact, c)]
     n = len(c)
     m = len(a_eq)
     if len(b_eq) != m:
@@ -74,7 +80,7 @@ def solve_max(
     # row i: (a_i | e_i | b_i) with b_i >= 0, times the lcm q of its denominators
     rows = []
     for i, (row, b) in enumerate(zip(a_eq, b_eq)):
-        q, *ints = homogeneous([rat(x) for x in row] + [rat(b)])
+        q, *ints = homogeneous([*map(_exact, row), _exact(b)])
         if ints[-1] < 0:
             ints = [-x for x in ints]
         rows.append(ints[:n] + [q if j == i else 0 for j in range(m)] + ints[n:])
@@ -153,21 +159,17 @@ def linear_feasible(
 
     Unknowns are free; returns None when infeasible.
     """
-    # y = u - v with u, v >= 0, plus one slack per inequality
+    # y = u - v with u, v >= 0, plus one slack per inequality; ints stay ints
     n_ineq = len(lower_bounds)
     a_eq, b_eq = [], []
-    for coeffs, b in equalities:
-        coeffs = [rat(x) for x in coeffs]
-        a_eq.append(coeffs + [-x for x in coeffs] + [Fraction(0)] * n_ineq)
-        b_eq.append(rat(b))
-    for i, (coeffs, b) in enumerate(lower_bounds):
-        coeffs = [rat(x) for x in coeffs]
-        slack = [Fraction(0)] * n_ineq
-        slack[i] = Fraction(-1)
+    for i, (coeffs, b) in enumerate([*equalities, *lower_bounds]):
+        coeffs = [*map(_exact, coeffs)]
+        slack = [0] * n_ineq
+        if i >= len(equalities):
+            slack[i - len(equalities)] = -1
         a_eq.append(coeffs + [-x for x in coeffs] + slack)
-        b_eq.append(rat(b))
-    n_total = 2 * n_unknowns + n_ineq
-    status, _, x = solve_max([Fraction(0)] * n_total, a_eq, b_eq)
+        b_eq.append(_exact(b))
+    status, _, x = solve_max([0] * (2 * n_unknowns + n_ineq), a_eq, b_eq)
     if status != OPTIMAL:
         return None
     return [x[i] - x[n_unknowns + i] for i in range(n_unknowns)]

@@ -7,11 +7,20 @@ facet opposite vertex i, is nonnegative on the simplex, and the forms sum
 to 1 identically.  Within the affine hull, dist(x, facet_i) equals
 f_i(x)/||u_i|| where u_i is the in-hull gradient of f_i, so every distance
 comparison can be cleared of square roots.
+
+The tube certificate decides each clearance over the integers: a tube's
+apex-ball clearance compares a rational with the square of a sum of square
+roots, which ``_Clearance`` encloses between integer bounds over one
+common denominator, refined by bit count.  The eps search asks each
+condition only for the first inequality that refuses a candidate; the
+certificate records and their strings are built once, at the accepted eps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .complexes import Complex
@@ -19,7 +28,7 @@ from .errors import CertificationFailure, DegenerateSimplex, NotCommonFace, Prec
 from .geometry import SimplexGeometry, common_face
 from .intervals import Interval, IntervalPoint, combination, sqrt_enclosure
 from .lp import linear_feasible
-from .rationals import AffineForm, Vec, dot, rat_str, vec
+from .rationals import AffineForm, Vec, dot, homogeneous, rat_str, rational_sqrt, vec
 
 
 class FaceFunctionals:
@@ -150,17 +159,6 @@ _DECISION_BITS = (64, 128, 256, 512)
 _EPS_SQ_CANDIDATES = tuple(Fraction(1, 4**j) for j in range(1, 41))
 
 
-def _decide_strict_less(lhs: Fraction, rhs_factory) -> bool | None:
-    """Decide lhs < rhs where rhs_factory(bits) -> Interval enclosing rhs."""
-    for bits in _DECISION_BITS:
-        rhs = rhs_factory(bits)
-        if lhs < rhs.lo:
-            return True
-        if rhs.hi <= lhs:
-            return False
-    return None
-
-
 def _base(k: Complex, sid: int) -> Vec | FaceFunctionals:
     """A vertex as its point, a simplex of dimension >= 1 as its facet forms
     on the complex's cached geometry."""
@@ -173,55 +171,112 @@ class _Clearance:
     A vertex base v has the ball B(v, eps), and the test
     eps^2 q < form(v)^2 is exact.  A simplex base (its FaceFunctionals) has
     the tube's apex balls; the inradius scale cancels, and the test reads
-    (eps*)^2 q < (sum_i ||u_i|| form(v_i))^2.  ``q`` is the squared
+    (eps*)^2 q < S^2 with S = sum_i ||u_i|| form(v_i).  ``q`` is the squared
     gradient norm that goes with the form.  With ``side`` +1 or -1 the form
     must also keep that sign.  Only eps varies between tests: the sign is
-    decided here, and the weighted sum is enclosed once per precision.
+    decided here, and S is enclosed once per precision.
+
+    S is enclosed over the integers.  The values form(v_i) are F_i / C for
+    one common C, read from the integer rows of the form and of the
+    vertices.  The norms q_i = ||u_i||^2 that are rational squares have
+    exact roots over one common denominator R; at b bits each other root
+    lies in [r_i, r_i + 1] / 2^b with r_i = isqrt(floor(q_i 4^b)), and its
+    term takes the end that the sign of F_i makes low or high.  So S lies
+    in [lo, hi] / (2^b C R), the same rational interval as the sum of
+    ``intervals.sqrt_enclosure(q_i, b) * form(v_i)``, and every comparison
+    cross-multiplies integers.
     """
 
     def __init__(self, base: Vec | FaceFunctionals, form: AffineForm, q: Fraction, side: int = 0):
-        self.form, self.q, self.side = form, q, side
+        self.q, self.side = q, side
         self.ff = base if isinstance(base, FaceFunctionals) else None
         if self.ff is None:
+            self.kind = "vertex_ball_clearance"
             self.value = form(base)
             self.sign_ok = not side or self.value * side > 0
-        else:
-            self._sums: dict[int, Interval] = {}
-            self.sign_ok = not side or _decide_strict_less(
-                Fraction(0), lambda bits: self._sum(bits) * side
-            ) is True
+            return
+        self.kind = "apex_ball_clearance"
+        c, *row = homogeneous((form.c0, *form.c))
+        points = self.ff.geometry.integral.points
+        values = [sum(map(mul, row, p)) for p in points]
+        roots = [rational_sqrt(q) for q in self.ff.norm_sq]
+        r_den = lcm(*(root.denominator for root in roots if root is not None))
+        self._exact = sum(root.numerator * (r_den // root.denominator) * f
+                          for root, f in zip(roots, values, strict=True) if root is not None)
+        self._inexact = [(q.numerator, q.denominator, f)
+                         for q, root, f in zip(self.ff.norm_sq, roots, values, strict=True)
+                         if root is None]
+        self._r_den, self._scale = r_den, c * points[0][0] * r_den
+        self._bounds: list[tuple[int, int, int]] = []
+        self.sign_ok = not side or self.side_decision() is True
 
-    def _sum(self, bits: int) -> Interval:
-        """Enclosure of sum_i ||u_i|| form(v_i) over the simplex vertices."""
-        if bits not in self._sums:
-            acc = Interval(0)
-            for q, v in zip(self.ff.norm_sq, self.ff.vertices, strict=True):
-                acc = acc + sqrt_enclosure(q, bits) * self.form(v)
-            self._sums[bits] = acc
-        return self._sums[bits]
+    def _enclosures(self):
+        """(lo, hi, D) per bit count of ``_DECISION_BITS``, each built once:
+        S lies in [lo, hi] / D."""
+        for i, bits in enumerate(_DECISION_BITS):
+            if i == len(self._bounds):
+                lo = hi = self._exact << bits
+                for num, den, f in self._inexact:
+                    rf = isqrt((num << 2 * bits) // den) * f
+                    lo, hi = lo + self._r_den * (rf + min(f, 0)), hi + self._r_den * (rf + max(f, 0))
+                self._bounds.append((lo, hi, self._scale << bits))
+            yield self._bounds[i]
 
-    def test(self, eps_sq: Fraction) -> tuple[bool, Fraction]:
-        """Whether the test is certified at eps^2, and its left side."""
+    def side_decision(self) -> bool | None:
+        """Whether S * side > 0, at the first precision that decides it;
+        None when none does."""
+        for lo, hi, _ in self._enclosures():
+            lo, hi = (lo, hi) if self.side > 0 else (-hi, -lo)
+            if lo > 0:
+                return True
+            if hi <= 0:
+                return False
+        return None
+
+    def less_decision(self, p: int, q: int) -> bool | None:
+        """Whether p/q < S^2 (q > 0), at the first precision that decides
+        it; None when none does."""
+        for lo, hi, d in self._enclosures():
+            lo_sq, hi_sq = lo * lo, hi * hi
+            if lo < 0 < hi:
+                lo_sq, hi_sq = 0, max(lo_sq, hi_sq)
+            elif hi <= 0:
+                lo_sq, hi_sq = hi_sq, lo_sq
+            # p/q against [lo_sq, hi_sq] / d^2
+            pd = p * d * d
+            if pd < lo_sq * q:
+                return True
+            if hi_sq * q <= pd:
+                return False
+        return None
+
+    def lhs(self, eps_sq: Fraction) -> Fraction:
+        """The left side: eps^2 q for a ball, (eps*)^2 q for apex balls."""
+        return eps_sq * self.q if self.ff is None else eps_sq / (1 - eps_sq) * self.q
+
+    def holds(self, eps_sq: Fraction) -> bool:
+        """Whether the test is certified at eps^2 (0 < eps^2 < 1)."""
+        if not self.sign_ok:
+            return False
         if self.ff is None:
-            lhs = eps_sq * self.q
-            return self.sign_ok and lhs < self.value * self.value, lhs
-        lhs = eps_sq / (1 - eps_sq) * self.q
-        less = _decide_strict_less(lhs, lambda bits: self._sum(bits).square())
-        return self.sign_ok and less is True, lhs
+            return self.lhs(eps_sq) < self.value * self.value
+        # (eps*)^2 q = a q / (b - a) for eps^2 = a/b
+        a, b = eps_sq.numerator, eps_sq.denominator
+        return self.less_decision(a * self.q.numerator, (b - a) * self.q.denominator) is True
 
-    def record(self, eps_sq: Fraction, lhs: Fraction) -> dict:
+    def record(self, eps_sq: Fraction) -> dict:
         if self.ff is None:
             return {
-                "kind": "vertex_ball_clearance",
+                "kind": self.kind,
                 "radius_sq": rat_str(eps_sq),
                 "grad_sq": rat_str(self.q),
                 "value": rat_str(self.value),
                 "side": self.side,
             }
         return {
-            "kind": "apex_ball_clearance",
+            "kind": self.kind,
             "eps_sq": rat_str(eps_sq),
-            "lhs_eps_star_sq_grad_sq": rat_str(lhs),
+            "lhs_eps_star_sq_grad_sq": rat_str(self.lhs(eps_sq)),
             "side": self.side,
         }
 
@@ -237,8 +292,11 @@ class _Conditions:
 
     Building computes all that does not depend on eps: tau's facet forms,
     the form and norm of each star facet that misses tau, and per peer the
-    separating hyperplane and the peer's facet forms.  ``check`` then only
-    evaluates inequalities, for the eps search and the certificate alike.
+    separating hyperplane and the peer's facet forms.  Like every carve
+    condition it then answers two questions about a candidate eps^2:
+    ``refusal`` names the first inequality that fails, testing no further,
+    and ``records`` builds the certificate records, once, at the accepted
+    eps^2.
     """
 
     def __init__(self, k: Complex, tau_id: int, peers=()):
@@ -257,11 +315,9 @@ class _Conditions:
                     self.faces.append((sid, i, _Clearance(self.base, ff.forms[i], ff.norm_sq[i])))
         self.peers = [(pid, self.separation(pid, e)) for pid, e in _normalize_peers(k, peers)]
 
-    def separation(self, peer_id: int, peer_eps_sq: Fraction | None = None):
-        """check(eps_sq) -> (refusal, [tau's record, the peer's record]) for the
-        hyperplane h = separating_hyperplane(tau, peer): tau's neighbourhood
-        stays on h < 0 at eps^2, the peer's on h > 0 at its own eps^2 (at
-        eps^2 when it has none)."""
+    def separation(self, peer_id: int, peer_eps_sq: Fraction | None = None) -> "_Separation":
+        """The conditions that h = separating_hyperplane(tau, peer) keeps
+        tau and the peer apart (see ``_Separation``)."""
         k, tau_id = self.k, self.tau_id
         if not _proper_peers(k, tau_id, peer_id):
             raise PreconditionViolated(
@@ -269,62 +325,84 @@ class _Conditions:
             )
         h = separating_hyperplane(k.geometry(tau_id), k.geometry(peer_id))
         q = h.gradient_norm_sq()
-        near = _Clearance(self.base, h.form, q, side=-1)
-        far = _Clearance(_base(k, peer_id), h.form, q, side=+1)
+        return _Separation(tau_id, peer_id, peer_eps_sq,
+                           _Clearance(self.base, h.form, q, side=-1),
+                           _Clearance(_base(k, peer_id), h.form, q, side=+1))
 
-        def check(eps_sq: Fraction) -> tuple[str | None, list[dict]]:
-            peer_eps = eps_sq if peer_eps_sq is None else peer_eps_sq
-            (ok1, lhs1), (ok2, lhs2) = near.test(eps_sq), far.test(peer_eps)
-            near_rec, far_rec = near.record(eps_sq, lhs1), far.record(peer_eps, lhs2)
-            refused = (_refusal(ok1, near_rec, f"of simplex {tau_id} against peer {peer_id}")
-                       or _refusal(ok2, far_rec, f"of peer {peer_id} against simplex {tau_id}"))
-            return refused, [near_rec, far_rec]
-
-        return check
-
-    def check(self, eps_sq: Fraction) -> tuple[str | None, list[dict]]:
-        """The first inequality that fails at eps^2 (None if none), and the records."""
-        refused, records = None, []
+    def refusal(self, eps_sq: Fraction) -> str | None:
+        """The first inequality that fails at eps^2, or None."""
         for sid, i, clearance in self.faces:
-            ok, lhs = clearance.test(eps_sq)
+            if not clearance.holds(eps_sq):
+                return f"face_clearance of simplex {sid} opposite vertex {i}"
+        for _, separation in self.peers:
+            refused = separation.refusal(eps_sq)
+            if refused is not None:
+                return refused
+        return None
+
+    def records(self, eps_sq: Fraction) -> list[dict]:
+        """The records of every inequality at eps^2."""
+        records = []
+        for sid, i, clearance in self.faces:
             record = {"kind": "face_clearance", "sigma": sid, "opposite_vertex": i}
+            lhs = clearance.lhs(eps_sq)
             if clearance.ff is None:
                 record.update(lhs=rat_str(lhs), rhs=rat_str(clearance.value**2))
             else:
                 record["eps_star_sq_norm_sq"] = rat_str(lhs)
             records.append(record)
-            refused = refused or _refusal(ok, record, f"of simplex {sid} opposite vertex {i}")
-        for peer_id, separated in self.peers:
-            why, (rec1, rec2) = separated(eps_sq)
+        for peer_id, separation in self.peers:
+            rec1, rec2 = separation.records(eps_sq)
             rec1["peer"], rec2["peer"] = peer_id, self.tau_id
             records.extend((rec1, rec2))
-            refused = refused or why
-        return refused, records
+        return records
 
     def first_certified(self) -> Fraction:
         """The first candidate eps^2 at which every condition holds."""
-        eps_sq, _ = _first_certified(
-            self.check,
-            f"no eps certified for simplex {self.tau_id} after {len(_EPS_SQ_CANDIDATES)} rounds",
+        return _first_certified(
+            self, f"no eps certified for simplex {self.tau_id} after {len(_EPS_SQ_CANDIDATES)} rounds"
         )
-        return eps_sq
 
     def certificate(self, eps_sq: Fraction) -> list[dict]:
-        """The records at eps^2 stamped with tau and eps^2, or CertificationFailure."""
-        refused, records = self.check(eps_sq)
+        """The records at eps^2 stamped with tau and eps^2, or CertificationFailure.
+
+        Raises PreconditionViolated unless 0 < eps^2 < 1: the apex balls
+        need a positive eps^2 below 1, and every tube is built with one."""
+        if not 0 < eps_sq < 1:
+            raise PreconditionViolated(f"eps^2 = {eps_sq} is not in (0, 1)")
+        refused = self.refusal(eps_sq)
         if refused is not None:
             raise CertificationFailure(
                 f"eps^2 = {eps_sq} fails certification for {self.tau_id}: {refused} fails"
             )
+        records, stamp = self.records(eps_sq), rat_str(eps_sq)
         for r in records:
             r["tau"] = self.tau_id
-            r["eps_sq"] = rat_str(eps_sq)
+            r["eps_sq"] = stamp
         return records
 
 
-def _refusal(ok: bool, record: dict, where: str) -> str | None:
-    """None for a certified inequality, else its kind and where it sits."""
-    return None if ok else f"{record['kind']} {where}"
+class _Separation:
+    """tau's neighbourhood stays on h < 0 at eps^2, the peer's on h > 0 at
+    its own eps^2 (at eps^2 when it has none); records [tau's, the peer's]."""
+
+    def __init__(self, tau_id: int, peer_id: int, peer_eps_sq: Fraction | None,
+                 near: _Clearance, far: _Clearance):
+        self.tau_id, self.peer_id, self.peer_eps_sq = tau_id, peer_id, peer_eps_sq
+        self.near, self.far = near, far
+
+    def _peer_eps(self, eps_sq: Fraction) -> Fraction:
+        return eps_sq if self.peer_eps_sq is None else self.peer_eps_sq
+
+    def refusal(self, eps_sq: Fraction) -> str | None:
+        if not self.near.holds(eps_sq):
+            return f"{self.near.kind} of simplex {self.tau_id} against peer {self.peer_id}"
+        if not self.far.holds(self._peer_eps(eps_sq)):
+            return f"{self.far.kind} of peer {self.peer_id} against simplex {self.tau_id}"
+        return None
+
+    def records(self, eps_sq: Fraction) -> list[dict]:
+        return [self.near.record(eps_sq), self.far.record(self._peer_eps(eps_sq))]
 
 
 def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:
@@ -344,13 +422,14 @@ def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:
     return out
 
 
-def _first_certified(check, failure: str) -> tuple[Fraction, list[dict]]:
-    """The first candidate eps^2 at which ``check`` holds, with its records;
-    failing that, the inequality that refused the last candidate."""
+def _first_certified(condition, failure: str) -> Fraction:
+    """The first candidate eps^2 that ``condition.refusal`` accepts; failing
+    that, CertificationFailure naming the inequality that refused the last
+    candidate."""
     for eps_sq in _EPS_SQ_CANDIDATES:
-        refused, records = check(eps_sq)
+        refused = condition.refusal(eps_sq)
         if refused is None:
-            return eps_sq, records
+            return eps_sq
     raise CertificationFailure(f"{failure}: {refused} fails at the last candidate")
 
 

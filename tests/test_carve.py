@@ -318,6 +318,18 @@ def test_carving_solves_each_separation_once(monkeypatch):
     assert len(eta_calls) == 1
 
 
+def test_carving_builds_records_only_at_the_accepted_eps(monkeypatch):
+    # the eps search asks only whether a candidate is refused; the records
+    # and their strings are built once, for the certificate
+    from saet import metric
+
+    original, calls = metric.rat_str, []
+    monkeypatch.setattr(metric, "rat_str", lambda x: calls.append(x) or original(x))
+    certificates = appropriate_embed(grid_cut(8)).certificates
+    assert len(certificates) == 438
+    assert len(calls) <= 2 * len(certificates)
+
+
 def test_empty_level_keeps_earlier_units(fix_a, fix_a_embedded):
     units = fix_a_embedded.carved.units
     ids = [t for lv in fix_a_embedded.levels for t in lv["cells"]]

@@ -297,6 +297,17 @@ def test_broad_phase_lp_count(monkeypatch):
     assert lps == []
 
 
+def test_full_suite_glues_without_lp(monkeypatch):
+    # every glued pair that run_suite("full") checks, the two triangles of
+    # R^3 folded along a common edge included, is certified by a plane
+    from saet import verify
+
+    lps = []
+    monkeypatch.setattr(geometry, "intersection_excess", lambda *args: lps.append(args))
+    verify.run_suite("full")
+    assert lps == []
+
+
 def perturbed_complex(seed: int):
     """The input of test_broad_phase_matches_all_pairs for one seed: a 3 x 3
     grid or 3-prism wedge stack with one vertex moved toward the centroid,

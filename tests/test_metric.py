@@ -3,9 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from saet import metric
+from saet.carve import appropriate_embed
 from saet.errors import CertificationFailure, NotCommonFace, PreconditionViolated
 from saet.intervals import Interval, sqrt_enclosure
 from saet.metric import (
+    _EPS_SQ_CANDIDATES,
     certificate_for,
     certify_epsilon,
     face_functionals,
@@ -204,6 +207,16 @@ def test_certification_failure_names_the_inequality(square):
     assert str(failure.value).endswith(f": face_clearance of simplex {t1} opposite vertex 0 fails")
 
 
+def test_certificate_needs_eps_sq_in_the_unit_interval(square):
+    # eps^2 / (1 - eps^2) is negative above 1 and undefined at 1; no tube
+    # has such an eps, and a negative left side would pass every clearance
+    t1 = square.id_of((0, 1))
+    assert len(certificate_for(square, t1, F(1, 4), peers=[(0, 5)])) == 8
+    for eps_sq in (F(2), F(-1), F(0), F(1)):
+        with pytest.raises(PreconditionViolated, match=r"not in \(0, 1\)"):
+            certificate_for(square, t1, eps_sq, peers=[(0, 5)])
+
+
 def test_peer_pair_of_vertex_ids_names_a_segment(square):
     # (0, 5) is the segment with vertex ids 0 and 5, not simplex 0 at eps^2 = 5;
     # an (id, eps^2) pair needs an int id and a Fraction eps^2 in (0, 1)
@@ -232,3 +245,86 @@ def test_perpendicular_segments_tubes_meet_in_vertex(square):
         x = (F(rng.randint(-8, 40), 32), F(rng.randint(-8, 40), 32))
         if tube_membership(tube1, x) != OUTSIDE and tube_membership(tube2, x) != OUTSIDE:
             assert x == (0, 0)
+
+
+# The Fraction-interval decision of ``metric._Clearance`` before its integer
+# enclosures, kept verbatim as the reference: the sum over the base vertices
+# of sqrt_enclosure(q_i, bits) * form(v_i), decided at the first precision
+# that decides.
+REFERENCE_BITS = (64, 128, 256, 512)
+
+
+def reference_decide_strict_less(lhs, rhs_factory):
+    """Decide lhs < rhs where rhs_factory(bits) -> Interval enclosing rhs."""
+    for bits in REFERENCE_BITS:
+        rhs = rhs_factory(bits)
+        if lhs < rhs.lo:
+            return True
+        if rhs.hi <= lhs:
+            return False
+    return None
+
+
+def reference_sum(ff, form, bits):
+    """Enclosure of sum_i ||u_i|| form(v_i) over the simplex vertices."""
+    acc = Interval(0)
+    for q, v in zip(ff.norm_sq, ff.vertices, strict=True):
+        acc = acc + sqrt_enclosure(q, bits) * form(v)
+    return acc
+
+
+def built_clearances(monkeypatch, marked_sets):
+    """Every clearance that appropriate_embed builds on the marked sets, with
+    its arguments, and the eps^2 of every level."""
+    built, eps_values = [], set()
+    original = metric._Clearance.__init__
+
+    def recording(self, base, form, q, side=0):
+        original(self, base, form, q, side)
+        built.append((self, base, form, q, side))
+
+    monkeypatch.setattr(metric._Clearance, "__init__", recording)
+    for s in marked_sets:
+        eps_values.update(F(level["eps_sq"]) for level in appropriate_embed(s).levels)
+    return built, eps_values
+
+
+def test_integer_clearance_matches_fraction_intervals(monkeypatch):
+    # the side check and the test of every clearance carved on the 8 x 8 cut
+    # grid, the punctured 6 x 6 grid and 20 seeded wedge stacks, at every
+    # candidate eps^2 and every level's snapped eps^2: the same True, False
+    # and undecided answers as the Fraction intervals
+    from test_carve import _generated_marked_sets, grid_cut, grid_punctured
+
+    wedges = [s for kind, _, s in _generated_marked_sets() if kind == "wedges"]
+    marked = [grid_cut(8), grid_punctured(6, [(1, 1), (3, 4), (4, 2)])] + wedges
+    built, eps_values = built_clearances(monkeypatch, marked)
+    eps_values = sorted(eps_values | set(_EPS_SQ_CANDIDATES))
+    answers = {}
+    for clearance, base, form, q, side in built:
+        if clearance.ff is None:
+            value = form(base)
+            sign_ok = not side or value * side > 0
+            assert clearance.sign_ok == sign_ok
+            for eps_sq in eps_values:
+                assert clearance.holds(eps_sq) == (sign_ok and eps_sq * q < value * value)
+            continue
+        sums = {}
+
+        def total(bits, ff=clearance.ff, form=form):
+            return sums.setdefault(bits, reference_sum(ff, form, bits))
+
+        side_answer = reference_decide_strict_less(F(0), lambda bits: total(bits) * side)
+        if side:
+            assert clearance.side_decision() == side_answer
+        sign_ok = not side or side_answer is True
+        assert clearance.sign_ok == sign_ok
+        for eps_sq in eps_values:
+            lhs = eps_sq / (1 - eps_sq) * q
+            want = reference_decide_strict_less(lhs, lambda bits: total(bits).square())
+            assert clearance.less_decision(lhs.numerator, lhs.denominator) == want
+            assert clearance.holds(eps_sq) == (sign_ok and want is True)
+            answers[want] = answers.get(want, 0) + 1
+    # certified, refused and undecided answers all occur; the undecided ones
+    # have S = sqrt(q_i) form(v_i) with (eps*)^2 q = S^2 exactly
+    assert len(built) > 800 and set(answers) == {True, False, None}

@@ -65,3 +65,31 @@ def test_division_checker():
 def test_elimination_kernel_is_fraction_free(module, name):
     path = Path(saet.__file__).parent / f"{module}.py"
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
+
+
+def interval_uses(source: str, name: str) -> list[str]:
+    """Reads of ``Interval`` or ``sqrt_enclosure`` and ``Fraction(...)``
+    calls inside the module-level class ``name``, as "line: what"."""
+    tree = ast.parse(source)
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+    found = []
+    for node in ast.walk(cls):
+        what = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if what in ("Interval", "sqrt_enclosure"):
+            found.append(f"{node.lineno}: {what}")
+        elif isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None)):
+            found.append(f"{node.lineno}: Fraction(")
+    return sorted(found, key=lambda entry: int(entry.split(":")[0]))
+
+
+def test_interval_checker():
+    src = ("class C:\n    def f(self, q):\n        return intervals.sqrt_enclosure(q) * q\n"
+           "    def g(self):\n        return Interval(Fraction(1))\n")
+    assert interval_uses(src, "C") == ["3: sqrt_enclosure", "5: Interval", "5: Fraction("]
+
+
+def test_clearance_kernel_is_integer():
+    # the apex-ball clearances enclose their sums over the integers
+    path = Path(saet.__file__).parent / "metric.py"
+    assert interval_uses(path.read_text(encoding="utf-8"), "_Clearance") == []
