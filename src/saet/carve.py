@@ -19,12 +19,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .complexes import Complex, PLSet, bounding_box, closure, eta
 from .errors import BadOrder, OutOfDomain, PreconditionViolated
-from .intervals import Interval, IntervalPoint, interval_sqrt
+from .intervals import (BoxNumerators, Interval, IntervalPoint, interval_sqrt, product_bounds,
+                        quotient_bounds, sqrt_bounds, square_bounds)
 from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers
 from .probe import ProbeReport, probe_shell
 from .rationals import (AffineForm, Vec, dot, homogeneous, rat_str, rational_sqrt, solve,
@@ -85,11 +87,32 @@ def deformation_coeffs(s, s_prime) -> DeformCoeffs:
     return DeformCoeffs(s, s_prime, a1, a2, b1, b2)
 
 
+def _signed_rows(rows) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Each integer row (c0, c_1, ..., c_n) as (c0, positive parts, negative
+    parts), for ``_form_bounds``."""
+    return tuple((row[0], tuple(max(c, 0) for c in row[1:]), tuple(min(c, 0) for c in row[1:]))
+                 for row in rows)
+
+
+def _form_bounds(row, q: int, lo: Sequence[int], hi: Sequence[int]) -> tuple[int, int]:
+    """The ends of an affine form, a signed row over some D, on the box
+    [lo, hi] / q, over D q: what summing ``coord * c`` intervals gives."""
+    c0, pos, neg = row
+    return (c0 * q + sum(map(mul, pos, lo)) + sum(map(mul, neg, hi)),
+            c0 * q + sum(map(mul, pos, hi)) + sum(map(mul, neg, lo)))
+
+
 class CarveUnit:
     """One carved neighborhood: a tube around a cell or a vertex ball.
 
     The full object (parameter eps) is the map region; the carving removes
     the half-open inner object at parameter eps/2.
+
+    The deformation maps read a unit through integers built once here.  A
+    tube has its barycentric rows (``SimplexGeometry.integral``, over D),
+    the rows of its height forms x_k - pi_k(x) and of its projection pi_k
+    (over one E), the weights of its facet inequalities and the inverse
+    facet norms; a ball has its center over one denominator.
     """
 
     def __init__(self, outer: Tube | VertexBall, certificate: list[dict]):
@@ -97,68 +120,103 @@ class CarveUnit:
         self.inner = outer.shrink_half()
         self.certificate = certificate
         self.is_ball = isinstance(outer, VertexBall)
-        self._coeff_cache: dict[int, DeformCoeffs] = {}
-        if not self.is_ball:
-            ff: FaceFunctionals = outer.ff
-            n = ff.n
-            pi_forms = []
-            for k in range(n):
-                acc = AffineForm(0, [0] * n)
-                for f, v in zip(ff.forms, ff.vertices, strict=True):
-                    acc = acc + f.scale(v[k])
-                pi_forms.append(acc)
-            self.pi_forms = pi_forms
-            self.diff_forms = [
-                AffineForm.coordinate(k, n) - pi_forms[k] for k in range(n)
-            ]
-
-    # --- interval-box evaluation -------------------------------------------
-
-    def _box_data(self, box: IntervalPoint):
-        """Enclosures of what the map tests read at a box: a ball's squared
-        distance to its center, or a tube's barycentric coordinates and
-        squared height over its base.  ``map_box`` forms the projection."""
+        self._coeff_cache: dict[int, dict[str, tuple[int, ...]]] = {}
         if self.is_ball:
-            return None, box.dist_sq(IntervalPoint(self.outer.center))
-        bary = [_eval_affine(f, box) for f in self.outer.ff.forms]
-        hsq = Interval(0)
-        for f in self.diff_forms:
-            hsq = hsq + _eval_affine(f, box).square()
-        return bary, hsq
+            self._center = homogeneous(outer.center)
+            return
+        ff: FaceFunctionals = outer.ff
+        n = ff.n
+        self.diff_forms = []
+        for k in range(n):
+            pi_k = AffineForm(0, [0] * n)
+            for f, v in zip(ff.forms, ff.vertices, strict=True):
+                pi_k = pi_k + f.scale(v[k])
+            self.diff_forms.append(AffineForm.coordinate(k, n) - pi_k)
+        table = ff.geometry.integral
+        e, *flat = homogeneous([c for f in self.diff_forms for c in (f.c0, *f.c)])
+        diff_rows = [flat[k * (n + 1):(k + 1) * (n + 1)] for k in range(n)]
+        pi_rows = [[-row[0]] + [e * (j == k) - c for j, c in enumerate(row[1:])]
+                   for k, row in enumerate(diff_rows)]
+        self._bary_rows = _signed_rows(table.rows)
+        self._d_scale = table.d_scale
+        self._diff_rows = _signed_rows(diff_rows)
+        self._pi_rows = _signed_rows(pi_rows)
+        self._e_scale = e
+        # height^2 ||u_i||^2 > eps*^2 f_i^2 over H / (E q)^2 and B_i / (D q):
+        # H D^2 n_i g > B_i^2 E^2 f m_i with ||u_i||^2 = n_i / m_i, eps*^2 = f / g
+        ess, d_sq, e_sq = outer.eps_star_sq, table.d_scale ** 2, e * e
+        self._weights = tuple((d_sq * nsq.numerator * ess.denominator,
+                               e_sq * ess.numerator * nsq.denominator) for nsq in ff.norm_sq)
+        # 1 / ||u_i||^2 = w_i / N over one N
+        n_den = lcm(*(nsq.numerator for nsq in ff.norm_sq))
+        self._inv_norms = tuple(nsq.denominator * (n_den // nsq.numerator) for nsq in ff.norm_sq)
+        self._inv_norm_scale = n_den
+
+    # --- integer box evaluation --------------------------------------------
+
+    def _box_data(self, box: BoxNumerators):
+        """What the map tests read at a level's box, on numerators:
+        (bary, lo, hi, root).  The squared quantity, a ball's squared
+        distance to its center or a tube's squared height over its base,
+        lies in [lo, hi] / root^2; bary is None for a ball, and for a tube
+        its barycentric bounds (lo_i, hi_i), each over D q.  Every bound is
+        the one the Fraction interval operations give."""
+        q, lo, hi = box
+        if self.is_ball:
+            vq, *center = self._center
+            s_lo = s_hi = 0
+            for a, b, c in zip(lo, hi, center, strict=True):
+                a, b = square_bounds(a * vq - c * q, b * vq - c * q)
+                s_lo, s_hi = s_lo + a, s_hi + b
+            return None, s_lo, s_hi, q * vq
+        bary = [_form_bounds(row, q, lo, hi) for row in self._bary_rows]
+        s_lo = s_hi = 0
+        for row in self._diff_rows:
+            a, b = square_bounds(*_form_bounds(row, q, lo, hi))
+            s_lo, s_hi = s_lo + a, s_hi + b
+        return bary, s_lo, s_hi, self._e_scale * q
 
     def certainly_outside_outer(self, data) -> bool:
         """The box of ``data`` (from ``_box_data``) misses the closed outer
         neighborhood, as far as its enclosures prove."""
-        if self.is_ball:
-            return data[1].lo > self.outer.radius_sq
-        bary, hsq = data
-        if any(b.hi < 0 for b in bary):
+        bary, s_lo, _, root = data
+        if bary is None:
+            r_sq = self.outer.radius_sq
+            return s_lo * r_sq.denominator > r_sq.numerator * root * root
+        if any(b_hi < 0 for _, b_hi in bary):
             return True
-        ess = self.outer.eps_star_sq
-        for b, nsq in zip(bary, self.outer.ff.norm_sq, strict=True):
-            cond = hsq * nsq - (b.square() * ess)
-            if cond.lo > 0:
+        for (b_lo, b_hi), (a, c) in zip(bary, self._weights, strict=True):
+            if s_lo * a > c * square_bounds(b_lo, b_hi)[1]:
                 return True
         return False
 
     def certainly_inside_outer_open(self, data) -> bool:
         """The box of ``data`` lies in the open outer neighborhood, as far as
         its enclosures prove."""
-        if self.is_ball:
-            return data[1].hi < self.outer.radius_sq
-        bary, hsq = data
-        if not all(b.lo >= 0 for b in bary):
+        bary, _, s_hi, root = data
+        if bary is None:
+            r_sq = self.outer.radius_sq
+            return s_hi * r_sq.denominator < r_sq.numerator * root * root
+        if not all(b_lo >= 0 for b_lo, _ in bary):
             return False
-        ess = self.outer.eps_star_sq
-        return all(
-            (hsq * nsq - b.square() * ess).hi < 0
-            for b, nsq in zip(bary, self.outer.ff.norm_sq, strict=True)
-        )
+        return all(s_hi * a < c * b_lo * b_lo
+                   for (b_lo, _), (a, c) in zip(bary, self._weights, strict=True))
 
     def on_boundary_base(self, x: Vec) -> bool:
+        """x lies in the boundary of a tube's base (a vertex has none)."""
+        return not self.is_ball and self._point_status(homogeneous(vec(x))) == "fixed"
+
+    def _point_status(self, h: tuple[int, ...]) -> str | None:
+        """For the point h = (q, p_1, ..., p_n): "fixed" on the boundary of a
+        tube's base, where the maps fix it, "undefined" on the carved cell
+        (a tube's open base or a ball's center), else None."""
         if self.is_ball:
-            return False  # a vertex has empty base boundary
-        return self.outer.on_base_boundary(x)
+            vq, *center = self._center
+            return "undefined" if all(c * h[0] == p * vq for c, p in zip(center, h[1:])) else None
+        nums, height = self.outer.geometry.numerators(h)
+        if height or any(v < 0 for v in nums):
+            return None
+        return "fixed" if 0 in nums else "undefined"
 
     @cached_property
     def reach_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -193,10 +251,15 @@ class CarveUnit:
         return all(lo * c.denominator <= c.numerator * scale <= hi * c.denominator
                    for c, (lo, hi) in zip(x, bounds))
 
-    def meets(self, box: IntervalPoint) -> bool:
+    def meets(self, box: BoxNumerators) -> bool:
         """The box meets the reach box; when it does not, this unit's maps
-        act as the identity on all of it (exact)."""
-        return all(c.lo <= hi and lo <= c.hi for c, (lo, hi) in zip(box.coords, self.reach_box))
+        act as the identity on all of it (exact, cross-multiplied)."""
+        scale, bounds = self._reach_bounds
+        q = box.q
+        for a, b, (r_lo, r_hi) in zip(box.lo, box.hi, bounds):
+            if a * scale > r_hi * q or r_lo * q > b * scale:
+                return False
+        return True
 
     @cached_property
     def wall_forms(self) -> list[AffineForm]:
@@ -218,70 +281,73 @@ class CarveUnit:
 
     # --- map evaluation -----------------------------------------------------
 
-    def _coeffs(self, bits: int) -> DeformCoeffs:
-        """The tube's push/pull coefficients at a precision, solved once per bits."""
+    def _coeffs(self, bits: int) -> dict[str, tuple[int, ...]]:
+        """A tube's push and pull coefficients at a precision, solved once
+        per bits, as (den, a1_lo, a1_hi, a2_lo, a2_hi) for push and the
+        same for (b1, b2) for pull."""
         if self.is_ball:
             raise TypeError("ball units use closed-form radial scales")
         co = self._coeff_cache.get(bits)
         if co is None:
             s = interval_sqrt(Interval(self.inner.eps_star_sq), bits)
             sp = interval_sqrt(Interval(self.outer.eps_star_sq), bits)
-            co = self._coeff_cache[bits] = deformation_coeffs(s, sp)
+            c = deformation_coeffs(s, sp)
+            co = self._coeff_cache[bits] = {
+                PUSH: homogeneous((c.a1.lo, c.a1.hi, c.a2.lo, c.a2.hi)),
+                PULL: homogeneous((c.b1.lo, c.b1.hi, c.b2.lo, c.b2.hi)),
+            }
         return co
 
-    def map_box(self, box: IntervalPoint, data, direction: str, bits: int) -> IntervalPoint:
-        """Apply this unit's push or pull formula to an enclosure, with
-        ``data`` its ``_box_data``."""
-        if self.is_ball:
-            v = IntervalPoint(self.outer.center)
-            rho = interval_sqrt(data[1], bits)
-            r = rational_sqrt(self.outer.radius_sq)
-            r = Interval(r) if r is not None else interval_sqrt(
-                Interval(self.outer.radius_sq), bits
-            )
+    def map_box(self, box: BoxNumerators, data, direction: str, bits: int) -> BoxNumerators:
+        """This unit's push or pull formula on a box, with ``data`` its
+        ``_box_data``: c + (x - c) * scale, where c is a ball's center or
+        the tube's projection pi(x), and the scale is a quotient by rho,
+        |x - c| or the height t.  Each step is the Fraction interval
+        operation of the formula, on numerators."""
+        q, lo, hi = box
+        bary, s_lo, s_hi, root = data
+        rho = sqrt_bounds(s_lo, s_hi, 1, root, bits)
+        if bary is None:
+            # push (r/2 + rho/2) / rho, pull (2 rho - r) / rho, r the radius
+            r_sq = self.outer.radius_sq
+            r_lo, r_hi, r_den = sqrt_bounds(r_sq.numerator, r_sq.numerator, r_sq.denominator, 1,
+                                            bits)
+            rho_lo, rho_hi, rho_den = rho
             if direction == PUSH:
-                scale = (r * Fraction(1, 2) + rho * Fraction(1, 2)) / rho
+                num = (r_lo * rho_den + rho_lo * r_den, r_hi * rho_den + rho_hi * r_den,
+                       2 * r_den * rho_den)
             else:
-                scale = (rho * 2 - r) / rho
-            return v + (box - v).scale(scale)
-        bary, hsq = data
-        pi = IntervalPoint([_eval_affine(f, box) for f in self.pi_forms])
-        co = self._coeffs(bits)
-        t = interval_sqrt(hsq, bits)
-        bdist_sq = _boundary_dist_sq_box(self.outer, pi, bary)
-        d = interval_sqrt(bdist_sq, bits)
-        if direction == PUSH:
-            scale = (co.a1 * d + co.a2 * t) / t
+                num = (2 * rho_lo * r_den - r_hi * rho_den, 2 * rho_hi * r_den - r_lo * rho_den,
+                       r_den * rho_den)
+            vq, *center = self._center
+            c_lo = c_hi = [c * q for c in center]
+            lo, hi = [a * vq for a in lo], [b * vq for b in hi]
         else:
-            scale = (co.b1 * t + co.b2 * d) / t
-        return pi + (box - pi).scale(scale)
+            num = self._tube_scale(bary, q, rho, direction, bits)
+            c_lo, c_hi = zip(*(_form_bounds(row, q, lo, hi) for row in self._pi_rows))
+            lo, hi = [a * self._e_scale for a in lo], [b * self._e_scale for b in hi]
+        m_lo, m_hi, m_den = quotient_bounds(*num, *rho)
+        out_lo, out_hi = [], []
+        for a, b, c, d in zip(lo, hi, c_lo, c_hi):
+            a, b = product_bounds(m_lo, m_hi, a - d, b - c)
+            out_lo.append(c * m_den + a)
+            out_hi.append(d * m_den + b)
+        return BoxNumerators(root * m_den, tuple(out_lo), tuple(out_hi))
 
-
-def _eval_affine(form: AffineForm, box: IntervalPoint) -> Interval:
-    acc = Interval(form.c0)
-    for c, coord in zip(form.c, box.coords, strict=True):
-        if c != 0:
-            acc = acc + coord * c
-    return acc
-
-
-def _boundary_dist_sq_box(tube: Tube, pi: IntervalPoint, bary) -> Interval:
-    """Enclosure of dist(pi, boundary of base)^2 = min_i (f_i/||u_i||)^2.
-
-    Valid when pi lies in (an enclosure of a point of) the base: there the
-    facet-functional distances are exact.  bary entries may dip slightly
-    negative for fat boxes; clamp at zero which only widens the enclosure.
-    """
-    best = None
-    for b, nsq in zip(bary, tube.ff.norm_sq, strict=True):
-        lo = max(Fraction(0), b.lo)
-        hi = max(Fraction(0), b.hi)
-        cand = Interval(lo * lo / nsq, hi * hi / nsq)
-        if best is None:
-            best = cand
-        else:
-            best = Interval(min(best.lo, cand.lo), min(best.hi, cand.hi))
-    return best
+    def _tube_scale(self, bary, q: int, t: tuple[int, int, int], direction: str,
+                    bits: int) -> tuple[int, int, int]:
+        """The numerator of a tube's scale, (a1 d + a2 t) for push and
+        (b1 t + b2 d) for pull, with d = dist(pi, base boundary) =
+        min_i f_i / ||u_i||, each f_i clamped at 0: (lo, hi, den)."""
+        w = self._inv_norms
+        d_lo = min(max(b_lo, 0) ** 2 * w_i for (b_lo, _), w_i in zip(bary, w, strict=True))
+        d_hi = min(max(b_hi, 0) ** 2 * w_i for (_, b_hi), w_i in zip(bary, w, strict=True))
+        d = sqrt_bounds(d_lo, d_hi, self._inv_norm_scale, self._d_scale * q, bits)
+        den, x_lo, x_hi, y_lo, y_hi = self._coeffs(bits)[direction]
+        u, v = (d, t) if direction == PUSH else (t, d)
+        p_lo, p_hi = product_bounds(x_lo, x_hi, u[0], u[1])
+        s_lo, s_hi = product_bounds(y_lo, y_hi, v[0], v[1])
+        return p_lo * v[2] + s_lo * u[2], p_hi * v[2] + s_hi * u[2], den * u[2] * v[2]
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
@@ -390,10 +456,17 @@ class DeformationMap:
     propagated enclosure straddles a branch interface the hull of the
     applicable formulas is returned (valid since the maps agree there).
 
+    Each level writes its enclosure once as integers over one common
+    denominator (``BoxNumerators``) and decides on them: the reach test,
+    each unit's barycentric and height bounds, its outside and inside
+    tests, its formula and the hull.  A level builds Fractions only for the
+    ``IntervalPoint`` it hands on, the rational box that the Fraction
+    interval operations of Moore's interval analysis give, bound for bound.
+
     A level touches only the units whose reach box meets the enclosure.
     The reach box holds the unit's closed outer neighborhood, outside of
     which its map is the identity, so a unit it misses would add nothing
-    to the hull; the test compares rationals, so skipping is exact.  The
+    to the hull; the test compares integers, so skipping is exact.  The
     units met are evaluated once per enclosure, and that data serves the
     outside test, the inside test and the formula alike.
     """
@@ -404,46 +477,43 @@ class DeformationMap:
         self.levels = [list(lv) for lv in levels]
         self.base = base
 
-    def _apply_level(self, units, box: IntervalPoint, bits: int) -> IntervalPoint:
+    def _apply_level(self, units, box: IntervalPoint, ints: BoxNumerators,
+                     bits: int) -> IntervalPoint:
         candidates = []
         identity_possible = True
         for u in units:
-            data = u._box_data(box)
+            data = u._box_data(ints)
             if u.certainly_outside_outer(data):
                 continue
-            candidates.append(u.map_box(box, data, self.direction, bits))
+            candidates.append(u.map_box(ints, data, self.direction, bits))
             if u.certainly_inside_outer_open(data):
                 identity_possible = False
         if identity_possible:
-            candidates.append(box)
-        if len(candidates) == 1:
-            return candidates[0]
-        coords = []
-        for k in range(len(box)):
-            coords.append(
-                Interval(
-                    min(c[k].lo for c in candidates), max(c[k].hi for c in candidates)
-                )
-            )
-        return IntervalPoint(coords)
+            if not candidates:
+                return box
+            candidates.append(ints)
+        return (candidates[0] if len(candidates) == 1
+                else BoxNumerators.hull(candidates)).interval_point()
 
     def evaluate(self, x, bits: int = 64) -> IntervalPoint:
         box = x if isinstance(x, IntervalPoint) else IntervalPoint(vec(x))
+        n = self.base.complex.n
+        if len(box) != n:
+            raise ValueError(f"a {len(box)}-dimensional point or box cannot be mapped "
+                             f"in {n}-dimensional space")
         order = self.levels if self.direction == PUSH else list(reversed(self.levels))
         for units in order:
-            near = [u for u in units if u.meets(box)]
+            ints = box.numerators()
+            near = [u for u in units if u.meets(ints)]
             # points exactly on a carved base boundary are fixed by the level
-            if box.width == 0:
-                p = box.mid()
-                if any(u.on_boundary_base(p) for u in near):
+            if near and ints.lo == ints.hi:
+                h = (ints.q, *ints.lo)
+                status = {u._point_status(h) for u in near}
+                if "fixed" in status:
                     continue
-                if any(
-                    (u.is_ball and p == u.outer.center)
-                    or (not u.is_ball and u.outer.geometry.contains_open(p))
-                    for u in near
-                ):
+                if "undefined" in status:
                     raise OutOfDomain("map is undefined on the carved cell itself")
-            box = self._apply_level(near, box, bits)
+            box = self._apply_level(near, box, ints, bits)
         return box
 
     def __call__(self, x, bits: int = 64) -> IntervalPoint:

@@ -97,22 +97,6 @@ class RatioForm:
         return f"RatioForm({list(self.factors)!r} / {self.den!r})"
 
 
-def lattice_points(vertices: Sequence[Vec], order: int) -> list[Vec]:
-    """Principal lattice of the given order on a simplex: the points with
-    barycentric coordinates k_i/order.  Unisolvent for degree <= order."""
-    k = len(vertices)
-    pts = []
-    for combo in combinations_with_replacement(range(k), order):
-        weights = [Fraction(combo.count(i), order) for i in range(k)]
-        pts.append(
-            tuple(
-                sum(w * v[c] for w, v in zip(weights, vertices))
-                for c in range(len(vertices[0]))
-            )
-        )
-    return pts
-
-
 class _VertexValues:
     """A ratio form's values at the vertices of a cell, in vertex-id order.
 

@@ -5,15 +5,23 @@ carried as enclosures [lo, hi] with Fraction endpoints.  Precision is a bit
 count: sqrt enclosures have width <= 2**-bits, and all other operations are
 outward-exact, so widths only grow through honest arithmetic.  Refinement
 means recomputing at a higher bit count.
+
+The same operations also run on integer numerators.  ``BoxNumerators``
+writes a box once over one common denominator, and ``square_bounds``,
+``product_bounds``, ``quotient_bounds`` and ``sqrt_bounds`` give the ends
+that ``Interval.square``, ``*``, ``/`` and ``interval_sqrt`` give, as
+integers over a denominator the caller tracks.  The levels of the
+deformation maps decide on these integers; ``Interval`` and
+``IntervalPoint`` are the types they return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable
+from math import isqrt, lcm
+from typing import Iterable, NamedTuple, Sequence
 
-from .rationals import Vec, rat, rational_sqrt
+from .rationals import Vec, homogeneous, rat, rational_sqrt
 
 DEFAULT_BITS = 60
 
@@ -169,6 +177,12 @@ class IntervalPoint:
     def of(p) -> "IntervalPoint":
         return p if isinstance(p, IntervalPoint) else IntervalPoint(p)
 
+    def numerators(self) -> "BoxNumerators":
+        """The box written once over the common denominator of its ends
+        (``rationals.homogeneous``)."""
+        q, *ends = homogeneous([end for c in self.coords for end in (c.lo, c.hi)])
+        return BoxNumerators(q, tuple(ends[::2]), tuple(ends[1::2]))
+
     def __repr__(self):
         return f"IntervalPoint({list(self.coords)!r})"
 
@@ -184,3 +198,79 @@ def combination(weights: Iterable[Interval], points: Iterable[Vec]) -> IntervalP
             acc = acc + w * p[k]
         coords.append(acc)
     return IntervalPoint(coords)
+
+
+# ---------------------------------------------------------------------------
+# the same operations on integer numerators
+
+
+class BoxNumerators(NamedTuple):
+    """A box over the integers: axis k spans [lo[k], hi[k]] / q, q > 0."""
+
+    q: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+
+    @staticmethod
+    def hull(boxes: Sequence["BoxNumerators"]) -> "BoxNumerators":
+        """The smallest box holding every one of ``boxes``, over the least
+        common multiple of their denominators."""
+        q = lcm(*(b.q for b in boxes))
+        scaled = [(q // b.q, b) for b in boxes]
+        axes = range(len(boxes[0].lo))
+        return BoxNumerators(q, tuple(min(s * b.lo[k] for s, b in scaled) for k in axes),
+                             tuple(max(s * b.hi[k] for s, b in scaled) for k in axes))
+
+    def interval_point(self) -> IntervalPoint:
+        q = self.q
+        return IntervalPoint([Interval(Fraction(a, q), Fraction(b, q))
+                              for a, b in zip(self.lo, self.hi)])
+
+
+def square_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """The ends of ``Interval.square`` of [lo, hi], over the square of its
+    denominator."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def product_bounds(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """The ends of [a_lo, a_hi] * [b_lo, b_hi], over the product of their
+    denominators."""
+    products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(products), max(products)
+
+
+def quotient_bounds(lo: int, hi: int, den: int,
+                    t_lo: int, t_hi: int, t_den: int) -> tuple[int, int, int]:
+    """[lo, hi] / den divided by [t_lo, t_hi] / t_den: (a, b, d) with the
+    quotient [a, b] / d.  ZeroDivisionError when the divisor holds 0."""
+    if t_lo <= 0 <= t_hi:
+        raise ZeroDivisionError("interval division by interval containing zero")
+    # over the common denominator t_lo t_hi > 0, x / t_lo is x t_hi and x / t_hi is x t_lo
+    ends = (lo * t_hi, lo * t_lo, hi * t_hi, hi * t_lo)
+    return min(ends) * t_den, max(ends) * t_den, den * t_lo * t_hi
+
+
+def sqrt_bounds(lo: int, hi: int, k: int, m: int, bits: int) -> tuple[int, int, int]:
+    """``interval_sqrt`` of [lo, hi] / (k m^2), 0 <= lo <= hi: (a, b, d)
+    with the enclosure [a, b] / d.
+
+    x / (k m^2) is a rational square exactly when x k is an integer square,
+    with root isqrt(x k) / (k m).  Any other root lies in [r, r + 1] / 2^bits
+    for r = isqrt(floor(x 4^bits / (k m^2))); the floor does not depend on
+    how the fraction is written, so these are ``sqrt_enclosure``'s ends."""
+    def end(x: int, upper: int) -> tuple[int, int]:
+        r = isqrt(x * k)
+        if r * r == x * k:
+            return r, k * m
+        return isqrt((x << 2 * bits) // (k * m * m)) + upper, 1 << bits
+
+    a, a_den = end(lo, 0) if lo > 0 else (0, 1)
+    b, b_den = end(hi, 1)
+    if a_den == b_den:
+        return a, b, a_den
+    return a * b_den, b * a_den, a_den * b_den

@@ -77,11 +77,6 @@ class Tube:
     def project(self, x: Vec):
         return self.geometry.project(vec(x))
 
-    def on_base_boundary(self, x: Vec) -> bool:
-        """Exact test for x in the boundary of the base simplex."""
-        nums, height = self.geometry.numerators(homogeneous(vec(x)))
-        return not height and all(v >= 0 for v in nums) and 0 in nums
-
     def __repr__(self):
         return f"Tube(dim={self.dim}, eps_sq={self.eps_sq})"
 

@@ -662,3 +662,201 @@ def test_round_trip_near_every_unit_of_cut_grid_8(cut8):
 def test_round_trip_near_every_unit_of_punctured_grid_6():
     res = appropriate_embed(grid_punctured(6, [(1, 1), (3, 4), (4, 2)]))
     _assert_round_trips_near_every_unit(res, random.Random(30))
+
+
+# --- the Fraction interval route of the deformation maps, kept as the
+# reference for the integer kernel of DeformationMap.evaluate
+
+
+def _ref_eval_affine(form, box):
+    acc = Interval(form.c0)
+    for c, coord in zip(form.c, box.coords, strict=True):
+        if c != 0:
+            acc = acc + coord * c
+    return acc
+
+
+def _ref_pi_forms(unit):
+    from saet.rationals import AffineForm
+
+    ff = unit.outer.ff
+    forms = []
+    for k in range(ff.n):
+        acc = AffineForm(0, [0] * ff.n)
+        for f, v in zip(ff.forms, ff.vertices, strict=True):
+            acc = acc + f.scale(v[k])
+        forms.append(acc)
+    return forms
+
+
+def _ref_box_data(unit, box):
+    from saet.intervals import IntervalPoint
+
+    if unit.is_ball:
+        return None, box.dist_sq(IntervalPoint(unit.outer.center))
+    bary = [_ref_eval_affine(f, box) for f in unit.outer.ff.forms]
+    hsq = Interval(0)
+    for f in unit.diff_forms:
+        hsq = hsq + _ref_eval_affine(f, box).square()
+    return bary, hsq
+
+
+def _ref_certainly_outside_outer(unit, data):
+    if unit.is_ball:
+        return data[1].lo > unit.outer.radius_sq
+    bary, hsq = data
+    if any(b.hi < 0 for b in bary):
+        return True
+    ess = unit.outer.eps_star_sq
+    return any((hsq * nsq - (b.square() * ess)).lo > 0
+               for b, nsq in zip(bary, unit.outer.ff.norm_sq, strict=True))
+
+
+def _ref_certainly_inside_outer_open(unit, data):
+    if unit.is_ball:
+        return data[1].hi < unit.outer.radius_sq
+    bary, hsq = data
+    if not all(b.lo >= 0 for b in bary):
+        return False
+    ess = unit.outer.eps_star_sq
+    return all((hsq * nsq - b.square() * ess).hi < 0
+               for b, nsq in zip(bary, unit.outer.ff.norm_sq, strict=True))
+
+
+def _ref_boundary_dist_sq_box(tube, bary):
+    best = None
+    for b, nsq in zip(bary, tube.ff.norm_sq, strict=True):
+        lo, hi = max(F(0), b.lo), max(F(0), b.hi)
+        cand = Interval(lo * lo / nsq, hi * hi / nsq)
+        best = cand if best is None else Interval(min(best.lo, cand.lo), min(best.hi, cand.hi))
+    return best
+
+
+def _ref_map_box(unit, box, data, direction, bits):
+    from saet.carve import PUSH
+    from saet.intervals import IntervalPoint
+    from saet.rationals import rational_sqrt
+
+    if unit.is_ball:
+        v = IntervalPoint(unit.outer.center)
+        rho = interval_sqrt(data[1], bits)
+        r = rational_sqrt(unit.outer.radius_sq)
+        r = Interval(r) if r is not None else interval_sqrt(Interval(unit.outer.radius_sq), bits)
+        if direction == PUSH:
+            scale = (r * F(1, 2) + rho * F(1, 2)) / rho
+        else:
+            scale = (rho * 2 - r) / rho
+        return v + (box - v).scale(scale)
+    bary, hsq = data
+    pi = IntervalPoint([_ref_eval_affine(f, box) for f in _ref_pi_forms(unit)])
+    co = deformation_coeffs(interval_sqrt(Interval(unit.inner.eps_star_sq), bits),
+                            interval_sqrt(Interval(unit.outer.eps_star_sq), bits))
+    t = interval_sqrt(hsq, bits)
+    d = interval_sqrt(_ref_boundary_dist_sq_box(unit.outer, bary), bits)
+    if direction == PUSH:
+        scale = (co.a1 * d + co.a2 * t) / t
+    else:
+        scale = (co.b1 * t + co.b2 * d) / t
+    return pi + (box - pi).scale(scale)
+
+
+def _ref_meets(unit, box):
+    return all(c.lo <= hi and lo <= c.hi for c, (lo, hi) in zip(box.coords, unit.reach_box))
+
+
+def _ref_evaluate(dmap, x, bits):
+    from saet.carve import PUSH
+    from saet.intervals import IntervalPoint
+    from saet.rationals import vec
+
+    box = x if isinstance(x, IntervalPoint) else IntervalPoint(vec(x))
+    order = dmap.levels if dmap.direction == PUSH else list(reversed(dmap.levels))
+    for units in order:
+        near = [u for u in units if _ref_meets(u, box)]
+        if box.width == 0:
+            p = box.mid()
+            if any(not u.is_ball and u.outer.geometry.contains(p)
+                   and not u.outer.geometry.contains_open(p) for u in near):
+                continue
+            if any((u.is_ball and p == u.outer.center)
+                   or (not u.is_ball and u.outer.geometry.contains_open(p)) for u in near):
+                raise OutOfDomain("map is undefined on the carved cell itself")
+        candidates, identity_possible = [], True
+        for u in near:
+            data = _ref_box_data(u, box)
+            if _ref_certainly_outside_outer(u, data):
+                continue
+            candidates.append(_ref_map_box(u, box, data, dmap.direction, bits))
+            if _ref_certainly_inside_outer_open(u, data):
+                identity_possible = False
+        if identity_possible:
+            candidates.append(box)
+        box = IntervalPoint([Interval(min(c[k].lo for c in candidates),
+                                      max(c[k].hi for c in candidates))
+                             for k in range(len(box))])
+    return box
+
+
+def _outcome(evaluate, x):
+    """An enclosure's (lo, hi) per coordinate, or the type of the refusal."""
+    try:
+        box = evaluate(x)
+    except (OutOfDomain, ZeroDivisionError) as refusal:
+        return type(refusal).__name__
+    assert all(type(end) is F for c in box.coords for end in (c.lo, c.hi))
+    return [(c.lo, c.hi) for c in box.coords]
+
+
+def test_integer_maps_match_the_fraction_interval_route():
+    # every enclosure of the integer kernel is the rational box of the
+    # Fraction interval route, bound for bound, and both refuse the same
+    # points: at seeded points near every unit, on each carved cell and on
+    # a tube's base boundary, and at the boxes that a round trip and a
+    # fattened point hand to a map
+    from saet.intervals import IntervalPoint
+
+    inputs = [grid_cut(6), grid_punctured(6, [(1, 1), (3, 4), (4, 2)])]
+    inputs += [s for _, seed, s in _generated_marked_sets() if seed % 5 == 0]
+    rng = random.Random(17)
+    seen, checked = set(), 0
+
+    def same(dmap, x, bits):
+        got = _outcome(lambda p: dmap.evaluate(p, bits=bits), x)
+        assert got == _outcome(lambda p: _ref_evaluate(dmap, p, bits), x)
+        seen.add(got if isinstance(got, str) else "box")
+        return got
+
+    for s in inputs:
+        try:
+            res = appropriate_embed(s)
+        except CertificationFailure:  # the refusals of the carving pin
+            continue
+        points = _probe_pool(res, rng)
+        for u in res.carved.units:
+            verts = u.outer.vertices
+            points += [verts[0], tuple(sum(axis) / len(verts) for axis in zip(*verts))]
+        for x in points:
+            fat = [IntervalPoint([Interval(c - w, c + w) for c in x])
+                   for w in (F(1, 2**12), F(1, 2**5))]
+            for bits in (64, 128):
+                for first, second in ((res.pull, res.push), (res.push, res.pull)):
+                    image = same(first, x, bits)
+                    if not isinstance(image, str):
+                        same(second, IntervalPoint([Interval(*c) for c in image]), bits)
+                    for box in fat:
+                        same(first, box, bits)
+                    checked += 1
+    assert checked > 1000
+    assert seen == {"box", "OutOfDomain", "ZeroDivisionError"}
+
+
+@pytest.mark.parametrize("x", [(F(1, 16), F(1, 16), 0), (F(1, 2), F(1, 2), 0), (F(1, 2),)])
+def test_maps_reject_points_of_the_wrong_dimension(x):
+    from saet.intervals import IntervalPoint
+
+    res = appropriate_embed(grid_cut(4))
+    for dmap in (res.push, res.pull):
+        for arg in (x, IntervalPoint(x)):
+            with pytest.raises(ValueError, match=f"a {len(x)}-dimensional point or box "
+                                                 "cannot be mapped in 2-dimensional space"):
+                dmap.evaluate(arg)

@@ -15,7 +15,6 @@ from saet.extend import (
     dim2_extension,
     face_limit,
     graph_closure_oracle,
-    lattice_points,
     ratio_forms_equal_on,
     weak_extension,
 )
@@ -41,6 +40,22 @@ def wall_ids(k, pred, dim=None):
         if all(pred(k.vertices[v]) for v in s.vertex_ids):
             out.append(i)
     return out
+
+
+def lattice_points(vertices, order: int) -> list[tuple]:
+    """Principal lattice of the given order on a simplex: the points with
+    barycentric coordinates k_i/order.  Unisolvent for degree <= order."""
+    k = len(vertices)
+    pts = []
+    for combo in combinations_with_replacement(range(k), order):
+        weights = [F(combo.count(i), order) for i in range(k)]
+        pts.append(
+            tuple(
+                sum(w * v[c] for w, v in zip(weights, vertices))
+                for c in range(len(vertices[0]))
+            )
+        )
+    return pts
 
 
 def test_lattice_unisolvence_helper():

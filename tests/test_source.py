@@ -67,13 +67,16 @@ def test_elimination_kernel_is_fraction_free(module, name):
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
 
 
-def interval_uses(source: str, name: str) -> list[str]:
+def interval_uses(source: str, name: str, method: str | None = None) -> list[str]:
     """Reads of ``Interval`` or ``sqrt_enclosure`` and ``Fraction(...)``
-    calls inside the module-level class ``name``, as "line: what"."""
+    calls inside the module-level class ``name``, or only inside its method
+    ``method``, as "line: what"."""
     tree = ast.parse(source)
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+    scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+    if method is not None:
+        scope = next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == method)
     found = []
-    for node in ast.walk(cls):
+    for node in ast.walk(scope):
         what = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
         if what in ("Interval", "sqrt_enclosure"):
             found.append(f"{node.lineno}: {what}")
@@ -87,9 +90,21 @@ def test_interval_checker():
     src = ("class C:\n    def f(self, q):\n        return intervals.sqrt_enclosure(q) * q\n"
            "    def g(self):\n        return Interval(Fraction(1))\n")
     assert interval_uses(src, "C") == ["3: sqrt_enclosure", "5: Interval", "5: Fraction("]
+    assert interval_uses(src, "C", "f") == ["3: sqrt_enclosure"]
+    assert interval_uses(src, "C", "g") == ["5: Interval", "5: Fraction("]
 
 
 def test_clearance_kernel_is_integer():
     # the apex-ball clearances enclose their sums over the integers
     path = Path(saet.__file__).parent / "metric.py"
     assert interval_uses(path.read_text(encoding="utf-8"), "_Clearance") == []
+
+
+@pytest.mark.parametrize("method", ["meets", "_box_data", "certainly_outside_outer",
+                                    "certainly_inside_outer_open", "_point_status", "map_box",
+                                    "_tube_scale"])
+def test_deformation_level_kernel_is_integer(method):
+    # each level of the deformation maps decides its reach, outside and
+    # inside tests and formulas on integer numerators
+    path = Path(saet.__file__).parent / "carve.py"
+    assert interval_uses(path.read_text(encoding="utf-8"), "CarveUnit", method) == []
