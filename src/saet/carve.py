@@ -29,9 +29,9 @@ from .intervals import (BoxNumerators, Interval, IntervalPoint, interval_sqrt, p
                         quotient_bounds, sqrt_bounds, square_bounds)
 from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peers
 from .probe import ProbeReport, probe_shell
-from .rationals import (AffineForm, Vec, dot, homogeneous, rat_str, rational_sqrt, solve,
-                        vec)
-from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership
+from .rationals import (AffineForm, Vec, dot, homogeneous, rat, rat_str, rational_sqrt,
+                        solve, vec)
+from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership_h, tube_status
 
 PUSH = "push"
 PULL = "pull"
@@ -202,10 +202,6 @@ class CarveUnit:
         return all(s_hi * a < c * b_lo * b_lo
                    for (b_lo, _), (a, c) in zip(bary, self._weights, strict=True))
 
-    def on_boundary_base(self, x: Vec) -> bool:
-        """x lies in the boundary of a tube's base (a vertex has none)."""
-        return not self.is_ball and self._point_status(homogeneous(vec(x))) == "fixed"
-
     def _point_status(self, h: tuple[int, ...]) -> str | None:
         """For the point h = (q, p_1, ..., p_n): "fixed" on the boundary of a
         tube's base, where the maps fix it, "undefined" on the carved cell
@@ -245,11 +241,14 @@ class CarveUnit:
 
     def reaches(self, x: Vec) -> bool:
         """x lies in the reach box; when it does not, x is outside the outer
-        neighborhood and so outside the inner one too (exact, compared on
-        the numerators and denominators of x)."""
+        neighborhood and so outside the inner one too."""
+        return self.reaches_h(homogeneous(vec(x)))
+
+    def reaches_h(self, h: Sequence[int]) -> bool:
+        """``reaches`` at the point h = (q, p_1, ..., p_n), cross-multiplied."""
         scale, bounds = self._reach_bounds
-        return all(lo * c.denominator <= c.numerator * scale <= hi * c.denominator
-                   for c, (lo, hi) in zip(x, bounds))
+        q = h[0]
+        return all(lo * q <= c * scale <= hi * q for c, (lo, hi) in zip(h[1:], bounds))
 
     def meets(self, box: BoxNumerators) -> bool:
         """The box meets the reach box; when it does not, this unit's maps
@@ -270,14 +269,26 @@ class CarveUnit:
 
     def removes(self, x: Vec) -> bool:
         """x lies in the removed half-open inner neighborhood."""
-        cls = membership(self.inner, x)
-        if cls == OUTSIDE:
-            return False
-        return not self.on_boundary_base(x)
+        return self.removal(homogeneous(vec(x))) != OUTSIDE
 
     def removes_from_closure(self, x: Vec) -> bool:
-        cls = membership(self.inner, x)
-        return cls == INSIDE_OPEN and not self.on_boundary_base(x)
+        """x lies in the open inner neighborhood, which the closure loses."""
+        return self.removal(homogeneous(vec(x))) == INSIDE_OPEN
+
+    def removal(self, h: Sequence[int]) -> str:
+        """The inner neighborhood's trichotomy (``tubes.membership_h``) at
+        the point h = (q, p_1, ..., p_n), with the boundary of a tube's
+        base, which the carving keeps, counted OUTSIDE.  A tube reads its
+        numerators once for both tests."""
+        if self.is_ball:
+            return membership_h(self.inner, h)
+        nums, height = self.inner.geometry.numerators(h)
+        status = tube_status(self.inner, nums, height)
+        # inside the closed tube every N_i >= 0: on the base's boundary
+        # exactly when H = 0 and some N_i = 0
+        if status != OUTSIDE and not height and 0 in nums:
+            return OUTSIDE
+        return status
 
     # --- map evaluation -----------------------------------------------------
 
@@ -363,19 +374,34 @@ class CarvedSet:
     units: list[CarveUnit] = field(default_factory=list)
     _facet_forms: list[AffineForm] | None = field(default=None, init=False, repr=False,
                                                    compare=False)
+    _crossing_rows: list[tuple[int, ...]] | None = field(default=None, init=False, repr=False,
+                                                         compare=False)
 
     def member(self, x: Vec) -> bool:
-        x = vec(x)
-        if not self.base.contains_point(x):
+        """Exact membership of the rational point x in the carved set."""
+        return self.member_h(homogeneous(vec(x)))
+
+    def member_h(self, h: Sequence[int]) -> bool:
+        """``member`` at the point h = (q, p_1, ..., p_n), x = p / q with
+        q > 0, in lowest terms or not: x lies in the base (``locate_h``) and
+        in no removed neighborhood of a unit whose reach box holds it
+        (``reaches_h``, ``removal``).  Every test reads integers and is
+        homogeneous in (q, p); no Fraction is formed."""
+        if self.base.complex.locate_h(h) not in self.base.members:
             return False
-        return not any(u.removes(x) for u in self.units if u.reaches(x))
+        return not any(u.removal(h) != OUTSIDE for u in self.units if u.reaches_h(h))
 
     def closure_member(self, x: Vec) -> bool:
         """Exact predicate for the realized closure under the certificates."""
-        x = vec(x)
-        if not closure(self.base).contains_point(x):
+        return self.closure_member_h(homogeneous(vec(x)))
+
+    def closure_member_h(self, h: Sequence[int]) -> bool:
+        """``closure_member`` at the point h = (q, p_1, ..., p_n), as
+        ``member_h``: x lies in the closure of the base and in no open
+        inner neighborhood."""
+        if self.base.complex.locate_h(h) not in closure(self.base).members:
             return False
-        return not any(u.removes_from_closure(x) for u in self.units if u.reaches(x))
+        return not any(u.removal(h) == INSIDE_OPEN for u in self.units if u.reaches_h(h))
 
     def units_near(self, center: Vec, radius: Fraction) -> list[CarveUnit]:
         """Units whose outer neighborhood can meet the given ball: those
@@ -398,6 +424,16 @@ class CarvedSet:
         for u in self.units:
             forms.extend(u.wall_forms)
         return forms
+
+    def crossing_rows(self) -> list[tuple[int, ...]]:
+        """The crossing forms as integer rows (c_0, c_1, ..., c_n), each a
+        positive multiple of its form, without repeats; built once per
+        carved set.  A row's dot product with a point (q, p_1, ..., p_n)
+        has the sign of the form at p / q."""
+        if self._crossing_rows is None:
+            rows = (homogeneous((f.c0, *f.c))[1:] for f in self.crossing_forms())
+            self._crossing_rows = list(dict.fromkeys(rows))
+        return self._crossing_rows
 
 
 def _wall_forms(unit: CarveUnit) -> list[AffineForm]:
@@ -746,15 +782,26 @@ def probe_germ(
 ) -> ProbeReport:
     """Shell probe of the carved set around a boundary point.
 
-    Pre: q lies exactly in the realized closure minus the set.  Reports the
-    connectivity verdict and dimension estimates for the germ.
+    Pre: q lies exactly in the realized closure minus the set, the radius
+    is a positive rational (a float or bool raises TypeError) and samples
+    is at least 1.  Reports the connectivity verdict and dimension
+    estimates for the germ.  The probe reads the integer bodies
+    ``member_h`` and ``closure_member_h`` of the units near q, and the
+    crossing rows of the whole set.
     """
+    radius = rat(radius)
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise TypeError(f"the sample count must be an int, got {samples!r}")
+    if radius <= 0:
+        raise PreconditionViolated(f"probe radius must be positive, got {rat_str(radius)}")
+    if samples < 1:
+        raise PreconditionViolated(f"probe needs at least 1 sample, got {samples}")
     q = vec(q)
-    if n.member(q):
+    h = homogeneous(q)
+    if n.member_h(h):
         raise PreconditionViolated("probe center lies in the carved set")
-    if not n.closure_member(q):
+    if not n.closure_member_h(h):
         raise PreconditionViolated("probe center is outside the closure")
-    radius = Fraction(radius)
     near = CarvedSet(n.base, n.units_near(q, radius))
-    return probe_shell(near.member, near.closure_member, q, radius, samples,
-                       random.Random(seed), crossing_forms=n.crossing_forms())
+    return probe_shell(near.member_h, near.closure_member_h, q, radius, samples,
+                       random.Random(seed), crossing_rows=n.crossing_rows())

@@ -2,7 +2,9 @@
 
 Subcommands: analyze, carve, extend, eval, verify, export.  There are no
 global options; ``verify --precision BITS`` (BITS >= 1) sets the enclosure
-width target (2^-BITS) of the invariant suite.
+width target (2^-BITS) of the invariant suite.  Count arguments are checked
+as they are parsed: ``carve --probe`` takes a count >= 0, ``export
+--resolution`` and ``verify --precision`` one >= 1.
 Exit codes: 0 ok, 1 check failure or rejected input (one ``error:`` line on
 stderr), 2 usage error.
 """
@@ -214,11 +216,19 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("carve", help="construct the appropriate embedding")
     pc.add_argument("input")
     pc.add_argument("--out", required=True)
-    pc.add_argument("--probe", type=int, default=0,
+    pc.add_argument("--probe", type=_nonnegative_int, default=0,
                     help="probe count per carved boundary piece")
     pc.set_defaults(fn=cmd_carve)
 
@@ -267,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("what", choices=["mesh", "tubes", "carved", "extension"])
     px.add_argument("--out", required=True)
     px.add_argument("--format", choices=["obj", "off"], default="obj")
-    px.add_argument("--resolution", type=int, default=48)
+    px.add_argument("--resolution", type=_positive_int, default=48)
     px.add_argument("--function")
     px.add_argument("--allow-jumps", action="store_true")
     px.set_defaults(fn=cmd_export)

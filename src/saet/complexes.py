@@ -144,7 +144,12 @@ class Complex:
         return geo
 
     def locate(self, x: Vec) -> int | None:
-        """Id of the unique simplex whose open cell contains x, or None.
+        """Id of the unique simplex whose open cell contains x, or None."""
+        return self.locate_h(homogeneous(vec(x)))
+
+    def locate_h(self, h: Sequence[int]) -> int | None:
+        """``locate`` at the point h = (q, p_1, ..., p_n), x = p / q with
+        q > 0, not necessarily in lowest terms.
 
         Only the top cells listed in x's bucket are tested, each first by its
         closed bounding box and then by its integer kernel.  The first whose
@@ -152,21 +157,23 @@ class Complex:
         vertices with positive barycentric coordinate.  Every cell is a face
         of a top and open cells are disjoint, so that face is the only cell
         containing x, and x lies in |K| exactly when some closed top holds it.
+        Every test is homogeneous in (q, p), so any positive multiple of h
+        gives the same answer.
         """
-        x = vec(x)
-        if len(x) != self.n:
-            raise ValueError(f"a {len(x)}-dimensional point cannot lie in a complex "
+        if len(h) != self.n + 1:
+            raise ValueError(f"a {len(h) - 1}-dimensional point cannot lie in a complex "
                              f"in {self.n}-dimensional space")
         if self._grid is None:
             self._grid = _BucketGrid(self)
-        h = homogeneous(x)
         q, *p = h
-        for sid, ids, scale, bounds in self._grid.candidates(x):
-            if any(not lo * q <= c * scale <= hi * q for c, (lo, hi) in zip(p, bounds)):
-                continue
-            nums, height = self.geometry(sid).numerators(h)
-            if not height and all(v >= 0 for v in nums):
-                return self.index[tuple(vid for vid, num in zip(ids, nums) if num)]
+        for sid, ids, scale, bounds in self._grid.candidates(h):
+            for c, (lo, hi) in zip(p, bounds):
+                if not lo * q <= c * scale <= hi * q:
+                    break
+            else:
+                nums, height = self.geometry(sid).numerators(h)
+                if not height and min(nums) >= 0:
+                    return self.index[tuple(vid for vid, num in zip(ids, nums) if num)]
         return None
 
     def barycenter(self, sid: int) -> Vec:
@@ -218,27 +225,28 @@ class _BucketGrid:
         for sid, ids, box in tops:
             scale, *bounds = homogeneous([c for axis in box for c in axis])
             entry = (sid, ids, scale, tuple(zip(bounds[::2], bounds[1::2])))
-            low = self.key(tuple(lo for lo, _ in box))
-            high = self.key(tuple(hi for _, hi in box))
+            low = self.key(homogeneous([lo for lo, _ in box]))
+            high = self.key(homogeneous([hi for _, hi in box]))
             for key in product(*(range(a, b + 1) for a, b in zip(low, high))):
                 self.buckets.setdefault(key, []).append(entry)
 
-    def key(self, x: Vec) -> tuple[int, ...] | None:
-        """The bucket of x; None when x lies outside the box of all tops."""
+    def key(self, h: Sequence[int]) -> tuple[int, ...] | None:
+        """The bucket of the point h = (q, p_1, ..., p_n); None when it lies
+        outside the box of all tops."""
+        q, *p = h
         out = []
-        for c, ((ln, ld), (hn, hd), (sn, sd), last) in zip(x, self.axes):
-            p, q = c.numerator, c.denominator
-            above = p * ld - ln * q  # (c - lo) * ld * q
-            if above < 0 or p * hd > hn * q:
+        for c, ((ln, ld), (hn, hd), (sn, sd), last) in zip(p, self.axes):
+            above = c * ld - ln * q  # (x_a - lo) * ld * q
+            if above < 0 or c * hd > hn * q:
                 return None
             out.append(min(last, above * sd // (ld * sn * q)))
         return tuple(out)
 
-    def candidates(self, x: Vec) -> list:
-        """The tops listed in x's bucket, each as (id, vertex ids, scale,
-        bounds): its closed box is bounds[a] / scale on axis a, over the
-        integers, for a test against a point written by ``homogeneous``."""
-        key = self.key(x)
+    def candidates(self, h: Sequence[int]) -> list:
+        """The tops listed in the bucket of the point h = (q, p_1, ..., p_n),
+        each as (id, vertex ids, scale, bounds): its closed box is
+        bounds[a] / scale on axis a, over the integers."""
+        key = self.key(h)
         return [] if key is None else self.buckets.get(key, [])
 
 

@@ -83,7 +83,13 @@ class Tube:
 
 def tube_membership(tube: Tube, x: Vec) -> str:
     """Exact trichotomy for the closed/open tube via facet functionals."""
-    nums, height = tube.geometry.numerators(homogeneous(vec(x)))
+    return membership_h(tube, homogeneous(vec(x)))
+
+
+def tube_status(tube: Tube, nums: Sequence[int], height: int) -> str:
+    """``tube_membership`` at a point given by its numerators N and H under
+    ``SimplexGeometry.numerators``: outside when some N_i < 0 or some
+    H a_i > c_i N_i^2, on the boundary when some H a_i = c_i N_i^2."""
     if any(v < 0 for v in nums):
         return OUTSIDE
     boundary = False
@@ -133,19 +139,25 @@ class VertexBall:
 
 
 def ball_membership(ball: VertexBall, x: Vec) -> str:
-    """Exact trichotomy for the closed/open ball over the integers: the
-    height numerator of the center's kernel is (D q V)^2 ||x - center||^2."""
-    h = homogeneous(vec(x))
-    _, height = ball.geometry.numerators(h)
-    table, r_sq = ball.geometry.integral, ball.radius_sq
+    """Exact trichotomy for the closed/open ball."""
+    return membership_h(ball, homogeneous(vec(x)))
+
+
+def membership(tube_or_ball, x: Vec) -> str:
+    return membership_h(tube_or_ball, homogeneous(vec(x)))
+
+
+def membership_h(tube_or_ball, h: Sequence[int]) -> str:
+    """``membership`` at the point h = (q, p_1, ..., p_n), x = p / q with
+    q > 0, over the integers.  A tube reads ``tube_status``; for a ball the
+    height numerator of the center's kernel is (D q V)^2 ||x - center||^2.
+    Every test is homogeneous in (q, p), so h need not be in lowest terms."""
+    if not isinstance(tube_or_ball, VertexBall):
+        return tube_status(tube_or_ball, *tube_or_ball.geometry.numerators(h))
+    _, height = tube_or_ball.geometry.numerators(h)
+    table, r_sq = tube_or_ball.geometry.integral, tube_or_ball.radius_sq
     lhs = height * r_sq.denominator
     rhs = r_sq.numerator * (table.d_scale * h[0] * table.v_scale) ** 2
     if lhs > rhs:
         return OUTSIDE
     return ON_BOUNDARY if lhs == rhs else INSIDE_OPEN
-
-
-def membership(tube_or_ball, x: Vec) -> str:
-    if isinstance(tube_or_ball, VertexBall):
-        return ball_membership(tube_or_ball, x)
-    return tube_membership(tube_or_ball, x)

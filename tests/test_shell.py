@@ -222,6 +222,29 @@ def test_cli_verify_rejects_nonpositive_precision(capsys, bits):
     assert "--precision: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["export", "fixa.json", "tubes", "--resolution", "0"], "--resolution: must be at least 1"),
+    (["export", "fixa.json", "carved", "--resolution", "-4"], "--resolution: must be at least 1"),
+    (["carve", "fixa.json", "--probe", "-2"], "--probe: must be at least 0"),
+    (["carve", "fixa.json", "--probe", "two"], "--probe: invalid"),
+])
+def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
+    # a count out of range is a usage error, before any work is done
+    _write_fixtures(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(tmp_path / argv[1]), *argv[2:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_carve_probe_zero_runs_no_probe(tmp_path, capsys):
+    _write_fixtures(tmp_path)
+    rc = main(["carve", str(tmp_path / "fixa.json"), "--out", str(tmp_path / "d"), "--probe", "0"])
+    assert rc == 0 and "probe" not in json.loads(capsys.readouterr().out)
+
+
 def test_cli_has_no_jobs_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "2", "verify"])

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses, and
-the elimination kernel divides no values and builds no Fraction."""
+the elimination kernel and the probe's point arithmetic divide no values and
+build no Fraction."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,11 @@ def test_deformation_level_kernel_is_integer(method):
     # inside tests and formulas on integer numerators
     path = Path(saet.__file__).parent / "carve.py"
     assert interval_uses(path.read_text(encoding="utf-8"), "CarveUnit", method) == []
+
+
+@pytest.mark.parametrize("name", ["_shell_point", "_distance_table", "_dist_sq", "_checkpoints"])
+def test_probe_kernel_divides_no_values(name):
+    # a probe forms its samples, its squared distances and its segment
+    # checkpoints as integer points, with no division and no Fraction
+    path = Path(saet.__file__).parent / "probe.py"
+    assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
