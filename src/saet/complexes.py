@@ -10,6 +10,7 @@ All set operations here are exact; there is no tolerance anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import prod
 from typing import Iterable, Sequence
@@ -135,6 +136,11 @@ class Complex:
 
     def coords(self, sid: int) -> tuple[Vec, ...]:
         return tuple(self.vertices[v] for v in self.simplices[sid].vertex_ids)
+
+    @cached_property
+    def vertex_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex written by ``homogeneous`` as (q, p_1, ..., p_n), built once."""
+        return tuple(map(homogeneous, self.vertices))
 
     def geometry(self, sid: int) -> SimplexGeometry:
         geo = self._geom.get(sid)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .carve import CarvedSet
 from .complexes import Complex, PLSet
-from .errors import DimensionTooHigh
+from .errors import DimensionTooHigh, PreconditionViolated
 from .extend import ExtensionReport
 from .tubes import OUTSIDE, Tube, VertexBall, membership
 
@@ -63,8 +63,14 @@ def _grid_raster(member, bbox, path: str, resolution: int) -> None:
     """Rasterize a membership predicate over a rational grid.
 
     2D: marching-squares boundary segments as OBJ lines.  3D: voxel faces
-    between inside and outside cells (blocky but deterministic).
+    between inside and outside cells (blocky but deterministic).  The
+    resolution, the number of grid steps per axis, must be an int (a bool
+    or float raises TypeError) of at least 1.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise TypeError(f"the resolution must be an int, got {resolution!r}")
+    if resolution < 1:
+        raise PreconditionViolated(f"the resolution must be at least 1, got {resolution}")
     n = len(bbox)
     steps = resolution
     axes = [

@@ -14,12 +14,14 @@ Every hull identity is decided from vertex values.  An affine form is
 fixed on a simplex's affine hull by its values at the vertices, and at a
 point of the order-3 principal lattice it takes the mean of three of them.
 So ``PLFFunction`` evaluates each piece's forms once at each vertex of its
-cell, as integers over one denominator, and the continuity check,
-``face_limit`` and the limit agreement in ``weak_extension`` read that
-table: cross-multiplied equality walks the lattice as sums of three
-integers, and proportionality and boundedness compare vertex values.  A
-limit carries its own vertex values on the face, so agreement evaluates no
-new form.
+cell, on integers: the integer row of each form (``AffineForm.row``) dotted
+with the complex's integer vertex points (``Complex.vertex_rows``, built
+once per complex), lifted to one positive common scale.  The continuity
+check, ``face_limit`` and the limit agreement in ``weak_extension`` read
+that table: cross-multiplied equality walks the lattice as sums of three
+integers, and proportionality and boundedness compare vertex values, so
+any positive common scale gives the same answers.  A limit carries its own
+vertex values on the face, so agreement evaluates no new form.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .complexes import Complex, PLSet, closure, germ_connected, local_dim
@@ -114,13 +118,24 @@ class _VertexValues:
         self.scale = scale
 
     @staticmethod
-    def of(ratio: RatioForm, vertices: Sequence[Vec]) -> "_VertexValues":
-        """Evaluate each form of the ratio once at each vertex."""
-        forms = (*ratio.factors, ratio.den)
-        size = len(vertices)
-        scale, *flat = homogeneous([form(v) for form in forms for v in vertices])
-        ints = [tuple(flat[i * size:(i + 1) * size]) for i in range(len(forms))]
-        return _VertexValues(tuple(ints[:-1]), ints[-1], scale)
+    def of(ratio: RatioForm, points: Sequence[Sequence[int]]) -> "_VertexValues":
+        """Evaluate each form of the ratio once at each vertex, given as a
+        ``homogeneous`` row h_j = (q_j, p_j).
+
+        A form with integer row (D, r) (``AffineForm.row``) takes the value
+        r . h_j / (D q_j) at vertex j.  Over the common scale
+        lcm(D) lcm(q), that value is r . h_j times lcm(D) / D times
+        lcm(q) / q_j.
+        """
+        rows = [form.row for form in (*ratio.factors, ratio.den)]
+        d_lcm = lcm(*(row[0] for row in rows))
+        q_lcm = lcm(*(h[0] for h in points))
+        lifts = [q_lcm // h[0] for h in points]
+        ints = []
+        for d, *r in rows:
+            m = d_lcm // d
+            ints.append(tuple(m * lift * sum(map(mul, r, h)) for h, lift in zip(points, lifts)))
+        return _VertexValues(tuple(ints[:-1]), ints[-1], d_lcm * q_lcm)
 
     def restrict(self, positions: Sequence[int]) -> "_VertexValues":
         """The values at the listed vertices, for instance those of a face."""
@@ -139,9 +154,8 @@ def ratio_forms_equal_on(a: RatioForm, b: RatioForm, face_vertices: Sequence[Vec
     decide it.  ``_values_equal`` reads those values as sums over the
     vertex-value table of each form, so no lattice point is built.
     """
-    return _values_equal(
-        _VertexValues.of(a, face_vertices), _VertexValues.of(b, face_vertices)
-    )
+    points = [homogeneous(v) for v in face_vertices]
+    return _values_equal(_VertexValues.of(a, points), _VertexValues.of(b, points))
 
 
 def _values_equal(a: _VertexValues, b: _VertexValues) -> bool:
@@ -271,8 +285,9 @@ class PLFFunction:
         missing = domain.members - set(self.pieces)
         if missing:
             raise ValueError(f"missing pieces for member simplices {sorted(missing)}")
+        rows = self.complex.vertex_rows
         self._table = {
-            sid: _VertexValues.of(ratio, self.complex.coords(sid))
+            sid: _VertexValues.of(ratio, [rows[v] for v in self.complex.simplices[sid].vertex_ids])
             for sid, ratio in self.pieces.items()
         }
         for sid, vals in self._table.items():

@@ -226,7 +226,7 @@ def _separates(row: tuple[int, ...], near: Sequence[tuple[int, ...]],
 
 def _integer_row(form: AffineForm) -> tuple[int, ...]:
     """(c0, c_1, ..., c_n) times the least common multiple of their denominators."""
-    return homogeneous((form.c0, *form.c))[1:]
+    return form.row[1:]
 
 
 def _shared_face_plane(geo1: SimplexGeometry, geo2: SimplexGeometry,

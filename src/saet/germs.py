@@ -7,8 +7,18 @@ is one exact element num/den of Q(t), ordered with t a positive
 infinitesimal (the germs at 0+; Bochnak, Coste and Roy, Real Algebraic
 Geometry, ch. 1); ``pair()`` gives its first-order part a + b t.
 
-Each germ settles into one open cell, found once in the open star of the
-cell carrying its limit.  The module decides adjacency of a germ exactly,
+Evaluation runs on integers from end to end.  A germ writes c and c + v
+once as integer points over one denominator (``PathGerm.rows``).  Each
+germ settles into one open cell, found once among the maximal cells of the
+star of the cell carrying its limit, from integer barycentric numerators.
+Each affine form of the piece is read as its integer row
+(``AffineForm.row``), so along the germ it is an integer linear polynomial
+in t over a positive integer constant, and ``_compose`` multiplies these
+into a ``GermValue`` that keeps integer coefficient tuples.  Fractions
+appear only where a caller asks for rational numbers: ``pair()`` and the
+leading term ``_lead`` (for ``hash`` and the order), and the public
+``GermValue`` constructor, which takes ints, Fractions and "p/q" strings
+and scales them to integers.  The module decides adjacency of a germ exactly,
 computes the depth dichotomy, realizes the unique extension-evaluation
 homomorphism on appropriately embedded sets, and constructs the cone
 evaluation homomorphisms that show non-uniqueness below the critical
@@ -20,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
+from operator import add, mul
 from typing import Sequence
 
 from .complexes import Complex, PLSet, barycentric_subdivide, closure
@@ -34,7 +46,7 @@ from .errors import (
 )
 from .extend import ExtensionReport, PLFFunction, RatioForm
 from .geometry import SimplexGeometry, common_face
-from .rationals import Vec, homogeneous, vec
+from .rationals import Vec, homogeneous, rat, vec
 
 ADJACENT = "Adjacent"
 NOT_ADJACENT = "NotAdjacent"
@@ -50,7 +62,7 @@ def _poly_trim(p: list) -> list:
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -62,14 +74,40 @@ def _order(p) -> int:
     return next(i for i, c in enumerate(p) if c != 0)
 
 
+def _germ(num: list, den: list) -> "GermValue":
+    """The GermValue num/den of two integer coefficient lists, which it may
+    change: trimmed, the common power of t stripped, and both divided by
+    the gcd of all their coefficients.  Zero is () / (1,)."""
+    _poly_trim(num)
+    if not _poly_trim(den):
+        raise ZeroDivisionError("identically zero denominator")
+    if num:
+        shift = min(_order(num), _order(den))
+        g = gcd(*num, *den)
+        if shift or g != 1:
+            num = [c // g for c in num[shift:]]
+            den = [c // g for c in den[shift:]]
+    else:
+        den = [1]
+    value = object.__new__(GermValue)
+    value.num, value.den = tuple(num), tuple(den)
+    return value
+
+
 def _coerced(method):
-    """Let a binary GermValue method take ints and Fractions as constants."""
+    """Let a binary GermValue method take ints and Fractions as constants.
+
+    Floats and bools raise TypeError, as in ``rat``: a float is not exact,
+    and ``True`` is not the number 1.
+    """
 
     def wrapped(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GermValue(other)
-        elif not isinstance(other, GermValue):
-            return NotImplemented
+        if not isinstance(other, GermValue):
+            if isinstance(other, (bool, float)):
+                raise TypeError(f"cannot combine a germ value with {other!r}")
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _germ([other.numerator], [other.denominator])
         return method(self, other)
 
     return wrapped
@@ -80,37 +118,34 @@ class GermValue:
 
     ``GermValue(n0, n1, ..., den=(d0, d1, ...))`` is
     (n0 + n1 t + ...) / (d0 + d1 t + ...), so ``GermValue(a, b)`` is
-    a + b t.  The sign is that of the lowest nonzero coefficient of num
-    times that of den; ``<`` and ``>`` compare by the sign of the
-    difference, and ``==`` cross-multiplies.
+    a + b t; the coefficients are ints, Fractions or "p/q" strings, coerced
+    by ``rat``.  ``num`` and ``den`` keep integer coefficient tuples,
+    reduced by ``_germ``.  The sign is that of the lowest nonzero
+    coefficient of num times that of den; ``<`` and ``>`` compare by the
+    sign of the difference, and ``==`` cross-multiplies.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, *num, den=(1,)):
-        num = _poly_trim([Fraction(c) for c in num])
-        den = _poly_trim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("identically zero denominator")
-        shift = min(_order(num), _order(den)) if num else 0  # common power of t
-        self.num = tuple(num[shift:])
-        self.den = tuple(den[shift:]) if num else (Fraction(1),)
+        _, *ints = homogeneous([rat(c) for c in (*num, *den)])
+        value = _germ(ints[:len(num)], ints[len(num):])
+        self.num, self.den = value.num, value.den
 
     def _lead(self) -> tuple[int, Fraction]:
         """(k, c) with value = c t^k + higher order terms; (0, 0) for zero."""
         if not self.num:
             return 0, Fraction(0)
         i, j = _order(self.num), _order(self.den)
-        return i - j, self.num[i] / self.den[j]
+        return i - j, Fraction(self.num[i], self.den[j])
 
     def pair(self) -> tuple[Fraction, Fraction]:
         """The Taylor coefficients (a, b) of a + b t + O(t^2)."""
-        if self._lead()[0] < 0:
-            raise PoleAtZero("denominator vanishes to higher order than numerator")
         n0, n1 = (self.num + (0, 0))[:2]
-        d0, d1 = (self.den + (0,))[:2]  # d0 != 0: no pole, common power stripped
-        a = n0 / d0
-        return a, (n1 - a * d1) / d0
+        d0, d1 = (self.den + (0,))[:2]
+        if not d0:  # the common power of t is stripped, so num has a constant term
+            raise PoleAtZero("denominator vanishes to higher order than numerator")
+        return Fraction(n0, d0), Fraction(n1 * d0 - n0 * d1, d0 * d0)
 
     a = property(lambda self: self.pair()[0])
     b = property(lambda self: self.pair()[1])
@@ -134,37 +169,38 @@ class GermValue:
     @_coerced
     def __add__(self, other):
         p, q = _poly_mul(self.num, other.den), _poly_mul(other.num, self.den)
-        return GermValue(*map(sum, zip_longest(p, q, fillvalue=0)),
-                         den=_poly_mul(self.den, other.den))
+        return _germ([a + b for a, b in zip_longest(p, q, fillvalue=0)],
+                     _poly_mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GermValue(*(-c for c in self.num), den=self.den)
+        return _germ([-c for c in self.num], list(self.den))
 
+    @_coerced
     def __sub__(self, other):
         return self + -other
 
+    @_coerced
     def __rsub__(self, other):
         return other + -self
 
     @_coerced
     def __mul__(self, other):
-        return GermValue(*_poly_mul(self.num, other.num), den=_poly_mul(self.den, other.den))
+        return _germ(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
     @_coerced
     def __truediv__(self, other):
-        return GermValue(*_poly_mul(self.num, other.den), den=_poly_mul(self.den, other.num))
+        return _germ(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
 
     @_coerced
     def __rtruediv__(self, other):
         return other / self
 
     def __repr__(self):
-        num, den = (", ".join(map(str, p)) or "0" for p in (self.num, self.den))
-        return f"GermValue({num}, den=({den},))"
+        return f"GermValue({', '.join(map(str, self.num)) or '0'}, den={self.den!r})"
 
 
 @dataclass(frozen=True)
@@ -202,6 +238,7 @@ class PathGerm:
             if left.at(t) != right.at(t):
                 raise ValueError(f"path discontinuous at t = {t}")
         self.pieces = tuple(parsed)
+        self._rows = None
 
     @staticmethod
     def linear(c, v, delta=1) -> "PathGerm":
@@ -218,6 +255,18 @@ class PathGerm:
     @property
     def velocity(self) -> Vec:
         return self.pieces[0].v
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The limit c and the point c + v written over one denominator Q as
+        integer points (Q, Q c) and (Q, Q (c + v)), in the form of
+        ``rationals.homogeneous``; built on first use."""
+        if self._rows is None:
+            c, v = self.germ()
+            q, *ints = homogeneous((*c, *v))
+            p, w = ints[:len(c)], ints[len(c):]
+            self._rows = (q, *p), (q, *map(add, p, w))
+        return self._rows
 
     def at(self, t: Fraction) -> Vec:
         t = Fraction(t)
@@ -237,35 +286,52 @@ class PathGerm:
         return f"PathGerm(c={c}, v={v}, pieces={len(self.pieces)})"
 
 
-def _lex_positive(a: Fraction, b: Fraction) -> bool:
-    return a > 0 or (a == 0 and b > 0)
+def _star_cell(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
+    """The cell whose open part eventually holds a germ given by integer
+    points over one denominator, the first being its limit, with each
+    barycentric coordinate's sign read lexicographically from its
+    numerators at the points; None when the limit is outside |K|.
+
+    That cell has the limit in its closure and is a face of a maximal cell
+    of the limit's star, which eventually holds the germ in its closed
+    part.  So only the maximal cells of that star are tested, as in
+    ``Complex.locate_h``: the first whose hull holds every point and whose
+    coordinates are all lexicographically >= 0 gives the face spanned by
+    the vertices whose coordinate is not identically 0.
+    """
+    carrier = k.locate_h(points[0])
+    if carrier is None:
+        return None
+    zero = (0,) * len(points)
+    for sid in k.cofaces[carrier]:
+        if len(k.cofaces[sid]) > 1:
+            continue  # not maximal
+        geo = k.geometry(sid)
+        coords = []
+        for h in points:
+            nums, height = geo.numerators(h)
+            if height:
+                break
+            coords.append(nums)
+        else:
+            lex = list(zip(*coords))
+            if min(lex) >= zero:
+                ids = k.simplices[sid].vertex_ids
+                return k.index[tuple(vid for vid, x in zip(ids, lex) if x != zero)]
+    return None
 
 
 def eventual_simplex(alpha: PathGerm, k: Complex) -> int | None:
     """The unique cell whose open part contains c + t v for all small t > 0.
 
-    That cell has the limit c in its closure, so only the open star of the
-    cell carrying c is searched; a limit outside |K| gives None.  Exact,
-    from the integer numerators at c and c + v: x - pi(x) is affine in x, so
-    the germ line stays in an affine hull exactly when both points lie in
-    it, and each barycentric coordinate is affine in t, so it is eventually
-    positive exactly when it is positive at c, or zero at c and positive at
-    c + v.
+    Exact, from the integer numerators at c and c + v (the germ's
+    ``rows``): x - pi(x) is affine in x, so the germ line stays in an affine
+    hull exactly when both points lie in it, and each barycentric
+    coordinate is affine in t, so it is eventually positive exactly when it
+    is positive at c, or zero at c and positive at c + v, and identically 0
+    when it is 0 at both (``_star_cell``).
     """
-    c, v = alpha.germ()
-    carrier = k.locate(c)
-    if carrier is None:
-        return None
-    h0, h1 = homogeneous(c), homogeneous(tuple(a + b for a, b in zip(c, v)))
-    for sid in k.cofaces[carrier]:
-        geo = k.geometry(sid)
-        nums0, height0 = geo.numerators(h0)
-        if height0:
-            continue
-        nums1, height1 = geo.numerators(h1)
-        if not height1 and all(a > 0 or (a == 0 and b > 0) for a, b in zip(nums0, nums1)):
-            return sid
-    return None
+    return _star_cell(k, alpha.rows)
 
 
 def is_in_extension(alpha: PathGerm, s: PLSet) -> bool:
@@ -277,7 +343,7 @@ def _adjacent(alpha: PathGerm, s: PLSet, sid: int | None) -> bool:
     """Adjacency of a germ that eventually lies in the open cell sid."""
     if sid in s.members:
         return True
-    return sid in closure(s).members and s.contains_point(alpha.limit)
+    return sid in closure(s).members and s.complex.locate_h(alpha.rows[0]) in s.members
 
 
 def adjacency_test(alpha: PathGerm, s: PLSet) -> str:
@@ -324,20 +390,30 @@ def _finite(value: GermValue) -> GermValue:
     return value
 
 
-def _compose(ratio: RatioForm, alpha: PathGerm) -> GermValue:
-    """The value of one piece along the germ: each affine form composed
-    with t -> c + t v is form(c) + (form(c + v) - form(c)) t."""
-    c, v = alpha.germ()
-    cv = tuple(a + b for a, b in zip(c, v))
+def _compose(ratio: RatioForm, h0: Sequence[int], h1: Sequence[int]) -> GermValue:
+    """The value of one piece along the germ t -> c + t v, on integer
+    numerators, with c and c + v given as ``homogeneous`` points h0 and h1.
 
-    def along(form) -> GermValue:
-        base = form(c)
-        return GermValue(base, form(cv) - base)
+    A form with integer row (D, r) (``AffineForm.row``) takes N0 / (D q0)
+    at c and N1 / (D q1) at c + v, N = r . h.  Composed with the germ it is
+    form(c) + (form(c + v) - form(c)) t = L(t) / K with the integer linear
+    polynomial L = N0 q1 + (N1 q0 - N0 q1) t and the positive constant
+    K = D q0 q1.  So the piece is (prod L_f) K_den / (L_den prod K_f).
+    """
+    q0, q1 = h0[0], h1[0]
 
-    num = GermValue(1)
-    for f in ratio.factors:
-        num = num * along(f)
-    return _finite(num / along(ratio.den))
+    def along(form) -> tuple[list[int], int]:
+        d, *r = form.row
+        n0 = sum(map(mul, r, h0)) * q1
+        return [n0, sum(map(mul, r, h1)) * q0 - n0], d * q0 * q1
+
+    den, k_den = along(ratio.den)
+    num, k_num = [k_den], 1
+    for form in ratio.factors:
+        lin, k = along(form)
+        num = _poly_mul(num, lin)
+        k_num *= k
+    return _finite(_germ(num, [c * k_num for c in den]))
 
 
 def evaluate(f: PLFFunction, alpha: PathGerm) -> GermValue:
@@ -345,7 +421,7 @@ def evaluate(f: PLFFunction, alpha: PathGerm) -> GermValue:
     sid = eventual_simplex(alpha, f.complex)
     if sid not in f.domain.members:
         raise NotEventuallyInDomain("the germ does not settle into a member open cell")
-    return _compose(f.pieces[sid], alpha)
+    return _compose(f.pieces[sid], *alpha.rows)
 
 
 def eval_hom(f: PLFFunction, alpha: PathGerm, extension: ExtensionReport) -> GermValue:
@@ -360,11 +436,11 @@ def eval_hom(f: PLFFunction, alpha: PathGerm, extension: ExtensionReport) -> Ger
     if not _adjacent(alpha, f.domain, sid):
         raise PreconditionViolated("germ point is not adjacent to the domain")
     if sid in f.domain.members:
-        return _compose(f.pieces[sid], alpha)
+        return _compose(f.pieces[sid], *alpha.rows)
     if sid not in extension.v_set.members or sid in extension.y_set.members:
         raise GermInBadSet("germ lies in the conflict set or outside the extension "
                            "neighborhood")
-    return _compose(extension.values[sid], alpha)
+    return _compose(extension.values[sid], *alpha.rows)
 
 
 # --- cone evaluation homomorphisms ------------------------------------------
@@ -440,25 +516,21 @@ def _eventual_cone_simplex(k: Complex, c: Vec, v: Vec, q: Vec) -> int | None:
     """Carrier of the two-parameter germ x(s, t), 0 < s << t << 1.
 
     Its limit is c, so only the open star of the cell carrying c is
-    searched.  Sign of A + B t + C s - B s t in the regime s << t is
-    lexicographic: (A, B) first, then (C, -B).
+    searched.  x(s, t) = (1-s)(1-t) c + (1-s) t (c + v) + s q is an affine
+    combination of c, c + v and q, so it stays in a cell's affine hull
+    exactly when those three points lie in it.  Each barycentric
+    coordinate is then A + B t + C s - B s t, with A its value at c and
+    B, C its changes toward c + v and q, and its sign in the regime s << t
+    is that of (A, B, C) read lexicographically.  With the three points
+    over one denominator, the numerators (N_c, N_{c+v}, N_q) read the same
+    way give that sign: where A = 0, B has the sign of N_{c+v}, and where
+    B = 0 too, C has the sign of N_q (``_star_cell``).
     """
-    carrier = k.locate(c)
-    if carrier is None:
-        return None
-    pts = [tuple((1 - s) * (ci + t * vi) + s * qi for ci, vi, qi in zip(c, v, q))
-           for s, t in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (1, 2), (2, 1), (3, 3))]
-    for sid in k.cofaces[carrier]:
-        geo = k.geometry(sid)
-        if any(geo.coords_and_height_sq(p)[1] != 0 for p in pts):
-            continue  # the biquadratic height vanishes iff on the 3x3 grid
-        coeffs = (
-            _bilinear_coeffs(lambda x, j=j, geo=geo: geo.coords_and_height_sq(x)[0][j], c, v, q)
-            for j in range(geo.d + 1)
-        )
-        if all(_lex_positive(a, b) or (a == b == 0 and cc > 0) for a, b, cc in coeffs):
-            return sid
-    return None
+    scale, *ints = homogeneous((*c, *v, *q))
+    n = len(c)
+    h0 = (scale, *ints[:n])
+    h1 = (scale, *map(add, ints[:n], ints[n:2 * n]))
+    return _star_cell(k, (h0, h1, (scale, *ints[2 * n:])))
 
 
 def hom_via_cone(f: PLFFunction, cone: ConeSet, alpha: PathGerm) -> GermValue:

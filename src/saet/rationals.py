@@ -189,16 +189,30 @@ def affinely_independent(points: Sequence[Vec]) -> bool:
 
 
 class AffineForm:
-    """An affine function c0 + <c, x> on Q^n with exact coefficients."""
+    """An affine function c0 + <c, x> on Q^n with exact coefficients.
 
-    __slots__ = ("c0", "c")
+    ``row`` is the same form over the integers, (D, r0, r1, ..., rn) with
+    form = (r0 + <r, x>) / D and D > 0 the least common denominator, built
+    on first use.  At a point written by ``homogeneous`` as h = (q, p), the
+    value is (r0 q + <r, p>) / (D q), so its numerator is the dot product of
+    ``row[1:]`` with h.
+    """
+
+    __slots__ = ("c0", "c", "_row")
 
     def __init__(self, c0, c: Iterable):
         self.c0 = rat(c0)
         self.c = vec(c)
+        self._row = None
 
     def __call__(self, x: Vec) -> Fraction:
         return self.c0 + dot(self.c, x)
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        if self._row is None:
+            self._row = homogeneous((self.c0, *self.c))
+        return self._row
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffineForm) and self.c0 == other.c0 and self.c == other.c

@@ -566,3 +566,83 @@ def test_algebra_refuses_different_domains(square, fix_a, fix_b):
         one_a * one_b
     two = one_a + one_a
     assert all(two.pieces[sid].as_affine() == AffineForm.constant(2, 2) for sid in fix_a.members)
+
+
+# --- the integer vertex-value table against the Fraction table --------------
+
+
+def fraction_vertex_values(ratio, points):
+    """``_VertexValues.of`` as it used to be computed: each form evaluated in
+    Fractions (``AffineForm.__call__``) at each vertex, and the values
+    written over their least common denominator."""
+    from saet.extend import _VertexValues
+    from saet.rationals import homogeneous
+
+    vertices = [tuple(F(p, h[0]) for p in h[1:]) for h in points]
+    forms = (*ratio.factors, ratio.den)
+    size = len(vertices)
+    scale, *flat = homogeneous([form(v) for form in forms for v in vertices])
+    ints = [tuple(flat[i * size:(i + 1) * size]) for i in range(len(forms))]
+    return _VertexValues(tuple(ints[:-1]), ints[-1], scale)
+
+
+def report_data(rep):
+    """An ExtensionReport with its ratio forms as (factors, den), so that two
+    reports built from separate limits compare by value."""
+    def ratio(r):
+        return None if r is None else (r.factors, r.den)
+
+    return (rep.domain, rep.v_set, rep.y_set,
+            {sid: ratio(r) for sid, r in rep.values.items()},
+            rep.hypothesis_violations, rep.y_dim_violations, rep.infinite_faces,
+            {beta: [(r.kind, ratio(r.value)) for r in limits]
+             for beta, limits in rep.conflicts.items()},
+            rep.continuity_violations)
+
+
+def test_integer_vertex_table_matches_fraction_table(monkeypatch, square, fix_a, fix_b, fix_c):
+    # whole extension reports and every face limit from the integer table
+    # equal those from the Fraction table, on the fixtures, on generated
+    # continuous and discontinuous inputs and on two-factor ratios whose
+    # denominator vanishes on a wall
+    from saet import extend
+
+    cases = [step_function_a(fix_a), scaled_slope_function_c(fix_c), slope_function_c(),
+             interpolated_pl_function(fix_b, {v: p[0] - p[1] for v, p in enumerate(square.vertices)})]
+    for seed in range(16):
+        rng, m = generated_marked_set(seed)
+        k = m.complex
+        values = {v: F(rng.randint(-9, 9), rng.randint(1, 3)) for v in range(len(k.vertices))}
+        if seed % 4 == 0:
+            cases.append(interpolated_pl_function(m, values))
+        elif seed % 4 == 1:
+            pieces = {}
+            for sid in m.members:
+                top = rng.choice([t for t in k.top_ids if k.simplex(sid).is_face_of(k.simplex(t))])
+                pieces[sid] = RatioForm.affine(vertex_interpolant(k, top, values))
+            cases.append(PLFFunction(m, pieces, validate_continuity=False))
+        else:
+            den = AffineForm(0, (1,) + (0,) * (k.n - 1))  # x, zero on the wall x = 0
+            members = [s for s in m.members if max(p[0] for p in k.coords(s)) > 0]
+            lead = AffineForm(0, [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k.n)])
+            if seed % 4 == 3:
+                lead = lead + AffineForm.constant(F(rng.randint(1, 3)), k.n)
+            piece = RatioForm([lead, random_form(rng, k.n)], den)
+            cases.append(PLFFunction(PLSet(k, members), {s: piece for s in members}))
+    kinds = set()
+    for f in cases:
+        integer = PLFFunction(f.domain, f.pieces, validate_continuity=False)
+        want_report = report_data(weak_extension(integer))
+        limits = {(s, b): face_limit(integer, s, b) for b in closure(f.domain).members
+                  for s in f.complex.cofaces[b] if s != b and s in f.domain.members}
+        with monkeypatch.context() as patch:
+            patch.setattr(extend._VertexValues, "of", staticmethod(fraction_vertex_values))
+            reference = PLFFunction(f.domain, f.pieces, validate_continuity=False)
+            assert reference.continuity_violations == integer.continuity_violations
+            assert report_data(weak_extension(reference)) == want_report
+            for (s, b), got in limits.items():
+                want = face_limit(reference, s, b)
+                assert (got.kind, got.value and (got.value.factors, got.value.den)) == (
+                    want.kind, want.value and (want.value.factors, want.value.den))
+                kinds.add(want.kind)
+    assert kinds == {VALUE, INFINITE, DIRECTION_DEPENDENT}

@@ -410,6 +410,26 @@ def test_eventual_simplex_matches_all_cells_reference():
     assert seen_dims == {0, 1, 2, 3} and outside
 
 
+def test_germ_search_reads_only_maximal_cells(monkeypatch):
+    # on a pure complex, locating the limit and settling the germ compute
+    # barycentric numerators of top cells only, never of their faces
+    from saet.complexes import build_complex
+    from saet.geometry import SimplexGeometry
+    from saet.germs import eventual_simplex
+    from test_complexes import wedge_stack_tops
+
+    k = build_complex(*wedge_stack_tops(2), validate=False)
+    dims, original = [], SimplexGeometry.numerators
+
+    def recording(geo, h):
+        dims.append(geo.d)
+        return original(geo, h)
+
+    monkeypatch.setattr(SimplexGeometry, "numerators", recording)
+    found = {eventual_simplex(alpha, k) for alpha in _seeded_germs(k, random.Random(3), 64)}
+    assert set(dims) == {3} and len(found) > 10
+
+
 # --- one germ value: exact arithmetic in Q(t) -------------------------------
 
 
@@ -606,3 +626,238 @@ def test_germ_values_match_sympy_series(square, fix_a, fix_b, wedge, fix_c):
                                    PathGerm.linear((0,), (1,)), t), t, 0, "+") == sympy.oo
     with pytest.raises(PoleAtZero):
         evaluate(pole, PathGerm.linear((0,), (1,)))
+
+
+# --- the integer germ kernel against the Fraction reference -----------------
+
+
+def outcome(call):
+    """What call() returns, or the class of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_outcome(new, ref):
+    # the same value, pair and hash as the reference, or the same exception
+    from germ_reference import GermValue as ReferenceValue
+
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert isinstance(new, GermValue) and isinstance(ref, ReferenceValue)
+    assert new == GermValue(*ref.num, den=ref.den)
+    assert ReferenceValue(*new.num, den=new.den) == ref
+    assert new.pair() == ref.pair() and hash(new) == hash(ref)
+
+
+def ratio_function(m: PLSet, rng) -> PLFFunction:
+    """A two-factor ratio over a denominator that is >= 0 on |K| and
+    vanishes on a vertex or an edge line of the complex: x + y on a grid,
+    x on a wedge stack.  The members are the cells where it is positive.
+    The first factor vanishes where the denominator does in half the
+    cases, so germs from there have a 0/0 limit; otherwise they hit a pole."""
+    k = m.complex
+    n = k.n
+    den = AffineForm(0, (1, 1) if n == 2 else (1, 0, 0))
+    members = [sid for sid in m.members if max(den(p) for p in k.coords(sid)) > 0]
+
+    def form(constant=True):
+        c = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        return AffineForm(F(rng.randint(-3, 3), rng.randint(1, 2)) if constant else 0, c)
+
+    lead = form(constant=rng.random() < 0.5)
+    if n == 3 and not lead.c0:
+        lead = AffineForm(0, (lead.c[0], lead.c[1], 0))  # vanishes on the whole z-axis
+    piece = RatioForm([lead, form()], den)
+    return PLFFunction(PLSet(k, members), {sid: piece for sid in members})
+
+
+def star_germs(k, vid, rng, count):
+    """Germs from a vertex toward seeded points of the open cells of its star."""
+    c = k.vertices[vid]
+    cells = k.cofaces[k.id_of((vid,))]
+    for _ in range(count):
+        target = _open_point(k, rng.choice(cells), rng)
+        yield PathGerm.linear(c, tuple(b - a for a, b in zip(c, target)))
+
+
+def differential_cases():
+    """(complex, function, germs): the fixtures' functions and seeded
+    functions on grids and wedge stacks, each with seeded germs, germs into
+    the boundary and germs from the zeros of a denominator."""
+    from saet import fixtures
+    from saet.complexes import build_complex
+    from test_complexes import grid_tops, wedge_stack_tops
+
+    square, wedge = fixtures.square_complex(), fixtures.wedge_complex()
+    full_square = PLSet(square, range(len(square.simplices)))
+    xs = {vid: p[0] + 2 * p[1] for vid, p in enumerate(square.vertices)}
+    fixed = [
+        step_function_a(fixtures.fix_a(square)),
+        interpolated_pl_function(fixtures.fix_b(square), xs),
+        coord_function(full_square, 0) * interpolated_pl_function(full_square, xs),
+        scaled_slope_function_c(fixtures.fix_c(wedge)),
+        fixtures.slope_function_c(fixtures.fix_c_without_origin(wedge)),
+    ]
+    cases = [(f.complex, f) for f in fixed]
+    for seed in range(12):
+        rng = random.Random(seed)
+        verts, tops = grid_tops(2 + seed % 3) if seed % 2 == 0 else wedge_stack_tops(1 + seed % 3)
+        k = build_complex(verts, tops, validate=False)
+        every = PLSet(k, range(len(k.simplices)))
+
+        def pl():
+            return interpolated_pl_function(
+                every, {v: F(rng.randint(-5, 5), rng.randint(1, 3)) for v in range(len(k.vertices))})
+
+        kind = seed // 2 % 3
+        f = pl() if kind == 0 else pl() * pl() if kind == 1 else ratio_function(every, rng)
+        cases.append((k, f))
+    for seed, (k, f) in enumerate(cases):
+        rng = random.Random(100 + seed)
+        germs = list(_seeded_germs(k, rng, 24)) + list(germs_into_boundary(f.domain))
+        for vid in range(len(k.vertices)):
+            if k.id_of((vid,)) not in f.domain.members:
+                germs += star_germs(k, vid, rng, 6)
+        yield k, f, germs
+
+
+def test_integer_germ_kernel_matches_fraction_reference():
+    # evaluate and eval_hom against the Fraction GermValue and _compose
+    # kept in germ_reference.py: equal values, pairs and hashes, or the same
+    # exception, on the fixtures and on seeded grids and wedge stacks
+    from germ_reference import eval_hom_reference, evaluate_reference
+    from saet.germs import eventual_simplex
+
+    seen = dict.fromkeys(["value", "two_factor", "zero_over_zero", "pole", "extension",
+                          "not_in_domain", "bad_set", "not_adjacent"], 0)
+    for k, f, germs in differential_cases():
+        rep = weak_extension(f)
+        for alpha in germs:
+            ref = outcome(lambda: evaluate_reference(f, alpha))
+            assert_same_outcome(outcome(lambda: evaluate(f, alpha)), ref)
+            ref_hom = outcome(lambda: eval_hom_reference(f, alpha, rep))
+            assert_same_outcome(outcome(lambda: eval_hom(f, alpha, rep)), ref_hom)
+            seen["pole"] += ref is PoleAtZero or ref_hom is PoleAtZero
+            seen["not_in_domain"] += ref is NotEventuallyInDomain
+            seen["bad_set"] += ref_hom is GermInBadSet
+            seen["not_adjacent"] += ref_hom is PreconditionViolated
+            if not isinstance(ref, type):
+                piece = f.pieces[eventual_simplex(alpha, k)]
+                seen["value"] += 1
+                seen["two_factor"] += len(piece.factors) == 2
+                seen["zero_over_zero"] += piece.den(alpha.limit) == 0
+            elif not isinstance(ref_hom, type):
+                seen["extension"] += 1
+    assert min(seen.values()) > 0, seen
+    assert seen["value"] > 300 and seen["two_factor"] > 200 and seen["extension"] > 15, seen
+    assert seen["zero_over_zero"] > 25 and seen["pole"] > 20, seen
+
+
+def test_germ_value_refuses_floats_and_bools():
+    # floats and bools are refused as rat refuses them, in the constructor
+    # and as the other operand of every binary operation
+    for bad in (0.1, True, False):
+        with pytest.raises(TypeError):
+            GermValue(bad)
+        with pytest.raises(TypeError):
+            GermValue(1, den=(bad,))
+    one = GermValue(1)
+    for op in (lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+               lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
+               lambda a, b: a / b, lambda a, b: b / a, lambda a, b: a < b,
+               lambda a, b: a > b, lambda a, b: a == b):
+        for bad in (True, 0.5):
+            with pytest.raises(TypeError):
+                op(one, bad)
+    assert GermValue("1/2", F(1, 3), 2) == GermValue(F(1, 2), F(1, 3), 2)
+    assert one + 1 == 2 and one + F(1, 2) == GermValue("3/2") and 1 - one == 0
+
+
+def test_germ_value_keeps_reduced_integer_polynomials():
+    t = GermValue(0, 1)
+    value = GermValue(F(3, 2), 3, den=(0, 6))
+    assert value.num == (1, 2) and value.den == (0, 4)  # (3, 6) / (0, 12), gcd 3 taken out
+    assert (t * t / t).num == (0, 1) and (t * t / t).den == (1,)  # common t stripped
+    assert GermValue(0, 0, den=(5, 7)).num == () and GermValue(0).den == (1,)
+    assert all(isinstance(c, int) for c in (*value.num, *value.den))
+    assert repr(GermValue(1, den=(0, 1))) == "GermValue(1, den=(0, 1))"
+    assert repr(GermValue(F(1, 2))) == "GermValue(1, den=(2,))"
+    assert repr(GermValue()) == "GermValue(0, den=(1,))"
+    with pytest.raises(ZeroDivisionError):
+        GermValue(1, den=(0, 0))
+
+
+# --- the cone search against the Fraction grid ------------------------------
+
+
+def fraction_cone_simplex(k, c, v, q):
+    """The cone search as it used to be computed: each cofacet tested at
+    the nine points of a 3 x 3 grid in (s, t) and each barycentric
+    coordinate's (A, B, C) read from Fraction coordinates."""
+    from saet.germs import _bilinear_coeffs
+
+    def lex_positive(a, b):
+        return a > 0 or (a == 0 and b > 0)
+
+    carrier = k.locate(c)
+    if carrier is None:
+        return None
+    pts = [tuple((1 - s) * (ci + t * vi) + s * qi for ci, vi, qi in zip(c, v, q))
+           for s, t in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (1, 2), (2, 1), (3, 3))]
+    for sid in k.cofaces[carrier]:
+        geo = k.geometry(sid)
+        if any(geo.coords_and_height_sq(p)[1] != 0 for p in pts):
+            continue  # the biquadratic height vanishes iff on the 3x3 grid
+        coeffs = (
+            _bilinear_coeffs(lambda x, j=j, geo=geo: geo.coords_and_height_sq(x)[0][j], c, v, q)
+            for j in range(geo.d + 1)
+        )
+        if all(lex_positive(a, b) or (a == b == 0 and cc > 0) for a, b, cc in coeffs):
+            return sid
+    return None
+
+
+def test_cone_search_matches_fraction_reference(wedge, fix_c):
+    from saet.complexes import build_complex
+    from saet.germs import _eventual_cone_simplex
+    from test_complexes import grid_tops, wedge_stack_tops
+
+    # the cones of the wedge fixture: the base edge (0, 1), apexes on the
+    # canonical segment of the tetrahedron (0, 1, 2, 5)
+    sigma = wedge.id_of((0, 1, 2, 5))
+    b, v2 = wedge.barycenter(sigma), wedge.vertices[2]
+    found = set()
+    for w in range(1, 8):
+        q = tuple(F(w, 8) * x + (1 - F(w, 8)) * y for x, y in zip(v2, b))
+        for c, v in (((F(1, 2), 0, 0), (F(1, 8), 0, 0)), ((0, 0, 0), (1, 0, 0)),
+                     ((F(1, 2), 0, 0), (0, 0, 0)), ((1, 0, 0), (-1, 0, 0))):
+            got = _eventual_cone_simplex(wedge, c, v, q)
+            assert got == fraction_cone_simplex(wedge, c, v, q)
+            found.add(got)
+    assert sigma in found
+    # seeded cones on grids and wedge stacks: limits on every stratum and
+    # outside, apexes in cells, off the hull of the star and at the limit
+    seen, nones = set(), 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        verts, tops = grid_tops(2 + seed % 3) if seed % 2 == 0 else wedge_stack_tops(1 + seed % 2)
+        k = build_complex(verts, tops, validate=False)
+        for alpha in _seeded_germs(k, rng, 40):
+            c, v = alpha.germ()
+            kind = rng.randrange(3)
+            if kind == 0:
+                q = _open_point(k, rng.randrange(len(k.simplices)), rng)
+            elif kind == 1:
+                q = tuple(x + F(rng.randint(-2, 2), rng.randint(1, 3)) for x in c)
+            else:
+                q = c  # a constant two-parameter germ when v = 0 too
+            want = fraction_cone_simplex(k, c, v, q)
+            assert _eventual_cone_simplex(k, c, v, q) == want, (seed, c, v, q)
+            if want is None:
+                nones += 1
+            else:
+                seen.add(k.dim_of(want))
+    assert seen == {0, 1, 2, 3} and nones

@@ -7,7 +7,7 @@ import pytest
 
 from saet.cli import main
 from saet.complexes import PLSet, build_complex, eta
-from saet.errors import DimensionTooHigh, ParseError, SaetError
+from saet.errors import DimensionTooHigh, ParseError, PreconditionViolated, SaetError
 from saet.export import export_carved, export_mesh, export_tube
 from saet.fixtures import (
     fix_a,
@@ -132,6 +132,22 @@ def test_export_carved(tmp_path, fix_a_embedded):
     out = tmp_path / "carved.obj"
     export_carved(fix_a_embedded.carved, str(out), resolution=20)
     assert out.exists() and out.stat().st_size > 0
+
+
+def test_export_refuses_bad_resolutions(tmp_path, fix_a_embedded):
+    # a resolution must be an int of at least 1, as the CLI's --resolution;
+    # nothing is written for a refused one
+    out = tmp_path / "bad.obj"
+    for export, target in ((export_tube, fix_t()), (export_carved, fix_a_embedded.carved)):
+        for bad in (0, -4):
+            with pytest.raises(PreconditionViolated):
+                export(target, str(out), resolution=bad)
+        for bad in (True, 2.0, "8"):
+            with pytest.raises(TypeError):
+                export(target, str(out), resolution=bad)
+        assert not out.exists()
+    export_tube(fix_t(), str(out), resolution=1)
+    assert out.exists()
 
 
 def test_export_dimension_guard(tmp_path):

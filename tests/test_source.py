@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses, and
-the elimination kernel and the probe's point arithmetic divide no values and
-build no Fraction."""
+the elimination kernel, the probe's point arithmetic and the germ kernel
+divide no values and build no Fraction."""
 
 import ast
 from pathlib import Path
@@ -116,4 +116,12 @@ def test_probe_kernel_divides_no_values(name):
     # a probe forms its samples, its squared distances and its segment
     # checkpoints as integer points, with no division and no Fraction
     path = Path(saet.__file__).parent / "probe.py"
+    assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
+
+
+@pytest.mark.parametrize("name", ["_compose", "_germ", "_poly_mul", "_poly_trim", "_order"])
+def test_germ_kernel_divides_no_values(name):
+    # a germ value is composed, reduced and multiplied on integer
+    # coefficients; Fractions are built only by pair() and _lead
+    path = Path(saet.__file__).parent / "germs.py"
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
