@@ -155,16 +155,27 @@ class Complex:
 
     def locate_h(self, h: Sequence[int]) -> int | None:
         """``locate`` at the point h = (q, p_1, ..., p_n), x = p / q with
-        q > 0, not necessarily in lowest terms.
+        q > 0, not necessarily in lowest terms: the face of ``locate_top``'s
+        top spanned by the vertices with positive barycentric coordinate.
+        Every cell is a face of a top and open cells are disjoint, so that
+        face is the only cell containing x, and x lies in |K| exactly when
+        some closed top holds it.
+        """
+        found = self.locate_top(h)
+        if found is None:
+            return None
+        sid, nums = found
+        return self.index[tuple(vid for vid, num in zip(self.simplices[sid].vertex_ids, nums)
+                                if num)]
 
-        Only the top cells listed in x's bucket are tested, each first by its
-        closed bounding box and then by its integer kernel.  The first whose
-        closed simplex holds x gives the answer: the face spanned by the
-        vertices with positive barycentric coordinate.  Every cell is a face
-        of a top and open cells are disjoint, so that face is the only cell
-        containing x, and x lies in |K| exactly when some closed top holds it.
-        Every test is homogeneous in (q, p), so any positive multiple of h
-        gives the same answer.
+    def locate_top(self, h: Sequence[int]) -> tuple[int, list[int]] | None:
+        """The first top cell listed in the bucket of h = (q, p) whose closed
+        simplex holds x = p / q, with its barycentric numerators at h
+        (``SimplexGeometry.numerators``); None when no closed top holds x.
+
+        Each listed top is tested first by its closed bounding box and then
+        by its integer kernel.  Every test is homogeneous in (q, p), so any
+        positive multiple of h gives the same answer.
         """
         if len(h) != self.n + 1:
             raise ValueError(f"a {len(h) - 1}-dimensional point cannot lie in a complex "
@@ -172,14 +183,14 @@ class Complex:
         if self._grid is None:
             self._grid = _BucketGrid(self)
         q, *p = h
-        for sid, ids, scale, bounds in self._grid.candidates(h):
+        for sid, _, scale, bounds in self._grid.candidates(h):
             for c, (lo, hi) in zip(p, bounds):
                 if not lo * q <= c * scale <= hi * q:
                     break
             else:
                 nums, height = self.geometry(sid).numerators(h)
                 if not height and min(nums) >= 0:
-                    return self.index[tuple(vid for vid, num in zip(ids, nums) if num)]
+                    return sid, nums
         return None
 
     def barycenter(self, sid: int) -> Vec:
@@ -322,20 +333,24 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     Raises DegenerateSimplex for affinely dependent vertex lists and BadGlue
     when two simplices intersect outside a common face.
 
-    Gluing is checked in three phases.  The broad phase sorts the tops by
-    the lower bound of their closed bounding boxes on axis 0 and sweeps,
-    keeping the pairs whose boxes meet on every axis.  The narrow phase runs
-    ``common_face`` on those pairs only, in the order of
+    Gluing is checked in three phases, on integers throughout: each top's
+    ``SimplexGeometry`` is built once (its fraction-free solve also proves
+    the vertices affinely independent), and the vertices are written once
+    over one common denominator for the boxes.  The broad phase sorts the
+    tops by the lower bound of their closed bounding boxes on axis 0 and
+    sweeps, keeping the pairs whose boxes meet on every axis.  The narrow
+    phase runs ``common_face`` on those pairs only, in the order of
     ``combinations(tops, 2)``, so the first BadGlue names the same pair an
     all-pairs check would.  ``common_face`` first looks for a separating
-    plane, and only when none is found falls back to the exact
-    ``intersection_excess`` LP, the one way to reject.  Neither skip is a
-    heuristic.  Disjoint closed boxes contain disjoint closed simplices, for
-    which the LP is infeasible (None), and None is accepted.  A plane that
-    has one simplex on its closed nonnegative side and the other on its
-    closed nonpositive side, zero at the shared vertices and at no unshared
-    vertex of one of them, confines the intersection to the shared face, and
-    there the LP's excess is 0.
+    plane, decided on the integer rows of the two tables, and only when
+    none is found falls back to the exact ``intersection_excess`` LP, the
+    one way to reject.  Neither skip is a heuristic.  Disjoint closed boxes
+    contain disjoint closed simplices, for which the LP is infeasible
+    (None), and None is accepted.  A plane that has one simplex on its
+    closed nonnegative side and the other on its closed nonpositive side,
+    zero at the shared vertices and at no unshared vertex of one of them,
+    confines the intersection to the shared face, and there the LP's
+    excess is 0.
     """
     pts = [vec(v) for v in vertices]
     if not pts:
@@ -347,17 +362,25 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
         raise ValueError("inconsistent ambient dimension")
 
     tops = [Simplex(t) for t in top_simplices]
+    geos = []
     for t in tops:
         if not t.vertex_ids:
             raise ValueError(f"top simplex {t} has no vertices")
         if t.vertex_ids[0] < 0 or t.vertex_ids[-1] >= len(pts):
             raise ValueError(f"vertex id out of range in {t}")
-        if not affinely_independent([pts[i] for i in t.vertex_ids]):
+        verts = [pts[i] for i in t.vertex_ids]
+        if validate:
+            try:
+                geos.append(SimplexGeometry(verts))
+            except DegenerateSimplex:
+                raise DegenerateSimplex(f"{t} has affinely dependent vertices") from None
+        elif not affinely_independent(verts):
             raise DegenerateSimplex(f"{t} has affinely dependent vertices")
 
     if validate:
-        boxes = [bounding_box([pts[i] for i in t.vertex_ids]) for t in tops]
-        geos = [SimplexGeometry([pts[i] for i in t.vertex_ids]) for t in tops]
+        _, *ints = homogeneous([c for p in pts for c in p])
+        scaled = [ints[i * n:(i + 1) * n] for i in range(len(pts))]
+        boxes = [bounding_box([scaled[i] for i in t.vertex_ids]) for t in tops]
         for ta, tb in _meeting_box_pairs(boxes):
             a, b = tops[ta], tops[tb]
             shared = set(a.vertex_ids) & set(b.vertex_ids)

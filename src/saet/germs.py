@@ -217,7 +217,9 @@ class PathGerm:
     """Piecewise-affine path on (0, delta]; the germ is the first piece.
 
     Pieces are given innermost first: piece i covers (t_{i-1}, t_i] with
-    map t -> c_i + t v_i, continuous across breakpoints.
+    map t -> c_i + t v_i, continuous across breakpoints.  Breakpoints,
+    times and coordinates are read by ``rationals.rat``, so floats and
+    booleans raise TypeError.
     """
 
     def __init__(self, pieces: Sequence[tuple]):
@@ -226,7 +228,7 @@ class PathGerm:
         parsed = []
         prev_end = Fraction(0)
         for t_end, c, v in pieces:
-            t_end = Fraction(t_end)
+            t_end = rat(t_end)
             if t_end <= prev_end:
                 raise ValueError("breakpoints must increase")
             if len(c) != len(v):
@@ -269,7 +271,7 @@ class PathGerm:
         return self._rows
 
     def at(self, t: Fraction) -> Vec:
-        t = Fraction(t)
+        t = rat(t)
         for p in self.pieces:
             if t <= p.t_end:
                 return p.at(t)
@@ -297,18 +299,23 @@ def _star_cell(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
     part.  So only the maximal cells of that star are tested, as in
     ``Complex.locate_h``: the first whose hull holds every point and whose
     coordinates are all lexicographically >= 0 gives the face spanned by
-    the vertices whose coordinate is not identically 0.
+    the vertices whose coordinate is not identically 0.  The top that
+    ``Complex.locate_top`` found holding the limit is one of them, and its
+    numerators at the limit are reused.
     """
-    carrier = k.locate_h(points[0])
-    if carrier is None:
+    found = k.locate_top(points[0])
+    if found is None:
         return None
+    top, top_nums = found
+    carrier = k.index[tuple(vid for vid, num in zip(k.simplices[top].vertex_ids, top_nums)
+                            if num)]
     zero = (0,) * len(points)
     for sid in k.cofaces[carrier]:
         if len(k.cofaces[sid]) > 1:
             continue  # not maximal
         geo = k.geometry(sid)
-        coords = []
-        for h in points:
+        coords = [top_nums] if sid == top else []
+        for h in points[len(coords):]:
             nums, height = geo.numerators(h)
             if height:
                 break

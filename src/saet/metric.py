@@ -36,10 +36,11 @@ class FaceFunctionals:
 
     ``forms[i]`` vanishes exactly on the facet opposite ``vertices[i]``
     (``SimplexGeometry.forms``); ``norm_sq[i]`` is the exact squared norm
-    of its in-hull gradient u_i.  The last gradient is minus the sum of the
-    others, as in the incenter construction.  The simplex is given by its
-    vertices or by its ``SimplexGeometry``, which is then shared, as a
-    complex's cached one is.
+    of its in-hull gradient u_i, read off the integer row of the form
+    (``SimplexGeometry.integral``) as |row_i[1:]|^2 / D^2.  The last
+    gradient is minus the sum of the others, as in the incenter
+    construction.  The simplex is given by its vertices or by its
+    ``SimplexGeometry``, which is then shared, as a complex's cached one is.
     """
 
     def __init__(self, simplex: Sequence[Vec] | SimplexGeometry):
@@ -52,11 +53,9 @@ class FaceFunctionals:
         self.n = len(self.vertices[0])
         self.geometry = shared or SimplexGeometry(self.vertices)
         self.forms: tuple[AffineForm, ...] = self.geometry.forms
-
-        ginv = self.geometry.gram_inv
-        ns = [Fraction(ginv[i][i]) for i in range(d)]
-        ns.append(sum(ginv[i][j] for i in range(d) for j in range(d)))
-        self.norm_sq = tuple(ns)
+        table = self.geometry.integral
+        self.norm_sq = tuple(Fraction(sum(c * c for c in row[1:]), table.d_scale ** 2)
+                             for row in table.rows)
 
 
 def face_functionals(vertices: Sequence[Vec]) -> FaceFunctionals:

@@ -8,7 +8,10 @@ step clears a column by integer cross-multiplication and a gcd, with no
 division of values (fraction-free Gauss–Jordan).  ``solve``, ``invert`` and
 ``rank`` scale each row by the least common multiple of its denominators
 (``homogeneous``), reduce through ``_rref`` and read Fractions off the
-reduced rows; the simplex tableau of ``lp`` pivots through the same step.
+reduced rows; the simplex tableau of ``lp`` pivots through the same step,
+and ``geometry.barycentric_table`` solves for a simplex's barycentric
+forms with one ``_rref`` on integer rows.  ``invert`` is a public function
+that no module of the package calls.
 ``rational_sqrt`` is the exact square root on perfect rational squares.
 """
 
@@ -175,10 +178,6 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
         return None
     pd = isqrt(den)
     return Fraction(pn, pd) if pd * pd == den else None
-
-
-def gram(vectors: Sequence[Vec]) -> list[list[Fraction]]:
-    return [[dot(u, v) for v in vectors] for u in vectors]
 
 
 def affinely_independent(points: Sequence[Vec]) -> bool:

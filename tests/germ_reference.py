@@ -4,14 +4,19 @@ coefficient tuples, and ``_compose`` evaluates each affine form of a piece
 at c and at c + v in Fractions (``AffineForm.__call__``) and multiplies
 the linear germs in Q(t).  ``evaluate_reference`` and
 ``eval_hom_reference`` are ``germs.evaluate`` and ``germs.eval_hom`` over
-it.  Both must give equal values, pairs, hashes and exceptions."""
+it.  Both must give equal values, pairs, hashes and exceptions.
+``star_cell_reference`` is the germ-cell search that located the limit's
+carrier and then tested every maximal cell of its star afresh, the
+carrier's top included."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from typing import Sequence
 
 from saet.errors import GermInBadSet, NotEventuallyInDomain, PoleAtZero, PreconditionViolated
+from saet.complexes import Complex
 from saet.extend import ExtensionReport, PLFFunction, RatioForm
 from saet.germs import PathGerm, _adjacent, eventual_simplex
 
@@ -182,3 +187,26 @@ def eval_hom_reference(f: PLFFunction, alpha: PathGerm,
         raise GermInBadSet("germ lies in the conflict set or outside the extension "
                            "neighborhood")
     return _compose(extension.values[sid], alpha)
+
+
+def star_cell_reference(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
+    carrier = k.locate_h(points[0])
+    if carrier is None:
+        return None
+    zero = (0,) * len(points)
+    for sid in k.cofaces[carrier]:
+        if len(k.cofaces[sid]) > 1:
+            continue  # not maximal
+        geo = k.geometry(sid)
+        coords = []
+        for h in points:
+            nums, height = geo.numerators(h)
+            if height:
+                break
+            coords.append(nums)
+        else:
+            lex = list(zip(*coords))
+            if min(lex) >= zero:
+                ids = k.simplices[sid].vertex_ids
+                return k.index[tuple(vid for vid, x in zip(ids, lex) if x != zero)]
+    return None

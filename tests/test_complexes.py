@@ -658,7 +658,7 @@ def test_locate_checks_dimension():
 
 def test_validated_build_keeps_its_glue_geometries(monkeypatch):
     # the geometries built for the glue check are the ones Complex.geometry
-    # hands out afterwards; a top's Gram matrix is inverted once
+    # hands out afterwards; a top's barycentric forms are solved for once
     built = []
 
     class Recording(SimplexGeometry):

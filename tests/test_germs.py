@@ -63,6 +63,24 @@ def test_path_validation():
         PathGerm([])
 
 
+def test_path_refuses_floats_and_bools():
+    # breakpoints and times are read by rat, as coordinates already were:
+    # 0.1 is not silently 3602879701896397/2^55, nor True the number 1
+    for t_end in (0.1, 1.0, True):
+        with pytest.raises(TypeError):
+            PathGerm([(t_end, (0, 0), (1, 0))])
+    with pytest.raises(TypeError):
+        PathGerm([(1, (0, 0), (1, 0)), (2.5, (1, 0), (1, 0))])
+    with pytest.raises(TypeError):
+        PathGerm.linear((0, 0), (1, 0), delta=0.5)
+    p = PathGerm.linear((0, 0), (1, 0))
+    for t in (0.05, 1.0, True, False):
+        with pytest.raises(TypeError):
+            p.at(t)
+    assert PathGerm([("1/2", (0, 0), (1, 0))]).pieces[0].t_end == F(1, 2)
+    assert p.at("1/4") == (F(1, 4), 0) and p.at(F(1, 3)) == (F(1, 3), 0)
+
+
 def test_evaluate_examples(fix_a, fix_c):
     fx = coord_function(fix_a, 0)
     assert evaluate(fx, PathGerm.linear((0, 0), (1, F(1, 2)))).pair() == (0, 1)
@@ -754,6 +772,43 @@ def test_integer_germ_kernel_matches_fraction_reference():
     assert min(seen.values()) > 0, seen
     assert seen["value"] > 300 and seen["two_factor"] > 200 and seen["extension"] > 15, seen
     assert seen["zero_over_zero"] > 25 and seen["pole"] > 20, seen
+
+
+def test_evaluate_reuses_the_carrier_solve(monkeypatch):
+    # the top that locates the limit is not solved again at the limit:
+    # each evaluate makes exactly one SimplexGeometry.numerators call fewer
+    # than the search that tests the carrier's star afresh, and finds the
+    # same cell
+    from germ_reference import star_cell_reference
+    from saet.geometry import SimplexGeometry
+    from saet.germs import eventual_simplex
+
+    calls, original = [], SimplexGeometry.numerators
+
+    def counting(geo, h):
+        calls.append((geo, tuple(h)))
+        return original(geo, h)
+
+    monkeypatch.setattr(SimplexGeometry, "numerators", counting)
+
+    def count(call):
+        calls.clear()
+        result = outcome(call)
+        return result, len(calls)
+
+    located = 0
+    for k, f, germs in differential_cases():
+        for alpha in germs:
+            want, n_ref = count(lambda: star_cell_reference(k, alpha.rows))
+            found, n_star = count(lambda: eventual_simplex(alpha, k))
+            _, n_eval = count(lambda: evaluate(f, alpha))
+            assert found == want and n_eval == n_star
+            if k.locate_h(alpha.rows[0]) is None:
+                assert n_star == n_ref
+            else:
+                assert n_star == n_ref - 1
+                located += 1
+    assert located > 500
 
 
 def test_germ_value_refuses_floats_and_bools():

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, and
-the elimination kernel, the probe's point arithmetic and the germ kernel
-divide no values and build no Fraction."""
+the elimination kernel, the simplex solve and glue planes, the probe's
+point arithmetic and the germ kernel divide no values and build no
+Fraction."""
 
 import ast
 from pathlib import Path
@@ -124,4 +125,13 @@ def test_germ_kernel_divides_no_values(name):
     # a germ value is composed, reduced and multiplied on integer
     # coefficients; Fractions are built only by pair() and _lead
     path = Path(saet.__file__).parent / "germs.py"
+    assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
+
+
+@pytest.mark.parametrize("name", ["barycentric_table", "_shared_face_plane",
+                                  "_hull_normal_plane", "_centroid", "_plane_row"])
+def test_simplex_solve_and_glue_planes_divide_no_values(name):
+    # a simplex's forms come from one fraction-free solve, and the glue
+    # planes of common_face are built on integer points
+    path = Path(saet.__file__).parent / "geometry.py"
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
