@@ -376,6 +376,20 @@ class CarvedSet:
                                                    compare=False)
     _crossing_rows: list[tuple[int, ...]] | None = field(default=None, init=False, repr=False,
                                                          compare=False)
+    _last_top: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _cell(self, h: Sequence[int]) -> int | None:
+        """The open cell of the base complex holding the point h, located
+        from the top that held the last point (``Complex.locate_top`` with
+        a hint), which it then remembers; None outside |K|.  Every hint
+        gives the same cell, so the answer never depends on the queries
+        before it."""
+        k = self.base.complex
+        found = k.locate_top(h, self._last_top)
+        if found is None:
+            return None
+        self._last_top = found[0]
+        return k.open_face(*found)
 
     def member(self, x: Vec) -> bool:
         """Exact membership of the rational point x in the carved set."""
@@ -383,11 +397,14 @@ class CarvedSet:
 
     def member_h(self, h: Sequence[int]) -> bool:
         """``member`` at the point h = (q, p_1, ..., p_n), x = p / q with
-        q > 0, in lowest terms or not: x lies in the base (``locate_h``) and
-        in no removed neighborhood of a unit whose reach box holds it
-        (``reaches_h``, ``removal``).  Every test reads integers and is
-        homogeneous in (q, p); no Fraction is formed."""
-        if self.base.complex.locate_h(h) not in self.base.members:
+        q > 0, in lowest terms or not: x lies in the base and in no removed
+        neighborhood of a unit whose reach box holds it (``reaches_h``,
+        ``removal``).  The base cell is located from the top that held the
+        last point asked of this set (``_cell``), so a stream of nearby
+        points, such as a probe's, mostly skips the bucket search.  Every
+        test reads integers and is homogeneous in (q, p); no Fraction is
+        formed."""
+        if self._cell(h) not in self.base.members:
             return False
         return not any(u.removal(h) != OUTSIDE for u in self.units if u.reaches_h(h))
 
@@ -397,9 +414,9 @@ class CarvedSet:
 
     def closure_member_h(self, h: Sequence[int]) -> bool:
         """``closure_member`` at the point h = (q, p_1, ..., p_n), as
-        ``member_h``: x lies in the closure of the base and in no open
-        inner neighborhood."""
-        if self.base.complex.locate_h(h) not in closure(self.base).members:
+        ``member_h``, located from the same remembered top: x lies in the
+        closure of the base and in no open inner neighborhood."""
+        if self._cell(h) not in closure(self.base).members:
             return False
         return not any(u.removal(h) == INSIDE_OPEN for u in self.units if u.reaches_h(h))
 
@@ -786,8 +803,12 @@ def probe_germ(
     is a positive rational (a float or bool raises TypeError) and samples
     is at least 1.  Reports the connectivity verdict and dimension
     estimates for the germ.  The probe reads the integer bodies
-    ``member_h`` and ``closure_member_h`` of the units near q, and the
-    crossing rows of the whole set.
+    ``member_h`` and ``closure_member_h`` of a carved set of the units
+    near q (``units_near``), and the crossing rows of the whole set.  The
+    preconditions are checked on that set too: a unit outside it has a
+    reach box that misses q, so it could not remove q.  Checking them
+    there also locates q first, so the samples and checkpoints, which lie
+    in the ball around q, walk from its top to the tops near it.
     """
     radius = rat(radius)
     if isinstance(samples, bool) or not isinstance(samples, int):
@@ -798,10 +819,10 @@ def probe_germ(
         raise PreconditionViolated(f"probe needs at least 1 sample, got {samples}")
     q = vec(q)
     h = homogeneous(q)
-    if n.member_h(h):
-        raise PreconditionViolated("probe center lies in the carved set")
-    if not n.closure_member_h(h):
-        raise PreconditionViolated("probe center is outside the closure")
     near = CarvedSet(n.base, n.units_near(q, radius))
+    if near.member_h(h):
+        raise PreconditionViolated("probe center lies in the carved set")
+    if not near.closure_member_h(h):
+        raise PreconditionViolated("probe center is outside the closure")
     return probe_shell(near.member_h, near.closure_member_h, q, radius, samples,
                        random.Random(seed), crossing_rows=n.crossing_rows())

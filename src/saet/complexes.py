@@ -162,13 +162,17 @@ class Complex:
         some closed top holds it.
         """
         found = self.locate_top(h)
-        if found is None:
-            return None
-        sid, nums = found
-        return self.index[tuple(vid for vid, num in zip(self.simplices[sid].vertex_ids, nums)
+        return None if found is None else self.open_face(*found)
+
+    def open_face(self, top: int, nums: Sequence[int]) -> int:
+        """Id of the face of the top spanned by its vertices whose
+        barycentric numerator in ``nums`` is positive: the open cell that
+        holds a point of the closed top with those numerators."""
+        return self.index[tuple(vid for vid, num in zip(self.simplices[top].vertex_ids, nums)
                                 if num)]
 
-    def locate_top(self, h: Sequence[int]) -> tuple[int, list[int]] | None:
+    def locate_top(self, h: Sequence[int],
+                   hint: int | None = None) -> tuple[int, list[int]] | None:
         """The first top cell listed in the bucket of h = (q, p) whose closed
         simplex holds x = p / q, with its barycentric numerators at h
         (``SimplexGeometry.numerators``); None when no closed top holds x.
@@ -176,10 +180,24 @@ class Complex:
         Each listed top is tested first by its closed bounding box and then
         by its integer kernel.  Every test is homogeneous in (q, p), so any
         positive multiple of h gives the same answer.
+
+        A ``hint``, the id of a top cell, makes the location start there:
+        its kernel is tested first, and when its closed simplex holds x it
+        is returned with no bucket search.  Any closed top that holds x has
+        the open cell of x as the face its positive numerators span
+        (``open_face``), so a hinted answer may name another top than the
+        hint-free one, but never another cell.  Queries that move little,
+        such as a probe's samples and checkpoints, mostly stay in the top
+        that held the last point (Devillers, Pion and Teillaud, "Walking in
+        a triangulation", 2002).
         """
         if len(h) != self.n + 1:
             raise ValueError(f"a {len(h) - 1}-dimensional point cannot lie in a complex "
                              f"in {self.n}-dimensional space")
+        if hint is not None:
+            nums, height = self.geometry(hint).numerators(h)
+            if not height and min(nums) >= 0:
+                return hint, nums
         if self._grid is None:
             self._grid = _BucketGrid(self)
         q, *p = h

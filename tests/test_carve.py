@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from complex_generators import grid_tops, wedge_stack_tops
 
 from saet.carve import (
     CarvedSet,
@@ -352,8 +353,6 @@ def _generated_marked_sets():
     """Seeded marked sets: for seeds 0..59 a 3, 4 or 5 grid, for seeds
     0..19 a 2- or 3-prism wedge stack, each minus 1 to 4 random cells of
     lower dimension."""
-    from test_complexes import grid_tops, wedge_stack_tops
-
     for kind, seeds in (("grid", range(60)), ("wedges", range(20))):
         for seed in seeds:
             rng = random.Random(seed)
@@ -390,8 +389,6 @@ def test_collar_refusal_names_the_inequality():
     # the 5 x 5 grid minus the vertex (1/5, 2/5) and two edges: no radius
     # lets the collar around that vertex clear the earlier tube around
     # simplex 89, whose own apex balls cross the separating plane
-    from test_complexes import grid_tops
-
     k = build_complex(*grid_tops(5), validate=False)
     drop = {k.id_of((13,)), k.id_of((15, 21)), k.id_of((19, 26))}
     s = PLSet(k, set(range(len(k.simplices))) - drop)

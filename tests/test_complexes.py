@@ -4,8 +4,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
+from complex_generators import (flat_grid_tops, grid_tops, perturbed_complex, polyline_tops,
+                                wedge_stack_tops)
+from hypothesis_or_skip import assume, example, given, settings, st
 
 from saet import complexes, geometry
 from saet.complexes import (
@@ -202,28 +203,6 @@ def test_apex_rule(square, fix_a):
         assert germ_connected(fix_a, sid)
 
 
-def grid_tops(n: int):
-    """The n x n unit grid, each square split along its rising diagonal."""
-    verts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
-    tops = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            tops += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
-    return verts, tops
-
-
-def wedge_stack_tops(prisms: int):
-    """Wedge prisms over 0 <= y <= x <= 1 stacked along z, three tetrahedra each."""
-    verts, tops = [], []
-    for z in range(prisms + 1):
-        verts += [(F(0), F(0), F(z)), (F(1), F(0), F(z)), (F(1), F(1), F(z))]
-    for lv in range(prisms):
-        a, b, c = 3 * lv, 3 * lv + 1, 3 * lv + 2
-        tops += [(a, b, c, c + 3), (a, b, b + 3, c + 3), (a, a + 3, b + 3, c + 3)]
-    return verts, tops
-
-
 def all_pairs_first_bad_glue(verts, tops):
     """Positions and BadGlue message of the first offending pair in the
     order of combinations(tops, 2), with one LP per pair; None if none."""
@@ -306,21 +285,6 @@ def test_full_suite_glues_without_lp(monkeypatch):
     monkeypatch.setattr(geometry, "intersection_excess", lambda *args: lps.append(args))
     verify.run_suite("full")
     assert lps == []
-
-
-def perturbed_complex(seed: int):
-    """The input of test_broad_phase_matches_all_pairs for one seed: a 3 x 3
-    grid or 3-prism wedge stack with one vertex moved toward the centroid,
-    part of the way, all of it or past it, and the tops shuffled."""
-    rng = random.Random(seed)
-    verts, tops = grid_tops(3) if seed % 2 == 0 else wedge_stack_tops(3)
-    centroid = [sum(axis) / len(verts) for axis in zip(*verts)]
-    step = F(rng.randint(1, 12), 8)
-    v = rng.randrange(len(verts))
-    verts[v] = tuple(c + step * (m - c) + F(rng.randint(-4, 4), 64)
-                     for c, m in zip(verts[v], centroid))
-    rng.shuffle(tops)
-    return verts, tops
 
 
 def common_face_against_lp(monkeypatch, verts1, verts2, shared1, shared2) -> tuple[bool, bool]:
@@ -520,18 +484,6 @@ def all_simplices_locate(k, boxes, x):
     return found[0] if found else None
 
 
-def polyline_tops(edges: int):
-    """A zigzag path of edges in R^2: a 1-D complex with empty interior."""
-    verts = [(F(i, edges), F(i % 2, 3)) for i in range(edges + 1)]
-    return verts, [(i, i + 1) for i in range(edges)]
-
-
-def flat_grid_tops(n: int):
-    """The n x n grid placed in the plane z = 1/2 of R^3 (zero z extent)."""
-    verts, tops = grid_tops(n)
-    return [p + (F(1, 2),) for p in verts], tops
-
-
 def locate_queries(k, rng, count: int):
     """Every vertex and barycenter, then seeded points with coordinates on
     the bucket boundaries of about len(tops) ** (1/n) buckets per axis,
@@ -654,6 +606,95 @@ def test_locate_checks_dimension():
     assert point.locate(()) == 0
     with pytest.raises(ValueError, match="1-dimensional point.* 0-dimensional"):
         point.locate((0,))
+
+
+def probe_like_walk(k, rng, count: int):
+    """Seeded points in the order a shell probe asks them: short steps
+    along random segments, with jumps to a new start, which may lie past
+    the box of the tops, vertices, and points of the closed lower faces,
+    which several tops share.  A step leaves an axis of zero extent only
+    now and then, so a flat complex is walked on as well as left."""
+    used = [k.vertices[v] for t in k.top_ids for v in k.simplex(t).vertex_ids]
+    lo = [min(p[a] for p in used) for a in range(k.n)]
+    hi = [max(p[a] for p in used) for a in range(k.n)]
+    faces = [sid for sid in range(len(k.simplices)) if sid not in k.top_ids]
+
+    def anywhere():
+        return tuple(a + (b - a) * F(rng.randint(-8, 72), 64) for a, b in zip(lo, hi))
+
+    x, pts = anywhere(), []
+    while len(pts) < count:
+        roll = rng.random()
+        if roll < 0.1:
+            x = anywhere()
+        elif roll < 0.15:
+            x = rng.choice(k.vertices)
+        elif roll < 0.3 and faces:
+            corners = k.coords(rng.choice(faces))
+            w = [rng.randint(0, 3) for _ in corners]
+            w[rng.randrange(len(w))] += 1
+            x = tuple(sum(c * wi for c, wi in zip(axis, w)) / sum(w) for axis in zip(*corners))
+        else:
+            x = tuple(c + F(rng.randint(-3, 3), 64) * ((b - a) or (rng.random() < 0.2))
+                      for c, a, b in zip(x, lo, hi))
+        pts.append(x)
+    return pts
+
+
+def test_hinted_location_matches_hint_free_locate():
+    # a location started from the top that held the previous point finds
+    # the cell the hint-free search finds, on probe-like walks over every
+    # generated complex; a carved set, which keeps its own hint between
+    # queries, answers as the hint-free cells say
+    from saet.carve import CarvedSet
+    from saet.rationals import homogeneous
+
+    complexes_under_test = [grid_tops(n) for n in (3, 4, 6)]
+    complexes_under_test += [wedge_stack_tops(p) for p in (2, 4)]
+    complexes_under_test += [polyline_tops(5), flat_grid_tops(3), ([()], [(0,)])]
+    held = moved = outside = 0
+    for seed, (verts, tops) in enumerate(complexes_under_test):
+        rng = random.Random(40 + seed)
+        k = build_complex(verts, tops, validate=False)
+        s = PLSet(k, [sid for sid in range(len(k.simplices)) if rng.random() < 0.6])
+        carved, cl = CarvedSet(s, []), closure(s).members
+        hint = None
+        for x in probe_like_walk(k, rng, 300):
+            h = tuple(rng.choice([1, 1, 3]) * c for c in homogeneous(x))
+            want = k.locate_h(h)
+            found = k.locate_top(h, hint)
+            if found is None:
+                assert want is None, (seed, x)
+                outside += 1
+            else:
+                top, nums = found
+                assert k.open_face(top, nums) == want, (seed, x, hint)
+                assert want in k.faces[top] and nums == k.geometry(top).numerators(h)[0]
+                held += top == hint
+                moved += top != hint
+                hint = top
+            assert carved.member_h(h) == (want in s.members)
+            assert carved.closure_member_h(h) == (want in cl)
+    # the walks stay in the hint's top, leave it for another, and leave |K|
+    assert held > 300 and moved > 300 and outside > 100
+
+
+def test_hinted_location_checks_dimension_first():
+    # a warm hint does not skip the dimension check, in the complex or in a
+    # carved set that keeps one
+    from saet.carve import CarvedSet
+
+    k = build_complex(*grid_tops(3), validate=False)
+    top = k.top_ids[0]
+    carved = CarvedSet(PLSet(k, range(len(k.simplices))), [])
+    assert carved.member((F(1, 9), F(1, 18)))
+    for h in ((9, 1, 1, 0), (9, 1), (1,)):
+        with pytest.raises(ValueError, match=f"{len(h) - 1}-dimensional point.* 2-dimensional"):
+            k.locate_top(h, top)
+        with pytest.raises(ValueError, match=f"{len(h) - 1}-dimensional point"):
+            carved.member_h(h)
+        with pytest.raises(ValueError, match=f"{len(h) - 1}-dimensional point"):
+            carved.closure_member_h(h)
 
 
 def test_validated_build_keeps_its_glue_geometries(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
+from complex_generators import grid_tops, wedge_stack_tops
 
 from saet.complexes import PLSet, closure
 from saet.errors import ConflictFound, HypothesisViolated, NotAFace, Unbounded
@@ -420,7 +421,6 @@ def test_ratio_forms_equal_on_matches_lattice_reference():
 def generated_marked_set(seed):
     """A small grid or wedge stack minus random lower cells, with the rng."""
     from saet.complexes import build_complex
-    from test_complexes import grid_tops, wedge_stack_tops
 
     rng = random.Random(seed)
     if seed % 2 == 0:
@@ -507,7 +507,6 @@ def test_extension_evaluates_each_form_once_per_vertex(monkeypatch):
     # of its cell, and nothing else: the hull identities read vertex values
     from saet import io
     from saet.complexes import build_complex
-    from test_complexes import wedge_stack_tops
 
     verts, tops = wedge_stack_tops(16)
     verts = [(x, y, z - 8) for x, y, z in verts]

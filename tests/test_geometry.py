@@ -9,6 +9,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from complex_generators import grid_tops, perturbed_complex, wedge_stack_tops
 
 from saet.complexes import build_complex
 from saet.errors import DegenerateSimplex
@@ -210,8 +211,6 @@ def agrees_with_gram_inverse(verts):
 def test_solve_matches_gram_inverse_on_grids_and_wedge_stacks():
     # every simplex, faces included, of the 3 x 3 to 8 x 8 grids and of the
     # stacks of 2 to 4 wedge prisms
-    from test_complexes import grid_tops, wedge_stack_tops
-
     checked = 0
     for verts, tops in [grid_tops(n) for n in range(3, 9)] + [wedge_stack_tops(p)
                                                                for p in (2, 3, 4)]:
@@ -308,7 +307,6 @@ def test_glue_planes_are_multiples_of_the_fraction_planes():
     # positive multiples of the Fraction planes, so _separates decides alike
     from geometry_reference import hull_normal_plane, shared_face_plane
     from saet import geometry
-    from test_complexes import grid_tops, perturbed_complex, wedge_stack_tops
 
     inputs = [grid_tops(3), wedge_stack_tops(2)] + [perturbed_complex(s) for s in range(24)]
     inputs.append(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (2, 0, 1)],

@@ -2,9 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import assume
-from hypothesis import strategies as st
+from complex_generators import grid_tops, wedge_stack_tops
+from hypothesis_or_skip import assume, given, settings, st
 
 from saet.complexes import PLSet, closure
 from saet.errors import (
@@ -407,7 +406,6 @@ def _seeded_germs(k, rng, count):
 def test_eventual_simplex_matches_all_cells_reference():
     from saet.complexes import build_complex
     from saet.germs import eventual_simplex
-    from test_complexes import grid_tops, wedge_stack_tops
 
     seen_dims = set()
     outside = 0
@@ -434,7 +432,6 @@ def test_germ_search_reads_only_maximal_cells(monkeypatch):
     from saet.complexes import build_complex
     from saet.geometry import SimplexGeometry
     from saet.germs import eventual_simplex
-    from test_complexes import wedge_stack_tops
 
     k = build_complex(*wedge_stack_tops(2), validate=False)
     dims, original = [], SimplexGeometry.numerators
@@ -707,7 +704,6 @@ def differential_cases():
     the boundary and germs from the zeros of a denominator."""
     from saet import fixtures
     from saet.complexes import build_complex
-    from test_complexes import grid_tops, wedge_stack_tops
 
     square, wedge = fixtures.square_complex(), fixtures.wedge_complex()
     full_square = PLSet(square, range(len(square.simplices)))
@@ -878,7 +874,6 @@ def fraction_cone_simplex(k, c, v, q):
 def test_cone_search_matches_fraction_reference(wedge, fix_c):
     from saet.complexes import build_complex
     from saet.germs import _eventual_cone_simplex
-    from test_complexes import grid_tops, wedge_stack_tops
 
     # the cones of the wedge fixture: the base edge (0, 1), apexes on the
     # canonical segment of the tetrahedron (0, 1, 2, 5)

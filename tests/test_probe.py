@@ -225,3 +225,30 @@ def test_meeting_rows_match_the_fraction_reference():
         kept += want
         tangent += want and fc * fc == radius * radius * sum(g * g for g in grad)
     assert 0 < kept < 300 and tangent > 20
+
+
+def test_probe_points_mostly_skip_the_bucket_search(monkeypatch):
+    # the probes of the carved 6-grid cut locate 7908 points, and each
+    # starts from the top that held the last one; 538 of them (6.8%) fall
+    # back to the bucket search, where every point took it before
+    from saet import complexes
+
+    carved = appropriate_embed(grid_cut(6)).carved
+    cases = _wall_centers(carved, 2)
+    queries, searches = [], []
+    locate_top, candidates = complexes.Complex.locate_top, complexes._BucketGrid.candidates
+
+    def counting_locate(k, h, hint=None):
+        queries.append(h)
+        return locate_top(k, h, hint)
+
+    def counting_search(grid, h):
+        searches.append(h)
+        return candidates(grid, h)
+
+    monkeypatch.setattr(complexes.Complex, "locate_top", counting_locate)
+    monkeypatch.setattr(complexes._BucketGrid, "candidates", counting_search)
+    for i, (q, r) in enumerate(cases):
+        probe_germ(carved, q, r, 32, seed=i)
+    assert len(cases) == 24 and len(queries) > 7000
+    assert 10 * len(searches) <= len(queries)
