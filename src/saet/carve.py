@@ -260,6 +260,16 @@ class CarveUnit:
                 return False
         return True
 
+    def meets_hull(self, rows: Sequence[Sequence[int]]) -> bool:
+        """The closed bounding box of the points rows, each (q, p_1, ...,
+        p_n), meets the reach box: on every axis some point lies at or
+        above its lower end and some point at or below its upper end
+        (exact, cross-multiplied)."""
+        scale, bounds = self._reach_bounds
+        return all(any(h[a] * scale >= lo * h[0] for h in rows)
+                   and any(h[a] * scale <= hi * h[0] for h in rows)
+                   for a, (lo, hi) in enumerate(bounds, 1))
+
     @cached_property
     def wall_forms(self) -> list[AffineForm]:
         """Rational wall forms of the carved inner tube, built once."""
@@ -368,7 +378,15 @@ def _sqrt_upper(x: Fraction) -> Fraction:
 
 @dataclass
 class CarvedSet:
-    """A marked set minus a family of half-open certified neighborhoods."""
+    """A marked set minus a family of half-open certified neighborhoods.
+
+    Member tests locate the point in a closed top of the base complex and
+    test only the units listed for that top: those whose reach box meets
+    the top's closed bounding box, listed once per top on its first query
+    (``_units_at``).  A unit whose reach box holds a point of the top is
+    always listed, so the lists skip only units that ``reaches_h`` rejects.
+    ``units`` is read when a top is first listed; it is not meant to change
+    after the first query."""
 
     base: PLSet
     units: list[CarveUnit] = field(default_factory=list)
@@ -377,19 +395,37 @@ class CarvedSet:
     _crossing_rows: list[tuple[int, ...]] | None = field(default=None, init=False, repr=False,
                                                          compare=False)
     _last_top: int | None = field(default=None, init=False, repr=False, compare=False)
+    _top_units: dict[int, tuple[CarveUnit, ...]] = field(default_factory=dict, init=False,
+                                                         repr=False, compare=False)
 
-    def _cell(self, h: Sequence[int]) -> int | None:
-        """The open cell of the base complex holding the point h, located
-        from the top that held the last point (``Complex.locate_top`` with
-        a hint), which it then remembers; None outside |K|.  Every hint
-        gives the same cell, so the answer never depends on the queries
-        before it."""
+    def _cell(self, h: Sequence[int]) -> tuple[int, int] | None:
+        """The open cell of the base complex holding the point h, and a
+        closed top that holds h; None outside |K|.  The location starts
+        from the top that held the last point (``Complex.locate_top`` with a
+        hint), and the top found is remembered for the next one.  Every
+        hint gives the same cell, so the cell never depends on the queries
+        before it; the top may, but any closed top that holds h serves
+        ``_units_at``."""
         k = self.base.complex
         found = k.locate_top(h, self._last_top)
         if found is None:
             return None
-        self._last_top = found[0]
-        return k.open_face(*found)
+        top, nums = found
+        self._last_top = top
+        return k.open_face(top, nums), top
+
+    def _units_at(self, top: int) -> tuple[CarveUnit, ...]:
+        """The units whose reach box meets the closed bounding box of the
+        top cell, in ``units`` order, found once per top from its integer
+        vertex rows (``CarveUnit.meets_hull``).  A reach box that holds a
+        point of the closed top meets its box, so every unit that
+        ``reaches_h`` accepts at such a point is listed."""
+        listed = self._top_units.get(top)
+        if listed is None:
+            k = self.base.complex
+            rows = [k.vertex_rows[v] for v in k.simplices[top].vertex_ids]
+            listed = self._top_units[top] = tuple(u for u in self.units if u.meets_hull(rows))
+        return listed
 
     def member(self, x: Vec) -> bool:
         """Exact membership of the rational point x in the carved set."""
@@ -399,14 +435,17 @@ class CarvedSet:
         """``member`` at the point h = (q, p_1, ..., p_n), x = p / q with
         q > 0, in lowest terms or not: x lies in the base and in no removed
         neighborhood of a unit whose reach box holds it (``reaches_h``,
-        ``removal``).  The base cell is located from the top that held the
-        last point asked of this set (``_cell``), so a stream of nearby
-        points, such as a probe's, mostly skips the bucket search.  Every
-        test reads integers and is homogeneous in (q, p); no Fraction is
-        formed."""
-        if self._cell(h) not in self.base.members:
+        ``removal``).  The base cell and a closed top holding x are located
+        from the top that held the last point asked of this set
+        (``_cell``), so a stream of nearby points, such as a probe's, mostly
+        skips the bucket search; only the units listed for that top are
+        tested (``_units_at``).  Every test reads integers and is
+        homogeneous in (q, p); no Fraction is formed."""
+        found = self._cell(h)
+        if found is None or found[0] not in self.base.members:
             return False
-        return not any(u.removal(h) != OUTSIDE for u in self.units if u.reaches_h(h))
+        return not any(u.removal(h) != OUTSIDE for u in self._units_at(found[1])
+                       if u.reaches_h(h))
 
     def closure_member(self, x: Vec) -> bool:
         """Exact predicate for the realized closure under the certificates."""
@@ -414,11 +453,14 @@ class CarvedSet:
 
     def closure_member_h(self, h: Sequence[int]) -> bool:
         """``closure_member`` at the point h = (q, p_1, ..., p_n), as
-        ``member_h``, located from the same remembered top: x lies in the
-        closure of the base and in no open inner neighborhood."""
-        if self._cell(h) not in closure(self.base).members:
+        ``member_h``, located from the same remembered top and testing the
+        same listed units: x lies in the closure of the base and in no open
+        inner neighborhood."""
+        found = self._cell(h)
+        if found is None or found[0] not in closure(self.base).members:
             return False
-        return not any(u.removal(h) == INSIDE_OPEN for u in self.units if u.reaches_h(h))
+        return not any(u.removal(h) == INSIDE_OPEN for u in self._units_at(found[1])
+                       if u.reaches_h(h))
 
     def units_near(self, center: Vec, radius: Fraction) -> list[CarveUnit]:
         """Units whose outer neighborhood can meet the given ball: those

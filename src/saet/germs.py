@@ -301,7 +301,8 @@ def _star_cell(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
     coordinates are all lexicographically >= 0 gives the face spanned by
     the vertices whose coordinate is not identically 0.  The top that
     ``Complex.locate_top`` found holding the limit is one of them, and its
-    numerators at the limit are reused.
+    numerators at the limit are reused, as are a cell's numerators at a
+    point equal to the one before it.
     """
     found = k.locate_top(points[0])
     if found is None:
@@ -315,8 +316,11 @@ def _star_cell(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
             continue  # not maximal
         geo = k.geometry(sid)
         coords = [top_nums] if sid == top else []
-        for h in points[len(coords):]:
-            nums, height = geo.numerators(h)
+        for i in range(len(coords), len(points)):
+            if i and points[i] == points[i - 1]:
+                coords.append(coords[-1])  # e.g. c + v = c for v = 0
+                continue
+            nums, height = geo.numerators(points[i])
             if height:
                 break
             coords.append(nums)

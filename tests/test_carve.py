@@ -467,6 +467,92 @@ def test_reach_box_rejection_is_exact(marked):
     assert rejected and kept and removed
 
 
+def _generated(kind: str, seed: int) -> PLSet:
+    return next(s for k, i, s in _generated_marked_sets() if (k, i) == (kind, seed))
+
+
+def _points_on_shared_faces(k, rng):
+    """Every vertex, and seeded points on each edge of two or more tops,
+    some close to an end, where balls and tubes meet."""
+    pts = list(k.vertices)
+    for sid, s in enumerate(k.simplices):
+        if len(s.vertex_ids) == 2 and len(k.cofaces[sid]) > 2:
+            a, b = k.coords(sid)
+            for t in (F(1, 2 ** rng.randint(2, 9)), F(rng.randint(1, 63), 64)):
+                pts.append(tuple(p + t * (r - p) for p, r in zip(a, b)))
+    return pts
+
+
+@pytest.mark.parametrize("marked", [
+    lambda: grid_cut(6),
+    lambda: grid_punctured(6, [(1, 1), (3, 4), (4, 2)]),
+    lambda: _generated("grid", 0),
+    lambda: _generated("wedges", 6),
+], ids=["cut", "punctured", "grid-0", "wedges-6"])
+def test_units_listed_per_top_match_every_unit(marked):
+    # member and closure_member test only the units listed for the closed
+    # top that locates the point; whichever top holding the point the hint
+    # names, they agree with the same predicates over every unit
+    from saet.rationals import homogeneous
+
+    carved = appropriate_embed(marked()).carved
+    base, cl, k = carved.base, closure(carved.base), carved.base.complex
+    assert carved.units
+    rng = random.Random(21)
+    pts = _points_on_shared_faces(k, rng)
+    for u in carved.units:
+        pts += [tuple(lo - (hi - lo) + 3 * (hi - lo) * F(rng.randint(0, 240), 240)
+                      for lo, hi in u.reach_box) for _ in range(12)]
+    shared = removed = 0
+    for x in pts:
+        h = homogeneous(x)
+        member = base.contains_point(x) and not any(w.removes(x) for w in carved.units)
+        closed = cl.contains_point(x) and not any(
+            w.removes_from_closure(x) for w in carved.units)
+        holding = []
+        for top in k.top_ids:
+            nums, height = k.geometry(top).numerators(h)
+            if not height and min(nums) >= 0:
+                holding.append(top)
+        for hint in (None, *holding):
+            carved._last_top = hint
+            assert carved.member(x) == member, (x, hint)
+            carved._last_top = hint
+            assert carved.closure_member(x) == closed, (x, hint)
+        shared += len(holding) > 1
+        removed += base.contains_point(x) and not member
+    assert shared > 20 and removed
+
+
+def test_member_tests_few_units_on_cut_grid_8(monkeypatch, cut8):
+    # a member or closure_member query tests the reach boxes of the units
+    # listed for the top that holds the point, at most 5 of the 17 units
+    # on the 8 x 8 cut grid, and about one on average over the grid
+    from saet.carve import CarveUnit
+
+    carved = cut8.carved
+    assert len(carved.units) == 17
+    original, calls = CarveUnit.reaches_h, []
+
+    def counting(unit, h):
+        calls.append(unit)
+        return original(unit, h)
+
+    monkeypatch.setattr(CarveUnit, "reaches_h", counting)
+    rng = random.Random(21)
+    per_query = []
+    for i in range(16):
+        for j in range(16):
+            x = (F(256 * i + rng.randint(1, 255), 16 * 256),
+                 F(256 * j + rng.randint(1, 255), 16 * 256))
+            for query in (carved.member, carved.closure_member):
+                calls.clear()
+                query(x)
+                per_query.append(len(calls))
+    assert max(per_query) <= 5
+    assert sum(per_query) <= 1.5 * len(per_query)
+
+
 def test_probes_build_wall_forms_once(monkeypatch):
     # a tube's rational wall forms depend on the tube only: each tube
     # solves for its normal on the first probe, not on every probe

@@ -443,7 +443,7 @@ def test_rank_matches_fraction_gauss_jordan_on_wide_rows():
 
 
 def test_elimination_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy", exc_type=ImportError)
     rng = random.Random(1309)
     for n in range(1, 6):
         for trial in range(8):
