@@ -260,16 +260,6 @@ class CarveUnit:
                 return False
         return True
 
-    def meets_hull(self, rows: Sequence[Sequence[int]]) -> bool:
-        """The closed bounding box of the points rows, each (q, p_1, ...,
-        p_n), meets the reach box: on every axis some point lies at or
-        above its lower end and some point at or below its upper end
-        (exact, cross-multiplied)."""
-        scale, bounds = self._reach_bounds
-        return all(any(h[a] * scale >= lo * h[0] for h in rows)
-                   and any(h[a] * scale <= hi * h[0] for h in rows)
-                   for a, (lo, hi) in enumerate(bounds, 1))
-
     @cached_property
     def wall_forms(self) -> list[AffineForm]:
         """Rational wall forms of the carved inner tube, built once."""
@@ -383,7 +373,7 @@ class CarvedSet:
     Member tests locate the point in a closed top of the base complex and
     test only the units listed for that top: those whose reach box meets
     the top's closed bounding box, listed once per top on its first query
-    (``_units_at``).  A unit whose reach box holds a point of the top is
+    (``_list_units``).  A unit whose reach box holds a point of the top is
     always listed, so the lists skip only units that ``reaches_h`` rejects.
     ``units`` is read when a top is first listed; it is not meant to change
     after the first query."""
@@ -398,33 +388,33 @@ class CarvedSet:
     _top_units: dict[int, tuple[CarveUnit, ...]] = field(default_factory=dict, init=False,
                                                          repr=False, compare=False)
 
-    def _cell(self, h: Sequence[int]) -> tuple[int, int] | None:
-        """The open cell of the base complex holding the point h, and a
-        closed top that holds h; None outside |K|.  The location starts
-        from the top that held the last point (``Complex.locate_top`` with a
-        hint), and the top found is remembered for the next one.  Every
-        hint gives the same cell, so the cell never depends on the queries
-        before it; the top may, but any closed top that holds h serves
-        ``_units_at``."""
-        k = self.base.complex
-        found = k.locate_top(h, self._last_top)
-        if found is None:
-            return None
-        top, nums = found
-        self._last_top = top
-        return k.open_face(top, nums), top
+    def _top(self, h: Sequence[int]) -> tuple[int, list[int]] | None:
+        """A closed top of the base complex that holds the point h, with its
+        barycentric numerators at h (``Complex.locate_top``); None outside
+        |K|.  The location starts from the top that held the last point,
+        and the top found is remembered for the next one.  Every hint gives
+        the same open cell (``Complex.open_face``), so the cell never
+        depends on the queries before it; the top may, but any closed top
+        that holds h serves ``_list_units``."""
+        found = self.base.complex.locate_top(h, self._last_top)
+        if found is not None:
+            self._last_top = found[0]
+        return found
 
-    def _units_at(self, top: int) -> tuple[CarveUnit, ...]:
+    def _list_units(self, top: int) -> tuple[CarveUnit, ...]:
         """The units whose reach box meets the closed bounding box of the
-        top cell, in ``units`` order, found once per top from its integer
-        vertex rows (``CarveUnit.meets_hull``).  A reach box that holds a
-        point of the closed top meets its box, so every unit that
-        ``reaches_h`` accepts at such a point is listed."""
-        listed = self._top_units.get(top)
-        if listed is None:
+        top cell, in ``units`` order, found from its integer vertex rows
+        (``BoxNumerators.hull``, ``CarveUnit.meets``) and kept in
+        ``_top_units``.  A reach box that holds a point of the closed top
+        meets its box, so every unit that ``reaches_h`` accepts at such a
+        point is listed."""
+        listed = ()
+        if self.units:
             k = self.base.complex
-            rows = [k.vertex_rows[v] for v in k.simplices[top].vertex_ids]
-            listed = self._top_units[top] = tuple(u for u in self.units if u.meets_hull(rows))
+            rows = (k.vertex_rows[v] for v in k.simplices[top].vertex_ids)
+            box = BoxNumerators.hull([BoxNumerators(r[0], r[1:], r[1:]) for r in rows])
+            listed = tuple(u for u in self.units if u.meets(box))
+        self._top_units[top] = listed
         return listed
 
     def member(self, x: Vec) -> bool:
@@ -435,17 +425,19 @@ class CarvedSet:
         """``member`` at the point h = (q, p_1, ..., p_n), x = p / q with
         q > 0, in lowest terms or not: x lies in the base and in no removed
         neighborhood of a unit whose reach box holds it (``reaches_h``,
-        ``removal``).  The base cell and a closed top holding x are located
-        from the top that held the last point asked of this set
-        (``_cell``), so a stream of nearby points, such as a probe's, mostly
+        ``removal``).  A closed top holding x, and with it the base cell, is
+        located from the top that held the last point asked of this set
+        (``_top``), so a stream of nearby points, such as a probe's, mostly
         skips the bucket search; only the units listed for that top are
-        tested (``_units_at``).  Every test reads integers and is
+        tested (``_list_units``).  Every test reads integers and is
         homogeneous in (q, p); no Fraction is formed."""
-        found = self._cell(h)
-        if found is None or found[0] not in self.base.members:
+        found = self._top(h)
+        if found is None or self.base.complex.open_face(*found) not in self.base.members:
             return False
-        return not any(u.removal(h) != OUTSIDE for u in self._units_at(found[1])
-                       if u.reaches_h(h))
+        units = self._top_units.get(found[0])
+        if units is None:
+            units = self._list_units(found[0])
+        return not any(u.removal(h) != OUTSIDE for u in units if u.reaches_h(h))
 
     def closure_member(self, x: Vec) -> bool:
         """Exact predicate for the realized closure under the certificates."""
@@ -456,11 +448,13 @@ class CarvedSet:
         ``member_h``, located from the same remembered top and testing the
         same listed units: x lies in the closure of the base and in no open
         inner neighborhood."""
-        found = self._cell(h)
-        if found is None or found[0] not in closure(self.base).members:
+        found = self._top(h)
+        if found is None or self.base.complex.open_face(*found) not in closure(self.base).members:
             return False
-        return not any(u.removal(h) == INSIDE_OPEN for u in self._units_at(found[1])
-                       if u.reaches_h(h))
+        units = self._top_units.get(found[0])
+        if units is None:
+            units = self._list_units(found[0])
+        return not any(u.removal(h) == INSIDE_OPEN for u in units if u.reaches_h(h))
 
     def units_near(self, center: Vec, radius: Fraction) -> list[CarveUnit]:
         """Units whose outer neighborhood can meet the given ball: those

@@ -301,8 +301,7 @@ def _star_cell(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
     coordinates are all lexicographically >= 0 gives the face spanned by
     the vertices whose coordinate is not identically 0.  The top that
     ``Complex.locate_top`` found holding the limit is one of them, and its
-    numerators at the limit are reused, as are a cell's numerators at a
-    point equal to the one before it.
+    numerators at the limit are reused.
     """
     found = k.locate_top(points[0])
     if found is None:
@@ -316,11 +315,8 @@ def _star_cell(k: Complex, points: Sequence[Sequence[int]]) -> int | None:
             continue  # not maximal
         geo = k.geometry(sid)
         coords = [top_nums] if sid == top else []
-        for i in range(len(coords), len(points)):
-            if i and points[i] == points[i - 1]:
-                coords.append(coords[-1])  # e.g. c + v = c for v = 0
-                continue
-            nums, height = geo.numerators(points[i])
+        for h in points[len(coords):]:
+            nums, height = geo.numerators(h)
             if height:
                 break
             coords.append(nums)
