@@ -61,7 +61,6 @@ from .metric import (
     Hyperplane,
     certificate_for,
     certify_epsilon,
-    face_functionals,
     incenter,
     separating_hyperplane,
 )
@@ -73,7 +72,7 @@ from .tubes import (
     Tube,
     VertexBall,
     hat_lift_membership,
-    tube_membership,
+    membership,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

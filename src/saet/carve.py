@@ -23,7 +23,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .complexes import Complex, PLSet, bounding_box, closure, eta
+from .complexes import Complex, PLSet, closure, eta
 from .errors import BadOrder, OutOfDomain, PreconditionViolated
 from .intervals import (BoxNumerators, Interval, IntervalPoint, interval_sqrt, product_bounds,
                         quotient_bounds, sqrt_bounds, square_bounds)
@@ -31,7 +31,7 @@ from .metric import FaceFunctionals, _Conditions, _first_certified, _proper_peer
 from .probe import ProbeReport, probe_shell
 from .rationals import (AffineForm, Vec, dot, homogeneous, rat, rat_str, rational_sqrt,
                         solve, vec)
-from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership_h, tube_status
+from .tubes import INSIDE_OPEN, OUTSIDE, Tube, VertexBall, membership_h, reach_box, tube_status
 
 PUSH = "push"
 PULL = "pull"
@@ -43,11 +43,13 @@ def snap_eps_sq(eps_sq: Fraction) -> Fraction:
     At such eps the half-width parameter satisfies ((eps/2)*)^2 = 1/q^2, so
     the carved wall of a codimension-1 tube carries exact rational points;
     conditions certified at eps_sq stay certified at the smaller value.
+    For eps_sq = a/b the bound reads q^2 >= c with c = ceil((4b - a)/a),
+    so q is the least integer >= 2 whose square reaches c.
     """
     eps_sq = Fraction(eps_sq)
-    q = 2
-    while Fraction(4, q * q + 1) > eps_sq:
-        q += 1
+    a, b = eps_sq.numerator, eps_sq.denominator
+    c = -((a - 4 * b) // a)
+    q = max(2, isqrt(max(c - 1, 0)) + 1)
     return Fraction(4, q * q + 1)
 
 
@@ -78,7 +80,7 @@ def deformation_coeffs(s, s_prime) -> DeformCoeffs:
     else:
         s, s_prime = Interval.of(s), Interval.of(s_prime)
         gap = s_prime - s
-        if not (Interval.of(0).certainly_lt(s) and gap.lo > 0):
+        if not (s.lo > 0 and gap.lo > 0):
             raise BadOrder("need 0 < s < s' (certified)")
     a1 = s
     a2 = gap / s_prime
@@ -216,21 +218,11 @@ class CarveUnit:
 
     @cached_property
     def reach_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The box of the base inflated by reach, which holds the closed
-        outer neighborhood: reach is a ball's radius, or a tube's maximal
-        normal height eps* diam (both rounded up to a rational).
-
-        A point or box outside it is outside the unit's inner and outer
-        neighborhoods, so member tests and the deformation maps skip the
-        unit there; the test compares rationals, so the skip is exact."""
-        outer = self.outer
-        if self.is_ball:
-            reach = _sqrt_upper(outer.radius_sq)
-        else:
-            diam_sq = max(sum((a - b) ** 2 for a, b in zip(v, w))
-                          for v in outer.vertices for w in outer.vertices)
-            reach = _sqrt_upper(outer.eps_star_sq * diam_sq)
-        return tuple((lo - reach, hi + reach) for lo, hi in bounding_box(outer.vertices))
+        """``tubes.reach_box`` of the outer neighborhood.  A point or box
+        outside it is outside the unit's inner and outer neighborhoods, so
+        member tests and the deformation maps skip the unit there; the test
+        compares rationals, so the skip is exact."""
+        return reach_box(self.outer)
 
     @cached_property
     def _reach_bounds(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -239,13 +231,10 @@ class CarveUnit:
         scale, *ends = homogeneous([c for axis in self.reach_box for c in axis])
         return scale, tuple(zip(ends[::2], ends[1::2]))
 
-    def reaches(self, x: Vec) -> bool:
-        """x lies in the reach box; when it does not, x is outside the outer
-        neighborhood and so outside the inner one too."""
-        return self.reaches_h(homogeneous(vec(x)))
-
     def reaches_h(self, h: Sequence[int]) -> bool:
-        """``reaches`` at the point h = (q, p_1, ..., p_n), cross-multiplied."""
+        """The point h = (q, p_1, ..., p_n) lies in the reach box,
+        cross-multiplied; when it does not, it is outside the outer
+        neighborhood and so outside the inner one too."""
         scale, bounds = self._reach_bounds
         q = h[0]
         return all(lo * q <= c * scale <= hi * q for c, (lo, hi) in zip(h[1:], bounds))
@@ -265,15 +254,7 @@ class CarveUnit:
         """Rational wall forms of the carved inner tube, built once."""
         return _wall_forms(self)
 
-    # --- member predicates (exact, rational points) ------------------------
-
-    def removes(self, x: Vec) -> bool:
-        """x lies in the removed half-open inner neighborhood."""
-        return self.removal(homogeneous(vec(x))) != OUTSIDE
-
-    def removes_from_closure(self, x: Vec) -> bool:
-        """x lies in the open inner neighborhood, which the closure loses."""
-        return self.removal(homogeneous(vec(x))) == INSIDE_OPEN
+    # --- member predicate (exact, integer points) ----------------------------
 
     def removal(self, h: Sequence[int]) -> str:
         """The inner neighborhood's trichotomy (``tubes.membership_h``) at
@@ -359,11 +340,6 @@ class CarveUnit:
         p_lo, p_hi = product_bounds(x_lo, x_hi, u[0], u[1])
         s_lo, s_hi = product_bounds(y_lo, y_hi, v[0], v[1])
         return p_lo * v[2] + s_lo * u[2], p_hi * v[2] + s_hi * u[2], den * u[2] * v[2]
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
 
 
 @dataclass
@@ -458,11 +434,11 @@ class CarvedSet:
 
     def units_near(self, center: Vec, radius: Fraction) -> list[CarveUnit]:
         """Units whose outer neighborhood can meet the given ball: those
-        whose reach box, grown by the radius, holds its center."""
-        center = vec(center)
-        return [u for u in self.units
-                if all(lo - radius <= c <= hi + radius
-                       for c, (lo, hi) in zip(center, u.reach_box))]
+        whose reach box meets the box [center - radius, center + radius]
+        (``CarveUnit.meets``)."""
+        q, *ends = homogeneous([c + s for c in vec(center) for s in (-radius, radius)])
+        box = BoxNumerators(q, tuple(ends[::2]), tuple(ends[1::2]))
+        return [u for u in self.units if u.meets(box)]
 
     def crossing_forms(self) -> list[AffineForm]:
         """Affine forms whose zero sets carry the PL part of the boundary:
@@ -545,12 +521,14 @@ class DeformationMap:
     propagated enclosure straddles a branch interface the hull of the
     applicable formulas is returned (valid since the maps agree there).
 
-    Each level writes its enclosure once as integers over one common
-    denominator (``BoxNumerators``) and decides on them: the reach test,
-    each unit's barycentric and height bounds, its outside and inside
-    tests, its formula and the hull.  A level builds Fractions only for the
-    ``IntervalPoint`` it hands on, the rational box that the Fraction
-    interval operations of Moore's interval analysis give, bound for bound.
+    The input is written once as integers over one common denominator
+    (``BoxNumerators``), and each level takes and returns such a box,
+    deciding on its integers: the reach test, each unit's barycentric and
+    height bounds, its outside and inside tests, its formula and the hull.
+    Every step is exact and homogeneous in the denominator, so the box need
+    not be in lowest terms.  The ``IntervalPoint`` is built once, on
+    return: the rational box that the Fraction interval operations of
+    Moore's interval analysis give, bound for bound.
 
     A level touches only the units whose reach box meets the enclosure.
     The reach box holds the unit's closed outer neighborhood, outside of
@@ -566,44 +544,45 @@ class DeformationMap:
         self.levels = [list(lv) for lv in levels]
         self.base = base
 
-    def _apply_level(self, units, box: IntervalPoint, ints: BoxNumerators,
-                     bits: int) -> IntervalPoint:
+    def _apply_level(self, units, box: BoxNumerators, bits: int) -> BoxNumerators:
+        """The level's image of the box: the hull of the formulas of the
+        units that may hold it, and of the box itself unless one unit
+        certainly holds it in its open outer neighborhood."""
         candidates = []
         identity_possible = True
         for u in units:
-            data = u._box_data(ints)
+            data = u._box_data(box)
             if u.certainly_outside_outer(data):
                 continue
-            candidates.append(u.map_box(ints, data, self.direction, bits))
+            candidates.append(u.map_box(box, data, self.direction, bits))
             if u.certainly_inside_outer_open(data):
                 identity_possible = False
         if identity_possible:
-            if not candidates:
-                return box
-            candidates.append(ints)
-        return (candidates[0] if len(candidates) == 1
-                else BoxNumerators.hull(candidates)).interval_point()
+            candidates.append(box)
+        return candidates[0] if len(candidates) == 1 else BoxNumerators.hull(candidates)
 
     def evaluate(self, x, bits: int = 64) -> IntervalPoint:
-        box = x if isinstance(x, IntervalPoint) else IntervalPoint(vec(x))
+        start = x if isinstance(x, IntervalPoint) else IntervalPoint(vec(x))
         n = self.base.complex.n
-        if len(box) != n:
-            raise ValueError(f"a {len(box)}-dimensional point or box cannot be mapped "
+        if len(start) != n:
+            raise ValueError(f"a {len(start)}-dimensional point or box cannot be mapped "
                              f"in {n}-dimensional space")
+        if not self.levels:
+            return start
         order = self.levels if self.direction == PUSH else list(reversed(self.levels))
+        box = first = start.numerators()
         for units in order:
-            ints = box.numerators()
-            near = [u for u in units if u.meets(ints)]
+            near = [u for u in units if u.meets(box)]
             # points exactly on a carved base boundary are fixed by the level
-            if near and ints.lo == ints.hi:
-                h = (ints.q, *ints.lo)
+            if near and box.lo == box.hi:
+                h = (box.q, *box.lo)
                 status = {u._point_status(h) for u in near}
                 if "fixed" in status:
                     continue
                 if "undefined" in status:
                     raise OutOfDomain("map is undefined on the carved cell itself")
-            box = self._apply_level(near, box, ints, bits)
-        return box
+            box = self._apply_level(near, box, bits)
+        return start if box is first else box.interval_point()
 
     def __call__(self, x, bits: int = 64) -> IntervalPoint:
         return self.evaluate(x, bits)
@@ -743,19 +722,19 @@ class _ConeCompatibility:
         opposite = tuple(i for i, w in enumerate(k.simplex(pid).vertex_ids) if w != vid)
         self.pid, self.tube = pid, tube
         self.d_sq = k.geometry(pid).face_geometry(opposite).dist_sq(v)
-        self.facets = [
-            (fv, nsq, interval_sqrt(Interval(nsq), 64))
-            for f, nsq in zip(tube.ff.forms, tube.ff.norm_sq, strict=True)
-            if (fv := f(v)) != 0
-        ]
+        self.facets = [(fv, nsq) for f, nsq in zip(tube.ff.forms, tube.ff.norm_sq, strict=True)
+                       if (fv := f(v)) != 0]
 
     def _dominated(self, r_sq: Fraction):
-        """Whether each facet away from v stays inactive in the ball, lazily."""
-        rv = interval_sqrt(Interval(r_sq), 64)
-        for fv, nsq, un in self.facets:
-            # need eps* (f(v) - ||u|| r) > ||u|| r, squared conservatively
-            margin = Interval(fv) - un * rv
-            yield margin.lo > 0 and (margin.square() * self.tube.eps_star_sq).lo > r_sq * nsq
+        """Whether each facet away from v stays inactive in the ball, lazily:
+        eps* (f(v) - ||u|| r) > ||u|| r, decided on rationals.  With f = f(v),
+        w = ||u||^2 r^2 and e = eps*^2 it holds exactly when f > 0, f^2 > w,
+        and A = e (f^2 + w) - w satisfies A > 0 and A^2 > 4 e^2 f^2 w."""
+        e = self.tube.eps_star_sq
+        for fv, nsq in self.facets:
+            w = nsq * r_sq
+            a = e * (fv * fv + w) - w
+            yield fv > 0 and fv * fv > w and a > 0 and a * a > 4 * e * e * fv * fv * w
 
     def refusal(self, r_sq: Fraction) -> str | None:
         if not 4 * r_sq < self.d_sq:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
 from .geometry import SimplexGeometry, common_face
-from .rationals import Vec, affinely_independent, homogeneous, vec
+from .rationals import Vec, homogeneous, vec
 
 
 _ONE = Fraction(1)
@@ -351,12 +351,14 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     Raises DegenerateSimplex for affinely dependent vertex lists and BadGlue
     when two simplices intersect outside a common face.
 
-    Gluing is checked in three phases, on integers throughout: each top's
-    ``SimplexGeometry`` is built once (its fraction-free solve also proves
-    the vertices affinely independent), and the vertices are written once
-    over one common denominator for the boxes.  The broad phase sorts the
-    tops by the lower bound of their closed bounding boxes on axis 0 and
-    sweeps, keeping the pairs whose boxes meet on every axis.  The narrow
+    Each top's ``SimplexGeometry`` is built once, with or without
+    ``validate``: its fraction-free solve proves the vertices affinely
+    independent, and the complex keeps it for ``Complex.geometry``.
+    Gluing, checked only with ``validate``, runs in three phases on
+    integers throughout; the vertices are written once over one common
+    denominator for the boxes.  The broad phase sorts the tops by the
+    lower bound of their closed bounding boxes on axis 0 and sweeps,
+    keeping the pairs whose boxes meet on every axis.  The narrow
     phase runs ``common_face`` on those pairs only, in the order of
     ``combinations(tops, 2)``, so the first BadGlue names the same pair an
     all-pairs check would.  ``common_face`` first looks for a separating
@@ -386,14 +388,10 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
             raise ValueError(f"top simplex {t} has no vertices")
         if t.vertex_ids[0] < 0 or t.vertex_ids[-1] >= len(pts):
             raise ValueError(f"vertex id out of range in {t}")
-        verts = [pts[i] for i in t.vertex_ids]
-        if validate:
-            try:
-                geos.append(SimplexGeometry(verts))
-            except DegenerateSimplex:
-                raise DegenerateSimplex(f"{t} has affinely dependent vertices") from None
-        elif not affinely_independent(verts):
-            raise DegenerateSimplex(f"{t} has affinely dependent vertices")
+        try:
+            geos.append(SimplexGeometry([pts[i] for i in t.vertex_ids]))
+        except DegenerateSimplex:
+            raise DegenerateSimplex(f"{t} has affinely dependent vertices") from None
 
     if validate:
         _, *ints = homogeneous([c for p in pts for c in p])
@@ -416,10 +414,9 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     keys = {ids: i for i, ids in enumerate(ordered)}
     top_ids = sorted(keys[t.vertex_ids] for t in tops)
     k = Complex(pts, simplices, top_ids)
-    if validate:
-        # the glue geometries are the ones Complex.geometry would build: the
-        # same sorted vertex order
-        k._geom.update((keys[t.vertex_ids], geo) for t, geo in zip(tops, geos))
+    # the tops' geometries are the ones Complex.geometry would build: the
+    # same sorted vertex order
+    k._geom.update((keys[t.vertex_ids], geo) for t, geo in zip(tops, geos))
     return k
 
 

@@ -9,7 +9,7 @@ from .carve import CarvedSet
 from .complexes import Complex, PLSet
 from .errors import DimensionTooHigh, PreconditionViolated
 from .extend import ExtensionReport
-from .tubes import OUTSIDE, Tube, VertexBall, membership
+from .tubes import OUTSIDE, Tube, VertexBall, membership, reach_box
 
 
 def _coord(x: Fraction) -> str:
@@ -163,24 +163,10 @@ def _grid_raster(member, bbox, path: str, resolution: int) -> None:
         raise DimensionTooHigh(f"rasterization supports n in (2, 3), got {n}")
 
 
-def _tube_bbox(tube) -> list[tuple[Fraction, Fraction]]:
-    if isinstance(tube, VertexBall):
-        r = Fraction(1) + tube.radius_sq  # generous rational bound
-        return [(c - r, c + r) for c in tube.center]
-    pad = Fraction(1, 1) + tube.eps_star_sq
-    return [
-        (
-            min(v[k] for v in tube.vertices) - pad,
-            max(v[k] for v in tube.vertices) + pad,
-        )
-        for k in range(len(tube.vertices[0]))
-    ]
-
-
 def export_tube(tube: Tube | VertexBall, path: str, resolution: int = 48) -> None:
-    """Rasterized boundary of the closed tube (lens-shaped in the plane)."""
-    _grid_raster(lambda x: membership(tube, x) != OUTSIDE, _tube_bbox(tube), path,
-                 resolution)
+    """Rasterized boundary of the closed tube (lens-shaped in the plane),
+    over its ``tubes.reach_box``."""
+    _grid_raster(lambda x: membership(tube, x) != OUTSIDE, reach_box(tube), path, resolution)
 
 
 def export_carved(carved: CarvedSet, path: str, resolution: int = 48) -> None:

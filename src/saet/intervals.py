@@ -51,15 +51,9 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x) -> bool:
         x = rat(x)
         return self.lo <= x <= self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other):
         o = Interval.of(other)
@@ -99,10 +93,6 @@ class Interval:
         if self.hi <= 0:
             return Interval(self.hi * self.hi, self.lo * self.lo)
         return Interval(0, max(self.lo * self.lo, self.hi * self.hi))
-
-    # Certified strict comparisons: True only when provable from the bounds.
-    def certainly_lt(self, other) -> bool:
-        return self.hi < Interval.of(other).lo
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"

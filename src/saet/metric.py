@@ -58,10 +58,6 @@ class FaceFunctionals:
                              for row in table.rows)
 
 
-def face_functionals(vertices: Sequence[Vec]) -> FaceFunctionals:
-    return FaceFunctionals(vertices)
-
-
 def incenter(
     vertices: Sequence[Vec], target_width: Fraction | int = Fraction(1, 2**60)
 ) -> tuple[IntervalPoint, Interval]:

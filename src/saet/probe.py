@@ -150,7 +150,7 @@ def _checkpoints(a: IntPoint, b: IntPoint, fa: Sequence[int],
 
 def probe_shell(
     member: Callable[[IntPoint], bool],
-    closure_member: Callable[[IntPoint], bool] | None,
+    closure_member: Callable[[IntPoint], bool],
     center: Vec,
     radius: Fraction,
     samples: int,
@@ -181,7 +181,7 @@ def probe_shell(
     for p in pts:
         if member(p):
             member_pts.append(p)
-        elif closure_member is not None and closure_member(p):
+        elif closure_member(p):
             boundary_samples += 1
         else:
             outside += 1
@@ -208,7 +208,7 @@ def probe_shell(
         nonlocal witnesses, exits
         for q in _checkpoints(member_pts[i], member_pts[j], values[i], values[j]):
             if not member(q):
-                if closure_member is not None and closure_member(q):
+                if closure_member(q):
                     witnesses += 1
                 else:
                     exits += 1

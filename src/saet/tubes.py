@@ -6,13 +6,13 @@ of tau.  With s := eps^2 rational all membership decisions reduce to exact
 comparisons: the ratio condition is equivalent (inside the orthogonal
 cylinder over tau) to  ||x - pi(x)||^2 * ||u_i||^2 <= eps*^2 * f_i(pi(x))^2
 for every facet functional, where eps*^2 = eps^2/(1 - eps^2).
-``tube_membership`` decides it over the integers: with the barycentric
+``membership`` decides it over the integers: with the barycentric
 numerators N_i and the height numerator H of ``SimplexGeometry.numerators``
 it reads H a_i <= c_i N_i^2, for integers a_i and c_i fixed once per tube.
 
 Two independent evaluation routes are provided on purpose:
 
-* ``tube_membership`` goes through the projection and facet functionals;
+* ``membership`` goes through the projection and facet functionals;
 * ``hat_lift_membership`` evaluates the hat-simplex predicate
   0 <= t <= eps* dist(pi(x), boundary) with the boundary distance computed
   as an exact minimum of squared distances to the facet polytopes.
@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import Sequence
 
+from .complexes import bounding_box
 from .geometry import SimplexGeometry
 from .metric import FaceFunctionals
 from .rationals import Vec, homogeneous, vec
@@ -81,13 +83,8 @@ class Tube:
         return f"Tube(dim={self.dim}, eps_sq={self.eps_sq})"
 
 
-def tube_membership(tube: Tube, x: Vec) -> str:
-    """Exact trichotomy for the closed/open tube via facet functionals."""
-    return membership_h(tube, homogeneous(vec(x)))
-
-
 def tube_status(tube: Tube, nums: Sequence[int], height: int) -> str:
-    """``tube_membership`` at a point given by its numerators N and H under
+    """A tube's ``membership`` at a point given by its numerators N and H under
     ``SimplexGeometry.numerators``: outside when some N_i < 0 or some
     H a_i > c_i N_i^2, on the boundary when some H a_i = c_i N_i^2."""
     if any(v < 0 for v in nums):
@@ -108,7 +105,7 @@ def hat_lift_membership(tube: Tube, x: Vec) -> bool:
 
     Evaluates 0 <= t <= eps* dist(pi(x), boundary(tau)) in squared form,
     with dist computed by exact projection onto the facet polytopes (not
-    via the facet functionals).  Must agree with tube_membership != Outside
+    via the facet functionals).  Must agree with membership != Outside
     on every rational point.
     """
     x = vec(x)
@@ -138,12 +135,9 @@ class VertexBall:
         return f"VertexBall(center={self.center}, radius_sq={self.radius_sq})"
 
 
-def ball_membership(ball: VertexBall, x: Vec) -> str:
-    """Exact trichotomy for the closed/open ball."""
-    return membership_h(ball, homogeneous(vec(x)))
-
-
 def membership(tube_or_ball, x: Vec) -> str:
+    """Exact trichotomy for the closed/open tube or ball at the rational
+    point x: INSIDE_OPEN, ON_BOUNDARY or OUTSIDE."""
     return membership_h(tube_or_ball, homogeneous(vec(x)))
 
 
@@ -161,3 +155,23 @@ def membership_h(tube_or_ball, h: Sequence[int]) -> str:
     if lhs > rhs:
         return OUTSIDE
     return ON_BOUNDARY if lhs == rhs else INSIDE_OPEN
+
+
+def reach_box(tube_or_ball) -> tuple[tuple[Fraction, Fraction], ...]:
+    """A box that holds the closed tube or ball: the box of the base
+    inflated by reach, a ball's radius or a tube's maximal normal height
+    eps* diam, both rounded up to a rational.  Over the base every point of
+    a tube has height at most eps* times its projection's distance to the
+    base's boundary, which is at most the base's diameter."""
+    if isinstance(tube_or_ball, VertexBall):
+        reach = _sqrt_upper(tube_or_ball.radius_sq)
+    else:
+        verts = tube_or_ball.vertices
+        diam_sq = max(sum((a - b) ** 2 for a, b in zip(v, w)) for v in verts for w in verts)
+        reach = _sqrt_upper(tube_or_ball.eps_star_sq * diam_sq)
+    return tuple((lo - reach, hi + reach) for lo, hi in bounding_box(tube_or_ball.vertices))
+
+
+def _sqrt_upper(x: Fraction) -> Fraction:
+    """A rational upper bound for sqrt(x), x >= 0."""
+    return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)

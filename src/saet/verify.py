@@ -32,8 +32,9 @@ from .extend import graph_closure_oracle, ratio_forms_equal_on, weak_extension
 from .geometry import SimplexGeometry, common_face
 from .germs import PathGerm, evaluate
 from .io import complex_to_dict
-from .metric import certificate_for, certify_epsilon, face_functionals, incenter, separating_hyperplane
-from .tubes import OUTSIDE, Tube, hat_lift_membership, tube_membership
+from .metric import (FaceFunctionals, certificate_for, certify_epsilon, incenter,
+                     separating_hyperplane)
+from .tubes import OUTSIDE, Tube, hat_lift_membership, membership
 
 GROUPS = ("complex", "metric", "tube", "carve", "extend", "germs")
 
@@ -147,7 +148,7 @@ def run_suite(suite: str = "full", corpus: dict | None = None,
         ok = True
         for _ in range(10):
             verts = _random_simplex(rng, dim=2, n=3)
-            ff = face_functionals(verts)
+            ff = FaceFunctionals(verts)
             x = _random_interior_point(rng, verts)
             ok = ok and sum(f(x) for f in ff.forms) == 1
         manifest.add("partition_identity", ok)
@@ -180,14 +181,14 @@ def run_suite(suite: str = "full", corpus: dict | None = None,
         bad = 0
         for _ in range(400):
             x = (Fraction(rng.randint(-40, 72), 32), Fraction(rng.randint(-32, 32), 32))
-            if (tube_membership(t, x) != OUTSIDE) != hat_lift_membership(t, x):
+            if (membership(t, x) != OUTSIDE) != hat_lift_membership(t, x):
                 bad += 1
         manifest.add("tube_hat_agreement", bad == 0, f"{bad} disagreements")
         small, big = Tube(t.vertices, t.eps_sq / 4), t
         ok = True
         for _ in range(100):
             x = (Fraction(rng.randint(0, 64), 64), Fraction(rng.randint(-16, 16), 64))
-            if tube_membership(small, x) != OUTSIDE and tube_membership(big, x) == OUTSIDE:
+            if membership(small, x) != OUTSIDE and membership(big, x) == OUTSIDE:
                 ok = False
         manifest.add("tube_monotone_in_eps", ok)
 

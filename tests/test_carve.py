@@ -47,7 +47,7 @@ def test_coeffs_symbolic_random():
 def test_coeffs_interval_for_eps_one_fifth():
     # eps^2 = 1/5: s' = eps* = 1/2 exactly, s = (eps/2)* = 1/sqrt(19)
     sp = interval_sqrt(Interval(F(1, 5) / (1 - F(1, 5))), 64)
-    assert sp.is_exact() and sp.lo == F(1, 2)
+    assert sp.lo == sp.hi == F(1, 2)
     s = interval_sqrt(Interval(F(1, 20) / (1 - F(1, 20))), 64)
     co = deformation_coeffs(s, sp)
     ident1 = co.a1 + co.a2 * co.b2
@@ -63,6 +63,24 @@ def test_snap_eps_makes_half_width_rational():
         assert snapped <= eps
         half_star_sq = (snapped / 4) / (1 - snapped / 4)
         assert rational_sqrt(half_star_sq) is not None
+
+
+def test_snap_eps_closed_form_matches_the_search():
+    # the closed form gives what the search over q = 2, 3, ... gives; at
+    # eps^2 = 4^-40, where that search takes about 2^41 steps, it returns
+    # 4 / (4^41 + 1) at once
+    def search(eps_sq):
+        q = 2
+        while F(4, q * q + 1) > eps_sq:
+            q += 1
+        return F(4, q * q + 1)
+
+    rng = random.Random(13)
+    cases = [F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(3000)]
+    cases += [F(1, 4**j) for j in range(13)]
+    for eps_sq in cases:
+        assert snap_eps_sq(eps_sq) == search(eps_sq), eps_sq
+    assert snap_eps_sq(F(1, 4**40)) == F(4, 4**41 + 1)
 
 
 def test_carve_level_fix_a(square, fix_a):
@@ -107,9 +125,9 @@ def test_carve_level_formula_spot_check(square, fix_a):
     )
     eps_sq = unit.outer.eps_sq
     x = (F(1, 2), F(1, 8))
-    from saet.tubes import tube_membership, OUTSIDE
+    from saet.tubes import OUTSIDE, membership
 
-    assert tube_membership(unit.outer, x) != OUTSIDE
+    assert membership(unit.outer, x) != OUTSIDE
     img = push.evaluate(x, bits=128)
     s = interval_sqrt(Interval((eps_sq / 4) / (1 - eps_sq / 4)), 128)
     sp = interval_sqrt(Interval(eps_sq / (1 - eps_sq)), 128)
@@ -117,7 +135,7 @@ def test_carve_level_formula_spot_check(square, fix_a):
     # base distance of the projection (1/2, 0) to the segment ends is 1/2
     expected = co.a1 * F(1, 2) + co.a2 * F(1, 8)
     assert img[0].contains(F(1, 2))
-    assert img[1].overlaps(expected)
+    assert img[1].lo <= expected.hi and expected.lo <= img[1].hi
 
 
 def test_carve_level_pushes_boundary_points_fixed(square, fix_a):
@@ -443,7 +461,8 @@ def test_reach_box_rejection_is_exact(marked):
     # a point outside a unit's reach box is outside its inner and outer
     # neighborhoods, so member and closure_member, which skip such units,
     # agree with the same predicates over every unit
-    from saet.tubes import OUTSIDE, membership
+    from saet.rationals import homogeneous
+    from saet.tubes import INSIDE_OPEN, OUTSIDE, membership
 
     carved = appropriate_embed(marked()).carved
     base, cl = carved.base, closure(carved.base)
@@ -453,15 +472,17 @@ def test_reach_box_rejection_is_exact(marked):
         for _ in range(40):
             x = tuple(lo - (hi - lo) + 3 * (hi - lo) * F(rng.randint(0, 240), 240)
                       for lo, hi in u.reach_box)
-            if u.reaches(x):
+            h = homogeneous(x)
+            if u.reaches_h(h):
                 kept += 1
             else:
                 rejected += 1
                 assert membership(u.inner, x) == OUTSIDE
                 assert membership(u.outer, x) == OUTSIDE
-            member = base.contains_point(x) and not any(w.removes(x) for w in carved.units)
+            member = base.contains_point(x) and not any(
+                w.removal(h) != OUTSIDE for w in carved.units)
             closed = cl.contains_point(x) and not any(
-                w.removes_from_closure(x) for w in carved.units)
+                w.removal(h) == INSIDE_OPEN for w in carved.units)
             assert carved.member(x) == member and carved.closure_member(x) == closed
             removed += base.contains_point(x) and not member
     assert rejected and kept and removed
@@ -494,6 +515,7 @@ def test_units_listed_per_top_match_every_unit(marked):
     # top that locates the point; whichever top holding the point the hint
     # names, they agree with the same predicates over every unit
     from saet.rationals import homogeneous
+    from saet.tubes import INSIDE_OPEN, OUTSIDE
 
     carved = appropriate_embed(marked()).carved
     base, cl, k = carved.base, closure(carved.base), carved.base.complex
@@ -506,9 +528,10 @@ def test_units_listed_per_top_match_every_unit(marked):
     shared = removed = 0
     for x in pts:
         h = homogeneous(x)
-        member = base.contains_point(x) and not any(w.removes(x) for w in carved.units)
+        member = base.contains_point(x) and not any(
+            w.removal(h) != OUTSIDE for w in carved.units)
         closed = cl.contains_point(x) and not any(
-            w.removes_from_closure(x) for w in carved.units)
+            w.removal(h) == INSIDE_OPEN for w in carved.units)
         holding = []
         for top in k.top_ids:
             nums, height = k.geometry(top).numerators(h)
@@ -685,6 +708,7 @@ def test_maps_evaluate_only_reaching_units(monkeypatch, cut8):
     # a tube's coefficients are solved once per precision
     from saet import carve
     from saet.carve import CarveUnit
+    from saet.rationals import homogeneous
 
     original, calls = CarveUnit._box_data, []
 
@@ -704,7 +728,7 @@ def test_maps_evaluate_only_reaching_units(monkeypatch, cut8):
     units = cut8.carved.units
     assert len(units) == 17
     far = (F(1, 16), F(1, 16))
-    assert not any(u.reaches(far) for u in units)
+    assert not any(u.reaches_h(homogeneous(far)) for u in units)
     for dmap in (cut8.push, cut8.pull):
         assert dmap.evaluate(far).mid() == far
     assert calls == []
@@ -721,6 +745,35 @@ def test_maps_evaluate_only_reaching_units(monkeypatch, cut8):
                     assert len(calls) <= 4
     tubes = [u for u in units if not u.is_ball]
     assert 0 < len(solved) <= 2 * len(tubes)
+
+
+def test_maps_write_the_input_once(monkeypatch, fix_a_embedded):
+    # the levels hand integer boxes to each other: on the two-level carving
+    # of fix_a a map writes its input once as numerators and builds at most
+    # one IntervalPoint, on return
+    from saet.intervals import BoxNumerators, IntervalPoint
+
+    writes, builds = [], []
+    numerators, interval_point = IntervalPoint.numerators, BoxNumerators.interval_point
+    monkeypatch.setattr(IntervalPoint, "numerators",
+                        lambda box: writes.append(box) or numerators(box))
+    monkeypatch.setattr(BoxNumerators, "interval_point",
+                        lambda box: builds.append(box) or interval_point(box))
+    res = fix_a_embedded
+    assert len(res.levels) == 2
+    rng = random.Random(4)
+    points = [x for u in res.carved.units for x in _shell_points(u, rng, 3)]
+    points += [IntervalPoint([Interval(c - F(1, 2**10), c + F(1, 2**10)) for c in x])
+               for x in points]
+    moved = 0
+    for x in points:
+        for dmap in (res.push, res.pull):
+            writes.clear()
+            builds.clear()
+            dmap.evaluate(x)
+            assert len(writes) == 1 and len(builds) <= 1
+            moved += len(builds)
+    assert moved
 
 
 def _assert_round_trips_near_every_unit(res, rng):

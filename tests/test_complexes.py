@@ -198,6 +198,41 @@ def test_subdivision_preserves_eta(square, fix_a):
         assert e0_set.contains_point(p) == e2_set.contains_point(p)
 
 
+def _strata_mismatches(k, s, sub, marked) -> dict[str, int]:
+    """For eta, rho and the closure: how many cells of the subdivision
+    ``sub`` of k disagree between the stratum of ``marked`` and the cells
+    whose carrier, the largest simplex of their chain, lies in the stratum
+    of s."""
+    carrier = [max(c.vertex_ids, key=k.dim_of) for c in sub.simplices]
+    out = {}
+    for stratum in (eta, rho, closure):
+        old = stratum(s).members
+        want = {i for i, c in enumerate(carrier) if c in old}
+        out[stratum.__name__] = len(want ^ stratum(marked).members)
+    return out
+
+
+def test_strata_invariant_under_subdivision():
+    # eta, rho and the closure belong to the point set, not to its
+    # triangulation: on every generated input of the carving pin, the strata
+    # of the subdivided set are the cells whose carrier lies in the original
+    # stratum.  Marking a chain by its smallest element, a vertex, instead
+    # of its largest breaks this on every input
+    from test_carve import _generated_marked_sets
+
+    count = 0
+    for kind, seed, s in _generated_marked_sets():
+        k = s.complex
+        sub, marked = barycentric_subdivide(k, s)
+        assert _strata_mismatches(k, s, sub, marked) == {"eta": 0, "rho": 0, "closure": 0}, (
+            kind, seed)
+        by_vertex = PLSet(sub, {i for i, c in enumerate(sub.simplices)
+                                if min(c.vertex_ids, key=k.dim_of) in s.members})
+        assert any(_strata_mismatches(k, s, sub, by_vertex).values()), (kind, seed)
+        count += 1
+    assert count == 80
+
+
 def test_apex_rule(square, fix_a):
     for sid in fix_a.members:
         assert germ_connected(fix_a, sid)
@@ -538,7 +573,7 @@ def test_locate_makes_few_exact_solves(monkeypatch):
     # kernel of at most 4 top cells, not of every cell; locate, tube
     # membership and the germ cell search never form Fraction coordinates
     from saet.germs import PathGerm, eventual_simplex
-    from saet.tubes import Tube, tube_membership
+    from saet.tubes import Tube, membership
 
     verts, tops = grid_tops(12)
     k = build_complex(verts, tops, validate=False)
@@ -567,7 +602,7 @@ def test_locate_makes_few_exact_solves(monkeypatch):
     assert 1 <= worst <= 4
     tube = Tube(k.coords(k.id_of((13, 27))), F(1, 4))  # a diagonal edge near the corner
     for x in pts:
-        tube_membership(tube, x)
+        membership(tube, x)
         eventual_simplex(PathGerm.linear(x, (F(1, 7), F(-1, 3))), k)
     assert calls and not fraction_calls
 
@@ -719,3 +754,23 @@ def test_validated_build_keeps_its_glue_geometries(monkeypatch):
     assert len(built) == len(tops) + 1
     unvalidated = build_complex(verts, tops, validate=False)
     assert unvalidated.geometry(unvalidated.top_ids[0]) is not glue[k.coords(k.top_ids[0])]
+
+
+def test_unvalidated_build_solves_each_top_once(monkeypatch):
+    # without the glue check the degeneracy check is still each top's own
+    # geometry solve, kept for Complex.geometry: no rank elimination, and
+    # one barycentric table per top with every later geometry touch counted
+    from saet import rationals
+
+    ranks, tables = [], []
+    rank, table = rationals.rank, geometry.barycentric_table
+    monkeypatch.setattr(rationals, "rank", lambda rows: ranks.append(rows) or rank(rows))
+    monkeypatch.setattr(geometry, "barycentric_table",
+                        lambda verts: tables.append(verts) or table(verts))
+    k = build_complex(*grid_tops(8), validate=False)
+    for sid in k.top_ids:
+        k.geometry(sid)
+    assert len(k.top_ids) == 128
+    assert ranks == [] and len(tables) == 128
+    with pytest.raises(DegenerateSimplex, match="affinely dependent"):
+        build_complex([(0, 0), (1, 1), (2, 2)], [(0, 1, 2)], validate=False)

@@ -171,7 +171,7 @@ def test_integer_table_rows_give_the_forms(d, n):
 def test_ball_membership_matches_the_fraction_distance():
     # the dimension-0 kernel: H / (D q V)^2 is the squared distance to the
     # center, compared with r^2 over the integers; boundary points included
-    from saet.tubes import INSIDE_OPEN, ON_BOUNDARY, OUTSIDE, VertexBall, ball_membership
+    from saet.tubes import INSIDE_OPEN, ON_BOUNDARY, OUTSIDE, VertexBall, membership
 
     rng = random.Random(3)
     seen = set()
@@ -186,7 +186,7 @@ def test_ball_membership_matches_the_fraction_distance():
         for x in pts:
             d2 = norm_sq(vsub(x, center))
             want = OUTSIDE if d2 > r * r else ON_BOUNDARY if d2 == r * r else INSIDE_OPEN
-            assert ball_membership(ball, x) == want, (center, r, x)
+            assert membership(ball, x) == want, (center, r, x)
             seen.add(want)
     assert seen == {OUTSIDE, ON_BOUNDARY, INSIDE_OPEN}
 

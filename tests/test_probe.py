@@ -14,7 +14,6 @@ from saet.cli import _wall_probe_points
 from saet.complexes import closure
 from saet.errors import CertificationFailure, PreconditionViolated
 from saet.rationals import AffineForm, homogeneous
-from saet.tubes import OUTSIDE
 
 
 def _boundary_centers(carved: CarvedSet, rng, count: int) -> list[tuple]:
@@ -153,8 +152,8 @@ def test_predicates_read_unreduced_integer_points(fix_a_embedded):
             assert carved.member_h(g) == carved.member(x)
             assert carved.closure_member_h(g) == carved.closure_member(x)
             for u in carved.units:
-                assert u.reaches_h(g) == u.reaches(x)
-                assert (u.removal(g) != OUTSIDE) == u.removes(x)
+                assert u.reaches_h(g) == u.reaches_h(h)
+                assert u.removal(g) == u.removal(h)
 
 
 def _seeded_point(rng, n: int) -> tuple:

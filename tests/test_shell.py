@@ -128,6 +128,22 @@ def test_export_mesh_and_tube(tmp_path, square):
     assert any(line.startswith("l ") for line in lens.read_text().splitlines())
 
 
+def test_export_tube_box_holds_a_long_tube(tmp_path, monkeypatch):
+    # the raster box is the tube's reach box, which holds the whole closed
+    # tube: over a base of length 10 it reaches beyond the height 14/5
+    from saet import export
+    from saet.tubes import INSIDE_OPEN, Tube, membership, reach_box
+
+    tube = Tube([(0, 0), (10, 0)], F(1, 4))
+    x = (5, F(14, 5))
+    assert membership(tube, x) == INSIDE_OPEN
+    boxes = []
+    monkeypatch.setattr(export, "_grid_raster", lambda member, bbox, *_: boxes.append(bbox))
+    export_tube(tube, str(tmp_path / "long.obj"))
+    assert boxes == [reach_box(tube)]
+    assert all(lo <= c <= hi for c, (lo, hi) in zip(x, boxes[0]))
+
+
 def test_export_carved(tmp_path, fix_a_embedded):
     out = tmp_path / "carved.obj"
     export_carved(fix_a_embedded.carved, str(out), resolution=20)

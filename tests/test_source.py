@@ -70,9 +70,9 @@ def test_elimination_kernel_is_fraction_free(module, name):
 
 
 def interval_uses(source: str, name: str, method: str | None = None) -> list[str]:
-    """Reads of ``Interval`` or ``sqrt_enclosure`` and ``Fraction(...)``
-    calls inside the module-level class ``name``, or only inside its method
-    ``method``, as "line: what"."""
+    """Reads of ``Interval``, ``interval_sqrt`` or ``sqrt_enclosure`` and
+    ``Fraction(...)`` calls inside the module-level class ``name``, or only
+    inside its method ``method``, as "line: what"."""
     tree = ast.parse(source)
     scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
     if method is not None:
@@ -80,7 +80,7 @@ def interval_uses(source: str, name: str, method: str | None = None) -> list[str
     found = []
     for node in ast.walk(scope):
         what = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if what in ("Interval", "sqrt_enclosure"):
+        if what in ("Interval", "interval_sqrt", "sqrt_enclosure"):
             found.append(f"{node.lineno}: {what}")
         elif isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None),
                                                             getattr(node.func, "attr", None)):
@@ -90,16 +90,26 @@ def interval_uses(source: str, name: str, method: str | None = None) -> list[str
 
 def test_interval_checker():
     src = ("class C:\n    def f(self, q):\n        return intervals.sqrt_enclosure(q) * q\n"
-           "    def g(self):\n        return Interval(Fraction(1))\n")
-    assert interval_uses(src, "C") == ["3: sqrt_enclosure", "5: Interval", "5: Fraction("]
+           "    def g(self):\n        return Interval(Fraction(1))\n"
+           "    def h(self, q):\n        return interval_sqrt(q)\n")
+    assert interval_uses(src, "C") == ["3: sqrt_enclosure", "5: Interval", "5: Fraction(",
+                                       "7: interval_sqrt"]
     assert interval_uses(src, "C", "f") == ["3: sqrt_enclosure"]
     assert interval_uses(src, "C", "g") == ["5: Interval", "5: Fraction("]
+    assert interval_uses(src, "C", "h") == ["7: interval_sqrt"]
 
 
 def test_clearance_kernel_is_integer():
     # the apex-ball clearances enclose their sums over the integers
     path = Path(saet.__file__).parent / "metric.py"
     assert interval_uses(path.read_text(encoding="utf-8"), "_Clearance") == []
+
+
+def test_collar_domination_is_exact():
+    # a collar's facet domination is decided on rationals, not through an
+    # enclosure of a square root
+    path = Path(saet.__file__).parent / "carve.py"
+    assert interval_uses(path.read_text(encoding="utf-8"), "_ConeCompatibility") == []
 
 
 @pytest.mark.parametrize("method", ["meets", "_box_data", "certainly_outside_outer",

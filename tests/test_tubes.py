@@ -8,26 +8,25 @@ from saet.tubes import (
     OUTSIDE,
     Tube,
     VertexBall,
-    ball_membership,
     hat_lift_membership,
-    tube_membership,
+    membership,
 )
 
 
 def test_segment_tube_trichotomy():
     t = fix_t()  # eps^2 = 1/5, so eps*^2 = 1/4
     assert t.eps_star_sq == F(1, 4)
-    assert tube_membership(t, (F(1, 2), F(1, 4))) == ON_BOUNDARY
-    assert tube_membership(t, (F(1, 2), F(1, 5))) == INSIDE_OPEN
-    assert tube_membership(t, (F(1, 2), F(3, 10))) == OUTSIDE
-    assert tube_membership(t, (F(1, 2), -F(1, 5))) == INSIDE_OPEN
+    assert membership(t, (F(1, 2), F(1, 4))) == ON_BOUNDARY
+    assert membership(t, (F(1, 2), F(1, 5))) == INSIDE_OPEN
+    assert membership(t, (F(1, 2), F(3, 10))) == OUTSIDE
+    assert membership(t, (F(1, 2), -F(1, 5))) == INSIDE_OPEN
 
 
 def test_base_vertices_on_boundary():
     t = fix_t()
-    assert tube_membership(t, (0, 0)) == ON_BOUNDARY
-    assert tube_membership(t, (1, 0)) == ON_BOUNDARY
-    assert tube_membership(t, (F(1, 2), 0)) == INSIDE_OPEN  # open base cell
+    assert membership(t, (0, 0)) == ON_BOUNDARY
+    assert membership(t, (1, 0)) == ON_BOUNDARY
+    assert membership(t, (F(1, 2), 0)) == INSIDE_OPEN  # open base cell
 
 
 def random_tube(rng, n):
@@ -53,7 +52,7 @@ def test_hat_lift_agreement_sampled():
         tube = random_tube(rng, n)
         for _ in range(400):
             x = tuple(F(rng.randint(-40, 40), 16) for _ in range(n))
-            assert (tube_membership(tube, x) != OUTSIDE) == hat_lift_membership(tube, x)
+            assert (membership(tube, x) != OUTSIDE) == hat_lift_membership(tube, x)
 
 
 def test_hat_lift_outside_cylinder():
@@ -67,7 +66,7 @@ def test_slice_simplex_inside_tube():
     # slice simplex is inside (the tube is convex)
     t = fix_t()
     q_inner = (F(1, 2), F(15, 64))
-    assert tube_membership(t, q_inner) == INSIDE_OPEN
+    assert membership(t, q_inner) == INSIDE_OPEN
     rng = random.Random(3)
     verts = list(t.vertices) + [q_inner]
     for _ in range(100):
@@ -76,9 +75,9 @@ def test_slice_simplex_inside_tube():
             continue
         tot = sum(w)
         p = tuple(sum(wi * v[c] for wi, v in zip(w, verts)) / tot for c in range(2))
-        assert tube_membership(t, p) != OUTSIDE
+        assert membership(t, p) != OUTSIDE
     # beyond the apex slab: outside
-    assert tube_membership(t, (F(1, 2), F(17, 64))) == OUTSIDE
+    assert membership(t, (F(1, 2), F(17, 64))) == OUTSIDE
 
 
 def test_tube_monotone_in_eps():
@@ -86,11 +85,11 @@ def test_tube_monotone_in_eps():
     rng = random.Random(8)
     for _ in range(400):
         x = (F(rng.randint(-8, 40), 32), F(rng.randint(-16, 16), 32))
-        small = tube_membership(t_small, x)
+        small = membership(t_small, x)
         if small != OUTSIDE:
-            assert tube_membership(t_big, x) != OUTSIDE
+            assert membership(t_big, x) != OUTSIDE
         if small == ON_BOUNDARY:
-            assert tube_membership(t_big, x) == INSIDE_OPEN or x in [(0, 0), (1, 0)]
+            assert membership(t_big, x) == INSIDE_OPEN or x in [(0, 0), (1, 0)]
 
 
 def test_half_tube_strictly_inside():
@@ -104,14 +103,14 @@ def test_half_tube_strictly_inside():
         x = F(i, 64)  # active facet is the near endpoint: dist = x
         for sign in (1, -1):
             p = (x, sign * x / 4)
-            assert tube_membership(half, p) == ON_BOUNDARY
-            assert tube_membership(t, p) == INSIDE_OPEN
+            assert membership(half, p) == ON_BOUNDARY
+            assert membership(t, p) == INSIDE_OPEN
             hits += 1
     assert hits == 62
 
 
 def test_vertex_ball():
     b = VertexBall((0, 0), F(1, 16))
-    assert ball_membership(b, (0, 0)) == INSIDE_OPEN
-    assert ball_membership(b, (F(1, 4), 0)) == ON_BOUNDARY
-    assert ball_membership(b, (F(1, 2), 0)) == OUTSIDE
+    assert membership(b, (0, 0)) == INSIDE_OPEN
+    assert membership(b, (F(1, 4), 0)) == ON_BOUNDARY
+    assert membership(b, (F(1, 2), 0)) == OUTSIDE
