@@ -11,6 +11,14 @@ Levels at depth >= 2 carve around original-skeleton cells of the residual
 obstruction (no re-triangulation); certificates against the previously
 carved tubes keep the composed maps inside their domains, and shell probes
 verify the absence of new obstructions empirically.
+
+Each unit is certified apart from its peers: a tube from its siblings at
+the candidate eps and from the earlier tubes at theirs, a collar from the
+earlier tubes its vertex avoids.  A pair whose reach boxes miss each other
+is proved by the boxes alone (a ``reach_disjoint`` record); only a pair
+whose boxes meet solves a separating-plane LP (``metric._Separation``).
+The boxes are built once per (cell, eps^2) and shared by every condition
+of a carving.
 """
 
 from __future__ import annotations
@@ -597,14 +605,16 @@ def _carve_tubes(
     top_ids: Sequence[int],
     prev_units: Sequence[CarveUnit],
     prev_ids: Sequence[int],
+    boxes: dict,
 ) -> list[CarveUnit]:
     """Tubes at one common eps around cells of one dimension >= 1.  Each
     cell's conditions (peers: the sibling cells at the candidate eps, the
-    previous tubes at theirs) give its eps and then its certificate."""
+    previous tubes at theirs) give its eps and then its certificate; they
+    share the reach boxes ``boxes``."""
     conditions = [
         _Conditions(k, t, [o for o in top_ids if o != t]
                     + [(pid, pu.outer.eps_sq) for pid, pu in zip(prev_ids, prev_units, strict=True)
-                       if not pu.is_ball and _proper_peers(k, t, pid)])
+                       if not pu.is_ball and _proper_peers(k, t, pid)], boxes)
         for t in top_ids
     ]
     eps_sq = snap_eps_sq(min(c.first_certified() for c in conditions))
@@ -613,16 +623,18 @@ def _carve_tubes(
 
 def _carve_units(
     k: Complex, cells: Sequence[int],
-    prev_units: Sequence[CarveUnit], prev_ids: Sequence[int],
+    prev_units: Sequence[CarveUnit], prev_ids: Sequence[int], boxes: dict,
 ) -> list[CarveUnit]:
     """The certified units of one level of cells of one dimension: tubes,
-    or radial collars around vertices, each after the collars before it."""
+    or radial collars around vertices, each after the collars before it.
+    ``boxes`` is the reach-box cache of ``metric._Conditions``, one entry
+    per (cell, eps^2), shared by every condition it is passed to."""
     if cells and k.dim_of(cells[0]) > 0:
-        return _carve_tubes(k, cells, prev_units, prev_ids)
+        return _carve_tubes(k, cells, prev_units, prev_ids, boxes)
     units = []
     for v in cells:
         balls = [(w, u.outer.radius_sq) for w, u in zip(cells, units)]
-        collar = _Collar(k, v, balls, prev_units, prev_ids)
+        collar = _Collar(k, v, balls, prev_units, prev_ids, boxes)
         r_sq = _first_certified(collar, f"no collar radius certified for vertex {v}")
         units.append(CarveUnit(VertexBall(k.coords(v)[0], r_sq), collar.records(r_sq)))
     return units
@@ -657,7 +669,7 @@ def carve_level(
     for t in ids:
         if t not in obstruction:
             raise PreconditionViolated(f"simplex {t} is not an obstruction cell")
-    return _level(s, prev_units, _carve_units(k, ids, prev_units, prev_ids))
+    return _level(s, prev_units, _carve_units(k, ids, prev_units, prev_ids, {}))
 
 
 class _Collar:
@@ -671,8 +683,8 @@ class _Collar:
     """
 
     def __init__(self, k: Complex, vid: int, peer_balls: Sequence[tuple[int, Fraction]],
-                 prev_units: Sequence[CarveUnit], prev_ids: Sequence[int]):
-        self.star = _Conditions(k, vid)
+                 prev_units: Sequence[CarveUnit], prev_ids: Sequence[int], boxes: dict):
+        self.star = _Conditions(k, vid, boxes=boxes)
         v = self.star.base
         # every candidate r^2 is a power of 1/4, so the radii are rational
         self.balls = [(wid, rational_sqrt(w_rsq),
@@ -770,7 +782,7 @@ def carve_base_vertices(
             raise PreconditionViolated(f"simplex {v} is not a vertex")
         if v not in obstruction:
             raise PreconditionViolated(f"vertex {v} is not an obstruction cell")
-    return _level(s, prev_units, _carve_units(k, vids, prev_units, prev_ids))
+    return _level(s, prev_units, _carve_units(k, vids, prev_units, prev_ids, {}))
 
 
 @dataclass
@@ -795,10 +807,10 @@ def appropriate_embed(s: PLSet) -> EmbedResult:
     obstruction = eta(s).members
     levels: list[list[CarveUnit]] = []
     info: list[dict] = []
-    units, ids = [], []
+    units, ids, boxes = [], [], {}
     for d in sorted({k.dim_of(t) for t in obstruction}, reverse=True):
         cells = sorted(t for t in obstruction if k.dim_of(t) == d)
-        level = _carve_units(k, cells, units, ids)
+        level = _carve_units(k, cells, units, ids, boxes)
         outer = level[0].outer
         info.append({"dim": d, "cells": cells,
                      "eps_sq": rat_str(outer.radius_sq if d == 0 else outer.eps_sq)})

@@ -14,6 +14,13 @@ roots, which ``_Clearance`` encloses between integer bounds over one
 common denominator, refined by bit count.  The eps search asks each
 condition only for the first inequality that refuses a candidate; the
 certificate records and their strings are built once, at the accepted eps.
+
+A peer pair is decided by reach first.  Each neighbourhood lies in its
+reach box (``reach_box``), so two boxes that miss each other on some axis
+prove the closed neighbourhoods disjoint, which is all that a separating
+plane certifies.  The plane, and the LP that finds it, is built only for a
+pair whose boxes meet, the first time they do (McConnell, Mehlhorn, Naeher
+and Schweitzer, "Certifying algorithms", 2011: the cheap proof first).
 """
 
 from __future__ import annotations
@@ -144,6 +151,50 @@ def separating_hyperplane(simplex1: Sequence[Vec] | SimplexGeometry,
     if sol is None:  # pragma: no cover - feasibility is guaranteed
         raise NotCommonFace("no separating hyperplane exists")
     return Hyperplane(AffineForm(sol[n], sol[:n]))
+
+
+def reach_bounds(rows: Sequence[Sequence[int]], eps_sq: Fraction
+                 ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A box that holds the closed eps-neighbourhood of a base, over the
+    integers: (scale, bounds), with axis a spanning bounds[a] / scale.  The
+    base's vertices are the integer rows (q, p_1, ..., p_n).
+
+    The box is the vertices' box inflated by a reach, rounded up to
+    (isqrt(N M) + 1) / M for a reach^2 of N / M in lowest terms.  A vertex
+    has the ball of radius eps, so the reach is eps.  A simplex has the
+    tube at eps (0 < eps^2 < 1), whose points over the base have height at
+    most eps* times their projection's distance to the base's boundary,
+    which is at most the base's diameter, so the reach is eps* diam.
+    """
+    q = lcm(*(row[0] for row in rows))
+    points = [[c * (q // row[0]) for c in row[1:]] for row in rows]
+    a, b = eps_sq.numerator, eps_sq.denominator
+    if len(points) == 1:
+        reach_sq = Fraction(a, b)
+    else:
+        # eps*^2 diam^2 = a / (b - a) * diam^2, with diam^2 = d / q^2
+        d = max(sum((x - y) ** 2 for x, y in zip(v, w)) for v in points for w in points)
+        reach_sq = Fraction(a * d, (b - a) * q * q)
+    num, den = reach_sq.numerator, reach_sq.denominator
+    reach = (isqrt(num * den) + 1) * q
+    return q * den, tuple((min(axis) * den - reach, max(axis) * den + reach)
+                          for axis in zip(*points))
+
+
+def reach_box(vertices: Sequence[Vec], eps_sq: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+    """``reach_bounds`` of the base with these vertices, as rationals."""
+    scale, bounds = reach_bounds([homogeneous(vec(v)) for v in vertices], Fraction(eps_sq))
+    return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in bounds)
+
+
+def _separating_axis(box1, box2) -> int | None:
+    """The first axis on which two closed integer boxes (``reach_bounds``)
+    miss each other, cross-multiplied; None when they meet."""
+    (s1, b1), (s2, b2) = box1, box2
+    for axis, ((lo1, hi1), (lo2, hi2)) in enumerate(zip(b1, b2)):
+        if hi1 * s2 < lo2 * s1 or hi2 * s1 < lo1 * s2:
+            return axis
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +336,22 @@ def _proper_peers(k: Complex, a: int, b: int) -> bool:
 class _Conditions:
     """The certificate conditions of a neighbourhood of tau, built once.
 
-    Building computes all that does not depend on eps: tau's facet forms,
-    the form and norm of each star facet that misses tau, and per peer the
-    separating hyperplane and the peer's facet forms.  Like every carve
-    condition it then answers two questions about a candidate eps^2:
-    ``refusal`` names the first inequality that fails, testing no further,
-    and ``records`` builds the certificate records, once, at the accepted
-    eps^2.
+    Building computes all that does not depend on eps: tau's facet forms
+    and the form and norm of each star facet that misses tau.  Each peer
+    gets a ``_Separation``, which builds its plane only if it needs one.
+    Like every carve condition it then answers two questions about a
+    candidate eps^2: ``refusal`` names the first inequality that fails,
+    testing no further, and ``records`` builds the certificate records,
+    once, at the accepted eps^2.
+
+    ``boxes`` holds the reach boxes, one entry per (cell, eps^2)
+    (``reach``, ``interval``); conditions that share it, as a carving's
+    do, build each box once and not once per pair.
     """
 
-    def __init__(self, k: Complex, tau_id: int, peers=()):
+    def __init__(self, k: Complex, tau_id: int, peers=(), boxes: dict | None = None):
         self.k, self.tau_id = k, tau_id
+        self.boxes = {} if boxes is None else boxes
         self.base = _base(k, tau_id)
         tau_vertices = k.simplex(tau_id).vertex_ids
         self.faces = []
@@ -308,28 +364,49 @@ class _Conditions:
                 # the facet opposite vertex i misses tau iff tau has vertex i
                 if vid in tau_vertices:
                     self.faces.append((sid, i, _Clearance(self.base, ff.forms[i], ff.norm_sq[i])))
-        self.peers = [(pid, self.separation(pid, e)) for pid, e in _normalize_peers(k, peers)]
+        self.peers = [self.separation(pid, e) for pid, e in _normalize_peers(k, peers)]
+
+    def _box_entry(self, sid: int, eps_sq: Fraction) -> list:
+        """The entry of simplex sid at eps^2 in ``boxes``, keyed on integers
+        (a Fraction hashes slowly): its ``reach_bounds``, read from the
+        complex's integer vertex rows, and the interval strings of the axes
+        that a record has named, filled in by ``interval``."""
+        key = (sid, eps_sq.numerator, eps_sq.denominator)
+        entry = self.boxes.get(key)
+        if entry is None:
+            rows = [self.k.vertex_rows[v] for v in self.k.simplex(sid).vertex_ids]
+            entry = self.boxes[key] = [reach_bounds(rows, eps_sq), {}]
+        return entry
+
+    def reach(self, sid: int, eps_sq: Fraction) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``reach_bounds`` of simplex sid at eps^2, built once per
+        (sid, eps^2)."""
+        return self._box_entry(sid, eps_sq)[0]
+
+    def interval(self, sid: int, eps_sq: Fraction, axis: int) -> list[str]:
+        """The reach box's [lo, hi] on an axis as strings, built once per
+        (sid, eps^2, axis): many records name the same box."""
+        (scale, bounds), strings = self._box_entry(sid, eps_sq)
+        if axis not in strings:
+            strings[axis] = [rat_str(Fraction(e, scale)) for e in bounds[axis]]
+        return list(strings[axis])
 
     def separation(self, peer_id: int, peer_eps_sq: Fraction | None = None) -> "_Separation":
-        """The conditions that h = separating_hyperplane(tau, peer) keeps
-        tau and the peer apart (see ``_Separation``)."""
-        k, tau_id = self.k, self.tau_id
-        if not _proper_peers(k, tau_id, peer_id):
+        """The condition that tau's neighbourhood and the peer's are
+        disjoint (see ``_Separation``).  Raises PreconditionViolated unless
+        they meet in a proper common face or not at all."""
+        if not _proper_peers(self.k, self.tau_id, peer_id):
             raise PreconditionViolated(
-                f"peer {peer_id} and tube base {tau_id} do not meet in a proper common face"
+                f"peer {peer_id} and tube base {self.tau_id} do not meet in a proper common face"
             )
-        h = separating_hyperplane(k.geometry(tau_id), k.geometry(peer_id))
-        q = h.gradient_norm_sq()
-        return _Separation(tau_id, peer_id, peer_eps_sq,
-                           _Clearance(self.base, h.form, q, side=-1),
-                           _Clearance(_base(k, peer_id), h.form, q, side=+1))
+        return _Separation(self, peer_id, peer_eps_sq)
 
     def refusal(self, eps_sq: Fraction) -> str | None:
         """The first inequality that fails at eps^2, or None."""
         for sid, i, clearance in self.faces:
             if not clearance.holds(eps_sq):
                 return f"face_clearance of simplex {sid} opposite vertex {i}"
-        for _, separation in self.peers:
+        for separation in self.peers:
             refused = separation.refusal(eps_sq)
             if refused is not None:
                 return refused
@@ -346,10 +423,8 @@ class _Conditions:
             else:
                 record["eps_star_sq_norm_sq"] = rat_str(lhs)
             records.append(record)
-        for peer_id, separation in self.peers:
-            rec1, rec2 = separation.records(eps_sq)
-            rec1["peer"], rec2["peer"] = peer_id, self.tau_id
-            records.extend((rec1, rec2))
+        for separation in self.peers:
+            records.extend(separation.records(eps_sq))
         return records
 
     def first_certified(self) -> Fraction:
@@ -359,7 +434,8 @@ class _Conditions:
         )
 
     def certificate(self, eps_sq: Fraction) -> list[dict]:
-        """The records at eps^2 stamped with tau and eps^2, or CertificationFailure.
+        """The records at eps^2 stamped with tau, and with eps^2 where a
+        record names no eps^2 of its own, or CertificationFailure.
 
         Raises PreconditionViolated unless 0 < eps^2 < 1: the apex balls
         need a positive eps^2 below 1, and every tube is built with one."""
@@ -373,31 +449,69 @@ class _Conditions:
         records, stamp = self.records(eps_sq), rat_str(eps_sq)
         for r in records:
             r["tau"] = self.tau_id
-            r["eps_sq"] = stamp
+            r.setdefault("eps_sq", stamp)
         return records
 
 
 class _Separation:
-    """tau's neighbourhood stays on h < 0 at eps^2, the peer's on h > 0 at
-    its own eps^2 (at eps^2 when it has none); records [tau's, the peer's]."""
+    """tau's closed neighbourhood at eps^2 and the peer's at its own eps^2
+    (at eps^2 when it has none) are disjoint.
 
-    def __init__(self, tau_id: int, peer_id: int, peer_eps_sq: Fraction | None,
-                 near: _Clearance, far: _Clearance):
-        self.tau_id, self.peer_id, self.peer_eps_sq = tau_id, peer_id, peer_eps_sq
-        self.near, self.far = near, far
+    At each eps^2 the two reach boxes are compared first
+    (``_Conditions.reach``).  When they miss each other on some axis, the
+    pair holds with no plane, and its record is ``reach_disjoint``: that
+    axis and both boxes' intervals on it.  Otherwise the condition is that
+    h = separating_hyperplane(tau, peer) keeps tau's neighbourhood on
+    h < 0 and the peer's on h > 0, two ``_Clearance`` tests whose records
+    come in the order [tau's, the peer's].  The plane is built the first
+    time the boxes meet and kept.  Every record names tau, the peer and
+    the eps^2 of its own side.
+    """
+
+    def __init__(self, conditions: _Conditions, peer_id: int, peer_eps_sq: Fraction | None):
+        self.conditions, self.peer_id, self.peer_eps_sq = conditions, peer_id, peer_eps_sq
+        self._clearances: tuple[_Clearance, _Clearance] | None = None
 
     def _peer_eps(self, eps_sq: Fraction) -> Fraction:
         return eps_sq if self.peer_eps_sq is None else self.peer_eps_sq
 
+    def _boxes(self, eps_sq: Fraction):
+        c = self.conditions
+        return c.reach(c.tau_id, eps_sq), c.reach(self.peer_id, self._peer_eps(eps_sq))
+
+    def _plane(self) -> tuple[_Clearance, _Clearance]:
+        """The near and far clearances of the separating plane, built once."""
+        if self._clearances is None:
+            c = self.conditions
+            h = separating_hyperplane(c.k.geometry(c.tau_id), c.k.geometry(self.peer_id))
+            q = h.gradient_norm_sq()
+            self._clearances = (_Clearance(c.base, h.form, q, side=-1),
+                                _Clearance(_base(c.k, self.peer_id), h.form, q, side=+1))
+        return self._clearances
+
     def refusal(self, eps_sq: Fraction) -> str | None:
-        if not self.near.holds(eps_sq):
-            return f"{self.near.kind} of simplex {self.tau_id} against peer {self.peer_id}"
-        if not self.far.holds(self._peer_eps(eps_sq)):
-            return f"{self.far.kind} of peer {self.peer_id} against simplex {self.tau_id}"
+        if _separating_axis(*self._boxes(eps_sq)) is not None:
+            return None
+        near, far = self._plane()
+        tau_id, peer_id = self.conditions.tau_id, self.peer_id
+        if not near.holds(eps_sq):
+            return f"{near.kind} of simplex {tau_id} against peer {peer_id}"
+        if not far.holds(self._peer_eps(eps_sq)):
+            return f"{far.kind} of peer {peer_id} against simplex {tau_id}"
         return None
 
     def records(self, eps_sq: Fraction) -> list[dict]:
-        return [self.near.record(eps_sq), self.far.record(self._peer_eps(eps_sq))]
+        c = self.conditions
+        ids = {"tau": c.tau_id, "peer": self.peer_id}
+        peer_eps = self._peer_eps(eps_sq)
+        axis = _separating_axis(*self._boxes(eps_sq))
+        if axis is not None:
+            return [{"kind": "reach_disjoint", **ids,
+                     "eps_sq": rat_str(eps_sq), "peer_eps_sq": rat_str(peer_eps), "axis": axis,
+                     "interval": c.interval(c.tau_id, eps_sq, axis),
+                     "peer_interval": c.interval(self.peer_id, peer_eps, axis)}]
+        near, far = self._plane()
+        return [{**near.record(eps_sq), **ids}, {**far.record(peer_eps), **ids}]
 
 
 def _normalize_peers(k: Complex, peers) -> list[tuple[int, Fraction | None]]:

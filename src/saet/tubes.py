@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
 from typing import Sequence
 
-from .complexes import bounding_box
+from . import metric
 from .geometry import SimplexGeometry
 from .metric import FaceFunctionals
 from .rationals import Vec, homogeneous, vec
@@ -158,20 +157,8 @@ def membership_h(tube_or_ball, h: Sequence[int]) -> str:
 
 
 def reach_box(tube_or_ball) -> tuple[tuple[Fraction, Fraction], ...]:
-    """A box that holds the closed tube or ball: the box of the base
-    inflated by reach, a ball's radius or a tube's maximal normal height
-    eps* diam, both rounded up to a rational.  Over the base every point of
-    a tube has height at most eps* times its projection's distance to the
-    base's boundary, which is at most the base's diameter."""
-    if isinstance(tube_or_ball, VertexBall):
-        reach = _sqrt_upper(tube_or_ball.radius_sq)
-    else:
-        verts = tube_or_ball.vertices
-        diam_sq = max(sum((a - b) ** 2 for a, b in zip(v, w)) for v in verts for w in verts)
-        reach = _sqrt_upper(tube_or_ball.eps_star_sq * diam_sq)
-    return tuple((lo - reach, hi + reach) for lo, hi in bounding_box(tube_or_ball.vertices))
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
+    """A box that holds the closed tube or ball: ``metric.reach_box`` of
+    its vertices at its eps^2, a ball's radius^2 standing for eps^2."""
+    ball = isinstance(tube_or_ball, VertexBall)
+    eps_sq = tube_or_ball.radius_sq if ball else tube_or_ball.eps_sq
+    return metric.reach_box(tube_or_ball.vertices, eps_sq)

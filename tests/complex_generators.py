@@ -1,12 +1,14 @@
 """Generated complexes for the tests, as (vertices, top simplices) pairs
-for ``build_complex``: grids, wedge stacks, a polyline, a grid placed flat
-in R^3, and seeded perturbations of small grids and wedge stacks.  A plain
+for ``build_complex``: grids, Kuhn cube grids, wedge stacks, a polyline, a
+grid placed flat in R^3, and seeded perturbations of small grids and wedge
+stacks.  A plain
 module, with no optional dependency, so that every test module can import
 it."""
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from fractions import Fraction as F
 
 
@@ -18,6 +20,28 @@ def grid_tops(n: int):
         for i in range(n):
             a = j * (n + 1) + i
             tops += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    return verts, tops
+
+
+def kuhn_cube_tops(n: int):
+    """The n x n x n unit cube grid, each cube split into the 6 tetrahedra
+    of its Kuhn triangulation: one per order of the axes, along the path
+    from the cube's low corner to its high corner that steps one axis at a
+    time.  Every cube is split the same way, so the tetrahedra glue along
+    common faces."""
+    verts = [(F(i, n), F(j, n), F(k, n))
+             for k in range(n + 1) for j in range(n + 1) for i in range(n + 1)]
+    steps = (1, n + 1, (n + 1) ** 2)
+    tops = []
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                a = i + j * steps[1] + k * steps[2]
+                for order in permutations(steps):
+                    path = [a]
+                    for step in order:
+                        path.append(path[-1] + step)
+                    tops.append(tuple(path))
     return verts, tops
 
 

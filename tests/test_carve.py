@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from complex_generators import grid_tops, wedge_stack_tops
+from complex_generators import grid_tops, kuhn_cube_tops, wedge_stack_tops
 
 from saet.carve import (
     CarvedSet,
@@ -310,11 +310,20 @@ def grid_cut(n: int) -> PLSet:
                      if any(k.vertices[v][1] != F(1, 2) for v in s.vertex_ids)])
 
 
+def cut_cube(n: int) -> PLSet:
+    """The Kuhn-triangulated n x n x n unit cube grid minus every cell in z = 1/2."""
+    k = build_complex(*kuhn_cube_tops(n), validate=False)
+    return PLSet(k, [sid for sid, s in enumerate(k.simplices)
+                     if any(k.vertices[v][2] != F(1, 2) for v in s.vertex_ids)])
+
+
 def test_carving_solves_each_separation_once(monkeypatch):
-    # 8 tubes along the cut, then 9 collars: one hyperplane per ordered
-    # sibling pair (8 * 7), shared by the eps search and the certificate,
-    # and one per collar and tube its base avoids (9 * 8 - 16), not one per
-    # candidate; the obstruction set is found once, not once per level
+    # 8 tubes along the cut, then 9 collars: a hyperplane only for a pair
+    # whose reach boxes meet at some candidate, shared by the eps search
+    # and the certificate: 25 of the 56 ordered sibling pairs, the 14 that
+    # share a vertex among them, and none of the 56 pairs of a collar and
+    # a tube its vertex avoids; the obstruction set is found once, not
+    # once per level
     from saet import carve, metric
 
     original, calls = metric.separating_hyperplane, []
@@ -333,7 +342,7 @@ def test_carving_solves_each_separation_once(monkeypatch):
     monkeypatch.setattr(carve, "eta", counting_eta)
     result = appropriate_embed(grid_cut(8))
     assert [len(lv["cells"]) for lv in result.levels] == [8, 9]
-    assert len(calls) <= 8 * 7 + 9 * 8 - 16
+    assert len(calls) <= 25
     assert len(eta_calls) == 1
 
 
@@ -345,7 +354,7 @@ def test_carving_builds_records_only_at_the_accepted_eps(monkeypatch):
     original, calls = metric.rat_str, []
     monkeypatch.setattr(metric, "rat_str", lambda x: calls.append(x) or original(x))
     certificates = appropriate_embed(grid_cut(8)).certificates
-    assert len(certificates) == 438
+    assert len(certificates) == 340
     assert len(calls) <= 2 * len(certificates)
 
 
@@ -363,7 +372,7 @@ def test_cut_grid_certificates_pinned():
     # order of the certificates is fixed
     text = json.dumps(appropriate_embed(grid_cut(6)).certificates, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ad8ee3c7e01793665357e00868e486b634a6a4fd20db73d6e5c1105b5d982acf"
+        "4b55449da74b1c50ada0d70b4eaf75308440b9e181df76cd8c35323cde6b1aae"
     )
 
 
@@ -386,8 +395,9 @@ def _generated_marked_sets():
 
 def test_carving_pinned_on_generated_inputs():
     # levels and certificates of every generated input that embeds, byte for
-    # byte; the four refused grids separate a collar from an earlier tube
-    # by a plane the tube's fixed eps cannot clear (ROADMAP item 2)
+    # byte; the one refused grid separates a collar from an earlier tube
+    # whose reach box its own meets, by a plane the tube's fixed eps cannot
+    # clear (ROADMAP item 1)
     digest, refused = hashlib.sha256(), []
     for kind, seed, s in _generated_marked_sets():
         try:
@@ -397,25 +407,113 @@ def test_carving_pinned_on_generated_inputs():
             continue
         text = json.dumps([kind, seed, res.levels, res.certificates], sort_keys=True)
         digest.update(text.encode())
-    assert refused == [("grid", 20), ("grid", 27), ("grid", 39), ("grid", 43)]
+    assert refused == [("grid", 27)]
     assert digest.hexdigest() == (
-        "efb06964cd00cda03ece773e9d517e9989129a687fa28db90784fbe30cf9aa67"
+        "3a0df56557852f4ab2179aa70456f9c3cde377a08b02e62be5c0702d2401d527"
     )
 
 
 def test_collar_refusal_names_the_inequality():
-    # the 5 x 5 grid minus the vertex (1/5, 2/5) and two edges: no radius
-    # lets the collar around that vertex clear the earlier tube around
-    # simplex 89, whose own apex balls cross the separating plane
+    # generated grid 27: the reach boxes of the collar around vertex 25 and
+    # of the earlier tube around simplex 89 meet at every radius, and no
+    # radius lets the collar clear that tube, whose own apex balls cross
+    # the separating plane
+    with pytest.raises(CertificationFailure) as failure:
+        appropriate_embed(_generated("grid", 27))
+    assert str(failure.value) == (
+        "no collar radius certified for vertex 25: apex_ball_clearance of peer 89"
+        " against simplex 25 fails at the last candidate"
+    )
+
+
+def _five_grid_cut_at_a_collar() -> PLSet:
+    """The 5 x 5 grid minus the vertex (1/5, 2/5) and the edges
+    (3/5, 2/5)-(3/5, 3/5) and (1/5, 3/5)-(2/5, 4/5)."""
     k = build_complex(*grid_tops(5), validate=False)
     drop = {k.id_of((13,)), k.id_of((15, 21)), k.id_of((19, 26))}
-    s = PLSet(k, set(range(len(k.simplices))) - drop)
-    with pytest.raises(CertificationFailure) as failure:
-        appropriate_embed(s)
-    assert str(failure.value) == (
-        "no collar radius certified for vertex 13: apex_ball_clearance of peer 89"
-        " against simplex 13 fails at the last candidate"
-    )
+    return PLSet(k, set(range(len(k.simplices))) - drop)
+
+
+def test_collars_cleared_by_reach_round_trip_and_probe_connected():
+    # on these inputs a collar's vertex avoids an earlier tube whose fixed
+    # eps cannot clear the LP's separating plane; their reach boxes miss
+    # each other, and that proves the pair.  The carving they get must
+    # round-trip near every unit, and every collar wall that has a
+    # rational probe point must probe Connected
+    from saet.cli import _wall_probe_points
+
+    marked = [_generated("grid", seed) for seed in (20, 39, 43)] + [_five_grid_cut_at_a_collar()]
+    probed = 0
+    for s in marked:
+        res = appropriate_embed(s)
+        collars = [u for u in res.carved.units if u.is_ball]
+        assert any(r["kind"] == "reach_disjoint" for u in collars for r in u.certificate)
+        # a collar around a vertex on the grid's edge keeps part of its
+        # shell outside the grid, so draw more shell points
+        _assert_round_trips_near_every_unit(res, random.Random(30), draws=8)
+        for u in collars:
+            for i, (q, d) in enumerate(_wall_probe_points(res.carved, u, 4)):
+                rep = probe_germ(res.carved, q, min(F(1, 64), d / 2), 32, seed=i)
+                assert rep.status == CONNECTED, (q, rep)
+                probed += 1
+    assert probed
+
+
+def test_cut_cube_2_solves_few_separations(monkeypatch):
+    # the validated 2 x 2 x 2 Kuhn cut cube carves 8 triangles, 16 edges
+    # and 9 vertices; the reach boxes leave at most 16 separating planes
+    # per unit (a plane per peer pair would be 560 for these 33 units)
+    from saet import metric
+
+    original, calls = metric.separating_hyperplane, []
+    monkeypatch.setattr(metric, "separating_hyperplane",
+                        lambda a, b: calls.append((a, b)) or original(a, b))
+    build_complex(*kuhn_cube_tops(2))  # the glue check passes
+    res = appropriate_embed(cut_cube(2))
+    assert [(lv["dim"], len(lv["cells"]), lv["eps_sq"]) for lv in res.levels] == [
+        (2, 8, "4/17"), (1, 16, "4/257"), (0, 9, "1/1024")]
+    assert len(calls) <= 16 * len(res.carved.units)
+
+
+def test_cut_cube_2_records_name_each_side():
+    # every tube certificate of the cut cube is what certificate_for gives
+    # at its eps with the same peers, and every peer record names tau, the
+    # peer and its own side's eps^2: a plane's far-side record the peer's
+    # eps^2, a reach_disjoint record both reach boxes' intervals on an axis
+    # where they miss each other
+    from saet.metric import _proper_peers, certificate_for, reach_box
+    from saet.rationals import rat_str
+
+    res = appropriate_embed(cut_cube(2))
+    k = res.carved.base.complex
+    eps_of, seen, units = {}, set(), iter(res.carved.units)
+    for lv in res.levels:
+        cells = lv["cells"]
+        level_units = [next(units) for _ in cells]
+        for t, u in zip(cells, level_units):
+            if not u.is_ball:
+                peers = [o for o in cells if o != t] + [
+                    (p, e) for p, e in eps_of.items() if _proper_peers(k, t, p)]
+                assert certificate_for(k, t, u.outer.eps_sq, peers) == u.certificate
+            for r in u.certificate:
+                if "peer" not in r or r["kind"] == "ball_disjointness":
+                    continue
+                assert r["tau"] == t
+                own_eps = u.outer.radius_sq if u.is_ball else u.outer.eps_sq
+                peer_eps = eps_of.get(r["peer"], own_eps)
+                seen.add(r["kind"])
+                if r["kind"] == "reach_disjoint":
+                    assert (r["eps_sq"], r["peer_eps_sq"]) == (rat_str(own_eps), rat_str(peer_eps))
+                    a = r["axis"]
+                    lo, hi = reach_box(k.coords(t), own_eps)[a]
+                    p_lo, p_hi = reach_box(k.coords(r["peer"]), peer_eps)[a]
+                    assert r["interval"] == [rat_str(lo), rat_str(hi)]
+                    assert r["peer_interval"] == [rat_str(p_lo), rat_str(p_hi)]
+                    assert hi < p_lo or p_hi < lo
+                elif r["side"] == 1:
+                    assert r["eps_sq"] == rat_str(peer_eps)
+        eps_of.update((t, u.outer.eps_sq) for t, u in zip(cells, level_units) if not u.is_ball)
+    assert seen == {"reach_disjoint", "apex_ball_clearance", "vertex_ball_clearance"}
 
 
 def test_probes_build_facet_forms_once(monkeypatch, fix_a_embedded):
@@ -776,12 +874,13 @@ def test_maps_write_the_input_once(monkeypatch, fix_a_embedded):
     assert moved
 
 
-def _assert_round_trips_near_every_unit(res, rng):
+def _assert_round_trips_near_every_unit(res, rng, draws: int = 4):
     # at 128 bits push(pull(x)) and pull(push(x)) enclose x to within
-    # 2^-30 at points in the outer shell of every unit
+    # 2^-30 at points in the outer shell of every unit, drawn ``draws``
+    # times per unit and kept where they are in the carved set
     checked = 0
     for u in res.carved.units:
-        shell = [x for x in _shell_points(u, rng, 4) if res.carved.member(x)]
+        shell = [x for x in _shell_points(u, rng, draws) if res.carved.member(x)]
         assert shell
         for x in shell:
             for first, second in ((res.pull, res.push), (res.push, res.pull)):

@@ -295,13 +295,14 @@ def built_clearances(monkeypatch, marked_sets):
 
 def test_integer_clearance_matches_fraction_intervals(monkeypatch):
     # the side check and the test of every clearance carved on the 8 x 8 cut
-    # grid, the punctured 6 x 6 grid and 20 seeded wedge stacks, at every
-    # candidate eps^2 and every level's snapped eps^2: the same True, False
-    # and undecided answers as the Fraction intervals
-    from test_carve import _generated_marked_sets, grid_cut, grid_punctured
+    # grid, the punctured 6 x 6 grid, the 2 x 2 x 2 cut cube and 20 seeded
+    # wedge stacks, at every candidate eps^2 and every level's snapped
+    # eps^2: the same True, False and undecided answers as the Fraction
+    # intervals
+    from test_carve import _generated_marked_sets, cut_cube, grid_cut, grid_punctured
 
     wedges = [s for kind, _, s in _generated_marked_sets() if kind == "wedges"]
-    marked = [grid_cut(8), grid_punctured(6, [(1, 1), (3, 4), (4, 2)])] + wedges
+    marked = [grid_cut(8), grid_punctured(6, [(1, 1), (3, 4), (4, 2)]), cut_cube(2)] + wedges
     built, eps_values = built_clearances(monkeypatch, marked)
     eps_values = sorted(eps_values | set(_EPS_SQ_CANDIDATES))
     answers = {}

@@ -10,7 +10,7 @@ from saet.carve import _rational_normal, appropriate_embed
 from saet.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, linear_feasible, solve_max
 from saet.rationals import dot, invert, rank, rat, rational_sqrt, solve
 from saet.tubes import Tube
-from test_carve import grid_cut
+from test_carve import cut_cube, grid_cut
 
 
 def _random_matrix(rng, n):
@@ -377,8 +377,9 @@ def test_lp_matches_fraction_simplex_on_known_ties(monkeypatch):
 
 
 def test_separating_planes_match_fraction_simplex(monkeypatch):
-    # every plane the carving of the 8x8 cut grid and the full verify suite
-    # certify with is the plane the Fraction simplex finds
+    # every plane the carvings of the 8x8 cut grid and the 2x2x2 cut cube
+    # and the full verify suite certify with is the plane the Fraction
+    # simplex finds
     reference = fraction_lp([])
     original = metric.separating_hyperplane
     planes = []
@@ -395,6 +396,7 @@ def test_separating_planes_match_fraction_simplex(monkeypatch):
     monkeypatch.setattr(metric, "separating_hyperplane", both)
     monkeypatch.setattr(verify, "separating_hyperplane", both)
     appropriate_embed(grid_cut(8))
+    appropriate_embed(cut_cube(2))
     n_carve = len(planes)
     verify.run_suite("full")
     assert n_carve >= 100 and len(planes) > n_carve

@@ -287,7 +287,7 @@ def test_full_manifest_pinned():
     # any change to a certificate, a check or its wording shows up here
     text = run_suite("full").to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c9ce347fb0f73a3d1fc705243ae09749487a23e3cc567145df1380eea7abe06d"
+        "d263fd17d243736453d59414371864ed4de0f02cd20a541dfab3cf59ae69024c"
     )
 
 
