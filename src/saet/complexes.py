@@ -11,44 +11,37 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import prod
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
 from .geometry import SimplexGeometry, common_face
+from .intervals import BoxNumerators
 from .rationals import Vec, homogeneous, vec
 
 
-_ONE = Fraction(1)
-
-
-def bounding_box(pts: Sequence[Vec]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Closed axis-aligned bounding box of the points: (lo, hi) per axis."""
-    return tuple((min(axis), max(axis)) for axis in zip(*pts))
-
-
-def _meeting_box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, int]]:
-    """Index pairs i < j whose closed boxes meet on every axis, in the
-    order of ``combinations(range(len(boxes)), 2)``.
+def _meeting_box_pairs(boxes: Sequence[BoxNumerators]) -> list[tuple[int, int]]:
+    """Index pairs i < j whose closed boxes meet (``separating_axis`` is
+    None), in the order of ``combinations(range(len(boxes)), 2)``.  The
+    boxes share one denominator.
 
     Sort-and-sweep on axis 0: with the boxes sorted by lower bound, the
     scan from box i stops at the first box whose lower bound passes i's
     upper bound, since every later one starts further right still.
     """
-    if not boxes or not boxes[0]:  # no axes (R^0): every pair meets
+    if not boxes or not boxes[0].lo:  # no axes (R^0): every pair meets
         return list(combinations(range(len(boxes)), 2))
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0])
     pairs = []
     for pos, i in enumerate(order):
         box_i = boxes[i]
-        hi = box_i[0][1]
-        for q in range(pos + 1, len(order)):
-            j = order[q]
+        hi = box_i.hi[0]
+        for j in islice(order, pos + 1, None):
             box_j = boxes[j]
-            if box_j[0][0] > hi:
+            if box_j.lo[0] > hi:
                 break
-            if all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(box_i[1:], box_j[1:])):
+            if box_i.separating_axis(box_j) is None:
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
@@ -139,8 +132,10 @@ class Complex:
 
     @cached_property
     def vertex_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex written by ``homogeneous`` as (q, p_1, ..., p_n), built once."""
-        return tuple(map(homogeneous, self.vertices))
+        """The vertices as integer rows (q, p_1, ..., p_n), all over the
+        least common denominator q of every coordinate, built once."""
+        q, *ints = homogeneous([c for p in self.vertices for c in p])
+        return tuple((q, *ints[i * self.n:(i + 1) * self.n]) for i in range(len(self.vertices)))
 
     def geometry(self, sid: int) -> SimplexGeometry:
         geo = self._geom.get(sid)
@@ -177,9 +172,9 @@ class Complex:
         simplex holds x = p / q, with its barycentric numerators at h
         (``SimplexGeometry.numerators``); None when no closed top holds x.
 
-        Each listed top is tested first by its closed bounding box and then
-        by its integer kernel.  Every test is homogeneous in (q, p), so any
-        positive multiple of h gives the same answer.
+        Each listed top is tested first by its closed box (``_BucketGrid``)
+        and then by its integer kernel.  Every test is homogeneous in
+        (q, p), so any positive multiple of h gives the same answer.
 
         A ``hint``, the id of a top cell, makes the location start there:
         its kernel is tested first, and when its closed simplex holds x it
@@ -201,9 +196,11 @@ class Complex:
         if self._grid is None:
             self._grid = _BucketGrid(self)
         q, *p = h
-        for sid, _, scale, bounds in self._grid.candidates(h):
-            for c, (lo, hi) in zip(p, bounds):
-                if not lo * q <= c * scale <= hi * q:
+        # an inline loop, not a BoxNumerators method: every germ evaluation
+        # and hint miss runs it, and a method call made it 6-12% slower
+        for sid, s, lo, hi in self._grid.candidates(h):
+            for c, a, b in zip(p, lo, hi):
+                if not a * q <= c * s <= b * q:
                     break
             else:
                 nums, height = self.geometry(sid).numerators(h)
@@ -225,43 +222,40 @@ class Complex:
 
 
 class _BucketGrid:
-    """A grid of buckets over the closed bounding boxes of the top cells
-    (Ericson, *Real-Time Collision Detection*, 2004, ch. 7).
+    """A grid of buckets over the closed boxes of the top cells (Ericson,
+    *Real-Time Collision Detection*, 2004, ch. 7).
 
+    Each top's box is the ``BoxNumerators`` of its vertices, all written
+    over one common denominator ``q``, so every test below reads integers.
     Each axis gets a bucket count in proportion to its extent measured in
     the mean width of the tops' boxes on that axis, scaled so that there
     are about len(tops) buckets in all; an axis of zero extent gets one
-    bucket of step 1.  A slab-shaped complex, such as a stack of prisms
-    that each span the whole cross-section, is thus cut along the stack
-    only.  A coordinate c falls in bucket floor((c - lo) / step), clamped to
-    the last one, computed exactly on the numerators and denominators.
-    Each top is listed, in ``top_ids`` order, in every bucket its closed box
-    meets, by the same map; since the map is monotone, a point in the
-    closed box of a top lies in one of that top's buckets, on a bucket
-    boundary too.  The counts only choose the buckets; no test reads them.
+    bucket.  A slab-shaped complex, such as a stack of prisms that each
+    span the whole cross-section, is thus cut along the stack only.  A
+    coordinate x falls in bucket floor((x - lo) / step), with step the
+    extent over the count, clamped to the last one, computed exactly on
+    the numerators.  Each top is listed, in ``top_ids`` order, in every
+    bucket its closed box meets, by the same map; since the map is
+    monotone, a point in the closed box of a top lies in one of that top's
+    buckets, on a bucket boundary too.  The counts only choose the buckets;
+    no test reads them.
     """
 
-    __slots__ = ("axes", "buckets")
+    __slots__ = ("q", "axes", "buckets")
 
     def __init__(self, k: Complex):
-        tops = [(sid, k.simplices[sid].vertex_ids, bounding_box(k.coords(sid)))
-                for sid in k.top_ids]
-        counts = _bucket_counts([box for _, _, box in tops])
-        # per axis: lo, hi and step, each as a (numerator, denominator)
-        # pair, and the last bucket
-        self.axes = []
-        for a, per_axis in enumerate(counts):
-            lo = min(box[a][0] for _, _, box in tops)
-            hi = max(box[a][1] for _, _, box in tops)
-            step = (hi - lo) / per_axis or _ONE
-            self.axes.append((*((f.numerator, f.denominator) for f in (lo, hi, step)),
-                              per_axis - 1))
+        boxes = [BoxNumerators.of_points([k.vertex_rows[v] for v in k.simplices[sid].vertex_ids])
+                 for sid in k.top_ids]
+        whole = BoxNumerators.hull(boxes)
+        self.q = whole.q
+        # per axis, over q: lo and hi of all tops, the bucket count, the
+        # last bucket and the extent (1 when it is 0, which only 0 divides)
+        self.axes = [(lo, hi, count, count - 1, hi - lo or 1)
+                     for lo, hi, count in zip(whole.lo, whole.hi, _bucket_counts(boxes))]
         self.buckets: dict[tuple[int, ...], list] = {}
-        for sid, ids, box in tops:
-            scale, *bounds = homogeneous([c for axis in box for c in axis])
-            entry = (sid, ids, scale, tuple(zip(bounds[::2], bounds[1::2])))
-            low = self.key(homogeneous([lo for lo, _ in box]))
-            high = self.key(homogeneous([hi for _, hi in box]))
+        for sid, (q, lo, hi) in zip(k.top_ids, boxes):
+            entry = (sid, q, lo, hi)
+            low, high = self.key((q, *lo)), self.key((q, *hi))
             for key in product(*(range(a, b + 1) for a, b in zip(low, high))):
                 self.buckets.setdefault(key, []).append(entry)
 
@@ -269,24 +263,26 @@ class _BucketGrid:
         """The bucket of the point h = (q, p_1, ..., p_n); None when it lies
         outside the box of all tops."""
         q, *p = h
+        s = self.q
         out = []
-        for c, ((ln, ld), (hn, hd), (sn, sd), last) in zip(p, self.axes):
-            above = c * ld - ln * q  # (x_a - lo) * ld * q
-            if above < 0 or c * hd > hn * q:
+        for c, (lo, hi, count, last, extent) in zip(p, self.axes):
+            c *= s
+            above = c - lo * q  # (x_a - lo) * q * s
+            if above < 0 or c > hi * q:
                 return None
-            out.append(min(last, above * sd // (ld * sn * q)))
+            out.append(min(last, above * count // (extent * q)))
         return tuple(out)
 
     def candidates(self, h: Sequence[int]) -> list:
         """The tops listed in the bucket of the point h = (q, p_1, ..., p_n),
-        each as (id, vertex ids, scale, bounds): its closed box is
-        bounds[a] / scale on axis a, over the integers."""
+        each as (id, q, lo, hi), its id and the fields of its closed box."""
         key = self.key(h)
         return [] if key is None else self.buckets.get(key, [])
 
 
-def _bucket_counts(boxes: Sequence[tuple]) -> list[int]:
-    """Buckets per axis for ``_BucketGrid``, about len(boxes) in all.
+def _bucket_counts(boxes: Sequence[BoxNumerators]) -> list[int]:
+    """Buckets per axis for ``_BucketGrid``, about len(boxes) in all, for
+    boxes over one denominator, which the counts do not depend on.
 
     Axis a of extent E_a gets a count in proportion to E_a / w_a, with w_a
     the mean width of the boxes on that axis but at least E_a / len(boxes);
@@ -295,10 +291,10 @@ def _bucket_counts(boxes: Sequence[tuple]) -> list[int]:
     if not boxes:
         return []
     ratios = []
-    for axis in zip(*boxes):
-        extent = max(hi for _, hi in axis) - min(lo for lo, _ in axis)
-        width = sum(hi - lo for lo, hi in axis) / len(boxes)
-        ratios.append(float(extent / max(width, extent / len(boxes))) if extent else 0.0)
+    for lo, hi in zip(zip(*(b.lo for b in boxes)), zip(*(b.hi for b in boxes))):
+        extent = max(hi) - min(lo)
+        width = Fraction(sum(hi) - sum(lo), len(boxes))
+        ratios.append(float(extent / max(width, Fraction(extent, len(boxes)))) if extent else 0.0)
     spread = [r for r in ratios if r]
     if not spread:
         return [1] * len(ratios)
@@ -355,10 +351,11 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     ``validate``: its fraction-free solve proves the vertices affinely
     independent, and the complex keeps it for ``Complex.geometry``.
     Gluing, checked only with ``validate``, runs in three phases on
-    integers throughout; the vertices are written once over one common
-    denominator for the boxes.  The broad phase sorts the tops by the
-    lower bound of their closed bounding boxes on axis 0 and sweeps,
-    keeping the pairs whose boxes meet on every axis.  The narrow
+    integers throughout; the boxes are the ``BoxNumerators.of_points`` of
+    the tops' vertex rows, over one denominator (``Complex.vertex_rows``).
+    The broad phase sorts the tops by the lower bound of their boxes on
+    axis 0 and sweeps, keeping the pairs whose boxes meet
+    (``separating_axis`` is None; ``_meeting_box_pairs``).  The narrow
     phase runs ``common_face`` on those pairs only, in the order of
     ``combinations(tops, 2)``, so the first BadGlue names the same pair an
     all-pairs check would.  ``common_face`` first looks for a separating
@@ -393,18 +390,6 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
         except DegenerateSimplex:
             raise DegenerateSimplex(f"{t} has affinely dependent vertices") from None
 
-    if validate:
-        _, *ints = homogeneous([c for p in pts for c in p])
-        scaled = [ints[i * n:(i + 1) * n] for i in range(len(pts))]
-        boxes = [bounding_box([scaled[i] for i in t.vertex_ids]) for t in tops]
-        for ta, tb in _meeting_box_pairs(boxes):
-            a, b = tops[ta], tops[tb]
-            shared = set(a.vertex_ids) & set(b.vertex_ids)
-            ia = [k for k, i in enumerate(a.vertex_ids) if i in shared]
-            ib = [k for k, i in enumerate(b.vertex_ids) if i in shared]
-            if not common_face(geos[ta], geos[tb], ia, ib):
-                raise BadGlue(f"{a} and {b} meet outside their common face")
-
     closure: set[tuple[int, ...]] = set()
     for t in tops:
         for f in t.faces():
@@ -417,6 +402,15 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     # the tops' geometries are the ones Complex.geometry would build: the
     # same sorted vertex order
     k._geom.update((keys[t.vertex_ids], geo) for t, geo in zip(tops, geos))
+    if validate:
+        boxes = [BoxNumerators.of_points([k.vertex_rows[i] for i in t.vertex_ids]) for t in tops]
+        for ta, tb in _meeting_box_pairs(boxes):
+            a, b = tops[ta], tops[tb]
+            shared = set(a.vertex_ids) & set(b.vertex_ids)
+            ia = [j for j, i in enumerate(a.vertex_ids) if i in shared]
+            ib = [j for j, i in enumerate(b.vertex_ids) if i in shared]
+            if not common_face(geos[ta], geos[tb], ia, ib):
+                raise BadGlue(f"{a} and {b} meet outside their common face")
     return k
 
 

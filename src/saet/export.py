@@ -9,7 +9,8 @@ from .carve import CarvedSet
 from .complexes import Complex, PLSet
 from .errors import DimensionTooHigh, PreconditionViolated
 from .extend import ExtensionReport
-from .tubes import OUTSIDE, Tube, VertexBall, membership, reach_box
+from .intervals import BoxNumerators
+from .tubes import OUTSIDE, Tube, VertexBall, membership, reach_bounds
 
 
 def _coord(x: Fraction) -> str:
@@ -59,8 +60,8 @@ def export_mesh(k: Complex, marked: PLSet | None, path: str, fmt: str = "obj") -
             raise ValueError(f"unknown format {fmt!r}")
 
 
-def _grid_raster(member, bbox, path: str, resolution: int) -> None:
-    """Rasterize a membership predicate over a rational grid.
+def _grid_raster(member, box: BoxNumerators, path: str, resolution: int) -> None:
+    """Rasterize a membership predicate over a rational grid on the box.
 
     2D: marching-squares boundary segments as OBJ lines.  3D: voxel faces
     between inside and outside cells (blocky but deterministic).  The
@@ -71,11 +72,11 @@ def _grid_raster(member, bbox, path: str, resolution: int) -> None:
         raise TypeError(f"the resolution must be an int, got {resolution!r}")
     if resolution < 1:
         raise PreconditionViolated(f"the resolution must be at least 1, got {resolution}")
-    n = len(bbox)
+    n = len(box.lo)
     steps = resolution
     axes = [
-        [lo + (hi - lo) * Fraction(i, steps) for i in range(steps + 1)]
-        for lo, hi in bbox
+        [Fraction(lo * (steps - i) + hi * i, box.q * steps) for i in range(steps + 1)]
+        for lo, hi in zip(box.lo, box.hi)
     ]
     if n == 2:
         xs, ys = axes
@@ -130,6 +131,7 @@ def _grid_raster(member, bbox, path: str, resolution: int) -> None:
             return vid[p]
 
         deltas = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        h = [Fraction(hi - lo, 2 * steps * box.q) for lo, hi in zip(box.lo, box.hi)]
         for i in range(steps + 1):
             for j in range(steps + 1):
                 for l in range(steps + 1):
@@ -145,7 +147,6 @@ def _grid_raster(member, bbox, path: str, resolution: int) -> None:
                             (ys[j] + ys[nj]) / 2,
                             (zs[l] + zs[nl]) / 2,
                         )
-                        h = tuple((hi - lo) / (2 * steps) for lo, hi in bbox)
                         u, w = [k for k in range(3) if d[k] == 0]
                         corners = []
                         for su, sw in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
@@ -165,8 +166,8 @@ def _grid_raster(member, bbox, path: str, resolution: int) -> None:
 
 def export_tube(tube: Tube | VertexBall, path: str, resolution: int = 48) -> None:
     """Rasterized boundary of the closed tube (lens-shaped in the plane),
-    over its ``tubes.reach_box``."""
-    _grid_raster(lambda x: membership(tube, x) != OUTSIDE, reach_box(tube), path, resolution)
+    over its ``tubes.reach_bounds``."""
+    _grid_raster(lambda x: membership(tube, x) != OUTSIDE, reach_bounds(tube), path, resolution)
 
 
 def export_carved(carved: CarvedSet, path: str, resolution: int = 48) -> None:
@@ -174,11 +175,7 @@ def export_carved(carved: CarvedSet, path: str, resolution: int = 48) -> None:
     k = carved.base.complex
     if k.n > 3:
         raise DimensionTooHigh(f"rasterization supports n <= 3, got {k.n}")
-    bbox = [
-        (min(v[c] for v in k.vertices), max(v[c] for v in k.vertices))
-        for c in range(k.n)
-    ]
-    _grid_raster(carved.member, bbox, path, resolution)
+    _grid_raster(carved.member, BoxNumerators.of_points(k.vertex_rows), path, resolution)
 
 
 def export_extension(report: ExtensionReport, path: str, fmt: str = "obj") -> None:

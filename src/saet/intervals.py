@@ -7,12 +7,14 @@ outward-exact, so widths only grow through honest arithmetic.  Refinement
 means recomputing at a higher bit count.
 
 The same operations also run on integer numerators.  ``BoxNumerators``
-writes a box once over one common denominator, and ``square_bounds``,
-``product_bounds``, ``quotient_bounds`` and ``sqrt_bounds`` give the ends
-that ``Interval.square``, ``*``, ``/`` and ``interval_sqrt`` give, as
-integers over a denominator the caller tracks.  The levels of the
-deformation maps decide on these integers; ``Interval`` and
-``IntervalPoint`` are the types they return.
+writes a box once over one common denominator.  It is the package's one
+box type, with the box of points (``of_points``), the box of boxes
+(``hull``) and the test of two boxes (``separating_axis``) each written
+once.  ``square_bounds``, ``product_bounds``, ``quotient_bounds`` and
+``sqrt_bounds`` give the ends that ``Interval.square``, ``*``, ``/`` and
+``interval_sqrt`` give, as integers over a denominator the caller tracks.
+The levels of the deformation maps decide on these integers; ``Interval``
+and ``IntervalPoint`` are the types they return.
 """
 
 from __future__ import annotations
@@ -195,21 +197,39 @@ def combination(weights: Iterable[Interval], points: Iterable[Vec]) -> IntervalP
 
 
 class BoxNumerators(NamedTuple):
-    """A box over the integers: axis k spans [lo[k], hi[k]] / q, q > 0."""
+    """A closed box over the integers: axis k spans [lo[k], hi[k]] / q, q > 0."""
 
     q: int
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
     @staticmethod
+    def of_points(rows: Sequence[Sequence[int]]) -> "BoxNumerators":
+        """The closed box of the integer points (q, p_1, ..., p_n), over the
+        least common multiple of their q."""
+        q_col, *axes = zip(*rows)
+        q = lcm(*q_col)
+        if q_col.count(q) != len(q_col):  # rows over one q, as a complex's are, skip this
+            scales = [q // r for r in q_col]
+            axes = [[c * s for c, s in zip(axis, scales)] for axis in axes]
+        return BoxNumerators(q, tuple(map(min, axes)), tuple(map(max, axes)))
+
+    @staticmethod
     def hull(boxes: Sequence["BoxNumerators"]) -> "BoxNumerators":
-        """The smallest box holding every one of ``boxes``, over the least
-        common multiple of their denominators."""
-        q = lcm(*(b.q for b in boxes))
-        scaled = [(q // b.q, b) for b in boxes]
-        axes = range(len(boxes[0].lo))
-        return BoxNumerators(q, tuple(min(s * b.lo[k] for s, b in scaled) for k in axes),
-                             tuple(max(s * b.hi[k] for s, b in scaled) for k in axes))
+        """The smallest box holding every one of ``boxes``: the box of their
+        corners."""
+        return BoxNumerators.of_points([(b.q, *end) for b in boxes for end in (b.lo, b.hi)])
+
+    def separating_axis(self, other: "BoxNumerators") -> int | None:
+        """The first axis on which the two closed boxes miss each other,
+        cross-multiplied; None when they meet."""
+        q, r = self.q, other.q
+        axis = 0  # counted by hand: enumerate made the test 15% slower
+        for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi):
+            if b * r < c * q or d * q < a * r:
+                return axis
+            axis += 1
+        return None
 
     def interval_point(self) -> IntervalPoint:
         q = self.q

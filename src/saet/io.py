@@ -27,6 +27,14 @@ def _rat_in(x) -> Fraction:
         raise ParseError(f"bad rational {x!r}: {e}") from None
 
 
+def _json_list(value, name: str) -> list:
+    """value, which must be a JSON list (a string would be read by its
+    characters, an object by its keys); ParseError naming the field."""
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a JSON list, got {json.dumps(value, default=str)}")
+    return value
+
+
 def complex_to_dict(k: Complex, marked: PLSet | None = None) -> dict:
     data = {
         "n": k.n,
@@ -45,8 +53,10 @@ def _is_index(i, count: int) -> bool:
 
 def complex_from_dict(data: dict, validate: bool = True) -> tuple[Complex, PLSet | None]:
     try:
-        vertices = [tuple(_rat_in(c) for c in v) for v in data["vertices"]]
-        tops = [tuple(t) for t in data["simplices"]]
+        vertices = [tuple(_rat_in(c) for c in _json_list(v, f"vertex {i}"))
+                    for i, v in enumerate(_json_list(data["vertices"], "vertices"))]
+        tops = [tuple(_json_list(t, f"simplex {i}"))
+                for i, t in enumerate(_json_list(data["simplices"], "simplices"))]
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed complex data: {e}") from None
     count = len(vertices)
@@ -95,8 +105,8 @@ def _affine_to_list(form: AffineForm) -> list[str]:
     return [rat_str(form.c0)] + [rat_str(c) for c in form.c]
 
 
-def _affine_from_list(coeffs, n: int) -> AffineForm:
-    vals = [_rat_in(c) for c in coeffs]
+def _affine_from_list(coeffs, n: int, name: str) -> AffineForm:
+    vals = [_rat_in(c) for c in _json_list(coeffs, name)]
     if len(vals) != n + 1:
         raise ParseError(f"affine form needs {n + 1} coefficients, got {len(vals)}")
     return AffineForm(vals[0], vals[1:])
@@ -121,16 +131,17 @@ def function_from_dict(data: dict, domain: PLSet,
     count = len(domain.complex.simplices)
     pieces = {}
     try:
-        for entry in data["pieces"]:
+        for entry in _json_list(data["pieces"], "pieces"):
             sid = entry["simplex"]
             if not _is_index(sid, count):
                 raise ParseError(f"piece simplex {json.dumps(sid, default=str)} must be "
                                  f"a simplex id, an int in [0, {count})")
-            den = _affine_from_list(entry.get("den", [1] + [0] * n), n)
+            den = _affine_from_list(entry.get("den", [1] + [0] * n), n, f"piece {sid} den")
             if "num_factors" in entry:
-                factors = [_affine_from_list(c, n) for c in entry["num_factors"]]
+                factors = [_affine_from_list(c, n, f"piece {sid} num_factors")
+                           for c in _json_list(entry["num_factors"], f"piece {sid} num_factors")]
             else:
-                factors = [_affine_from_list(entry["num"], n)]
+                factors = [_affine_from_list(entry["num"], n, f"piece {sid} num")]
             pieces[sid] = RatioForm(factors, den)
     except (KeyError, TypeError, ValueError) as e:  # ValueError: 0 or 3+ factors
         raise ParseError(f"malformed function data: {e}") from None
@@ -169,10 +180,10 @@ def path_from_dict(data: dict) -> PathGerm:
         pieces = [
             (
                 _rat_in(p["t_end"]),
-                [_rat_in(x) for x in p["c"]],
-                [_rat_in(x) for x in p["v"]],
+                [_rat_in(x) for x in _json_list(p["c"], f"path piece {i} c")],
+                [_rat_in(x) for x in _json_list(p["v"], f"path piece {i} v")],
             )
-            for p in data["pieces"]
+            for i, p in enumerate(_json_list(data["pieces"], "path pieces"))
         ]
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed path data: {e}") from None

@@ -16,11 +16,12 @@ condition only for the first inequality that refuses a candidate; the
 certificate records and their strings are built once, at the accepted eps.
 
 A peer pair is decided by reach first.  Each neighbourhood lies in its
-reach box (``reach_box``), so two boxes that miss each other on some axis
-prove the closed neighbourhoods disjoint, which is all that a separating
-plane certifies.  The plane, and the LP that finds it, is built only for a
-pair whose boxes meet, the first time they do (McConnell, Mehlhorn, Naeher
-and Schweitzer, "Certifying algorithms", 2011: the cheap proof first).
+reach box (``reach_bounds``, a ``BoxNumerators``), so two boxes that miss
+each other on some axis (``separating_axis``) prove the closed
+neighbourhoods disjoint, which is all that a separating plane certifies.
+The plane, and the LP that finds it, is built only for a pair whose boxes
+meet, the first time they do (McConnell, Mehlhorn, Naeher and Schweitzer,
+"Certifying algorithms", 2011: the cheap proof first).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 from .complexes import Complex
 from .errors import CertificationFailure, DegenerateSimplex, NotCommonFace, PreconditionViolated
 from .geometry import SimplexGeometry, common_face
-from .intervals import Interval, IntervalPoint, combination, sqrt_enclosure
+from .intervals import BoxNumerators, Interval, IntervalPoint, combination, sqrt_enclosure
 from .lp import linear_feasible
 from .rationals import AffineForm, Vec, dot, homogeneous, rat_str, rational_sqrt, vec
 
@@ -153,48 +154,31 @@ def separating_hyperplane(simplex1: Sequence[Vec] | SimplexGeometry,
     return Hyperplane(AffineForm(sol[n], sol[:n]))
 
 
-def reach_bounds(rows: Sequence[Sequence[int]], eps_sq: Fraction
-                 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """A box that holds the closed eps-neighbourhood of a base, over the
-    integers: (scale, bounds), with axis a spanning bounds[a] / scale.  The
-    base's vertices are the integer rows (q, p_1, ..., p_n).
+def reach_bounds(rows: Sequence[Sequence[int]], eps_sq: Fraction) -> BoxNumerators:
+    """A box that holds the closed eps-neighbourhood of a base, whose
+    vertices are the integer rows (q, p_1, ..., p_n).
 
-    The box is the vertices' box inflated by a reach, rounded up to
-    (isqrt(N M) + 1) / M for a reach^2 of N / M in lowest terms.  A vertex
-    has the ball of radius eps, so the reach is eps.  A simplex has the
-    tube at eps (0 < eps^2 < 1), whose points over the base have height at
-    most eps* times their projection's distance to the base's boundary,
-    which is at most the base's diameter, so the reach is eps* diam.
+    The box is the vertices' box (``BoxNumerators.of_points``) inflated by
+    a reach, rounded up to (isqrt(N M) + 1) / M for a reach^2 of N / M in
+    lowest terms.  A vertex has the ball of radius eps, so the reach is eps.
+    A simplex has the tube at eps (0 < eps^2 < 1), whose points over the
+    base have height at most eps* times their projection's distance to the
+    base's boundary, which is at most the base's diameter, so the reach is
+    eps* diam.
     """
-    q = lcm(*(row[0] for row in rows))
-    points = [[c * (q // row[0]) for c in row[1:]] for row in rows]
-    a, b = eps_sq.numerator, eps_sq.denominator
-    if len(points) == 1:
-        reach_sq = Fraction(a, b)
+    box = BoxNumerators.of_points(rows)
+    q = box.q
+    if len(rows) == 1:
+        reach_sq = eps_sq
     else:
-        # eps*^2 diam^2 = a / (b - a) * diam^2, with diam^2 = d / q^2
+        # eps*^2 diam^2 = eps^2 / (1 - eps^2) * diam^2, with diam^2 = d / q^2
+        points = [[c * (q // row[0]) for c in row[1:]] for row in rows]
         d = max(sum((x - y) ** 2 for x, y in zip(v, w)) for v in points for w in points)
-        reach_sq = Fraction(a * d, (b - a) * q * q)
+        reach_sq = eps_sq * d / ((1 - eps_sq) * q * q)
     num, den = reach_sq.numerator, reach_sq.denominator
     reach = (isqrt(num * den) + 1) * q
-    return q * den, tuple((min(axis) * den - reach, max(axis) * den + reach)
-                          for axis in zip(*points))
-
-
-def reach_box(vertices: Sequence[Vec], eps_sq: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """``reach_bounds`` of the base with these vertices, as rationals."""
-    scale, bounds = reach_bounds([homogeneous(vec(v)) for v in vertices], Fraction(eps_sq))
-    return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in bounds)
-
-
-def _separating_axis(box1, box2) -> int | None:
-    """The first axis on which two closed integer boxes (``reach_bounds``)
-    miss each other, cross-multiplied; None when they meet."""
-    (s1, b1), (s2, b2) = box1, box2
-    for axis, ((lo1, hi1), (lo2, hi2)) in enumerate(zip(b1, b2)):
-        if hi1 * s2 < lo2 * s1 or hi2 * s1 < lo1 * s2:
-            return axis
-    return None
+    return BoxNumerators(q * den, tuple(lo * den - reach for lo in box.lo),
+                         tuple(hi * den + reach for hi in box.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +328,10 @@ class _Conditions:
     testing no further, and ``records`` builds the certificate records,
     once, at the accepted eps^2.
 
-    ``boxes`` holds the reach boxes, one entry per (cell, eps^2)
-    (``reach``, ``interval``); conditions that share it, as a carving's
-    do, build each box once and not once per pair.
+    ``boxes`` holds the reach boxes, one per (cell, eps^2) (``reach``), and
+    the strings of their intervals that records name (``interval``);
+    conditions that share it, as a carving's do, build each box once and
+    not once per pair.
     """
 
     def __init__(self, k: Complex, tau_id: int, peers=(), boxes: dict | None = None):
@@ -366,30 +351,26 @@ class _Conditions:
                     self.faces.append((sid, i, _Clearance(self.base, ff.forms[i], ff.norm_sq[i])))
         self.peers = [self.separation(pid, e) for pid, e in _normalize_peers(k, peers)]
 
-    def _box_entry(self, sid: int, eps_sq: Fraction) -> list:
-        """The entry of simplex sid at eps^2 in ``boxes``, keyed on integers
-        (a Fraction hashes slowly): its ``reach_bounds``, read from the
-        complex's integer vertex rows, and the interval strings of the axes
-        that a record has named, filled in by ``interval``."""
+    def reach(self, sid: int, eps_sq: Fraction) -> BoxNumerators:
+        """``reach_bounds`` of simplex sid at eps^2, read from the complex's
+        integer vertex rows, built once per (sid, eps^2) and kept in
+        ``boxes`` keyed on integers (a Fraction hashes slowly)."""
         key = (sid, eps_sq.numerator, eps_sq.denominator)
-        entry = self.boxes.get(key)
-        if entry is None:
+        box = self.boxes.get(key)
+        if box is None:
             rows = [self.k.vertex_rows[v] for v in self.k.simplex(sid).vertex_ids]
-            entry = self.boxes[key] = [reach_bounds(rows, eps_sq), {}]
-        return entry
-
-    def reach(self, sid: int, eps_sq: Fraction) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """``reach_bounds`` of simplex sid at eps^2, built once per
-        (sid, eps^2)."""
-        return self._box_entry(sid, eps_sq)[0]
+            box = self.boxes[key] = reach_bounds(rows, eps_sq)
+        return box
 
     def interval(self, sid: int, eps_sq: Fraction, axis: int) -> list[str]:
         """The reach box's [lo, hi] on an axis as strings, built once per
-        (sid, eps^2, axis): many records name the same box."""
-        (scale, bounds), strings = self._box_entry(sid, eps_sq)
-        if axis not in strings:
-            strings[axis] = [rat_str(Fraction(e, scale)) for e in bounds[axis]]
-        return list(strings[axis])
+        (sid, eps^2, axis) and kept in ``boxes``: many records name the same
+        box."""
+        key = (sid, eps_sq.numerator, eps_sq.denominator, axis)
+        if key not in self.boxes:
+            q, lo, hi = self.reach(sid, eps_sq)
+            self.boxes[key] = [rat_str(Fraction(lo[axis], q)), rat_str(Fraction(hi[axis], q))]
+        return list(self.boxes[key])
 
     def separation(self, peer_id: int, peer_eps_sq: Fraction | None = None) -> "_Separation":
         """The condition that tau's neighbourhood and the peer's are
@@ -475,9 +456,10 @@ class _Separation:
     def _peer_eps(self, eps_sq: Fraction) -> Fraction:
         return eps_sq if self.peer_eps_sq is None else self.peer_eps_sq
 
-    def _boxes(self, eps_sq: Fraction):
+    def _disjoint_axis(self, eps_sq: Fraction) -> int | None:
         c = self.conditions
-        return c.reach(c.tau_id, eps_sq), c.reach(self.peer_id, self._peer_eps(eps_sq))
+        return c.reach(c.tau_id, eps_sq).separating_axis(
+            c.reach(self.peer_id, self._peer_eps(eps_sq)))
 
     def _plane(self) -> tuple[_Clearance, _Clearance]:
         """The near and far clearances of the separating plane, built once."""
@@ -490,7 +472,7 @@ class _Separation:
         return self._clearances
 
     def refusal(self, eps_sq: Fraction) -> str | None:
-        if _separating_axis(*self._boxes(eps_sq)) is not None:
+        if self._disjoint_axis(eps_sq) is not None:
             return None
         near, far = self._plane()
         tau_id, peer_id = self.conditions.tau_id, self.peer_id
@@ -504,7 +486,7 @@ class _Separation:
         c = self.conditions
         ids = {"tau": c.tau_id, "peer": self.peer_id}
         peer_eps = self._peer_eps(eps_sq)
-        axis = _separating_axis(*self._boxes(eps_sq))
+        axis = self._disjoint_axis(eps_sq)
         if axis is not None:
             return [{"kind": "reach_disjoint", **ids,
                      "eps_sq": rat_str(eps_sq), "peer_eps_sq": rat_str(peer_eps), "axis": axis,

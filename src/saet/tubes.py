@@ -29,6 +29,7 @@ from typing import Sequence
 
 from . import metric
 from .geometry import SimplexGeometry
+from .intervals import BoxNumerators
 from .metric import FaceFunctionals
 from .rationals import Vec, homogeneous, vec
 
@@ -156,9 +157,9 @@ def membership_h(tube_or_ball, h: Sequence[int]) -> str:
     return ON_BOUNDARY if lhs == rhs else INSIDE_OPEN
 
 
-def reach_box(tube_or_ball) -> tuple[tuple[Fraction, Fraction], ...]:
-    """A box that holds the closed tube or ball: ``metric.reach_box`` of
+def reach_bounds(tube_or_ball) -> BoxNumerators:
+    """A box that holds the closed tube or ball: ``metric.reach_bounds`` of
     its vertices at its eps^2, a ball's radius^2 standing for eps^2."""
     ball = isinstance(tube_or_ball, VertexBall)
     eps_sq = tube_or_ball.radius_sq if ball else tube_or_ball.eps_sq
-    return metric.reach_box(tube_or_ball.vertices, eps_sq)
+    return metric.reach_bounds([homogeneous(v) for v in tube_or_ball.vertices], eps_sq)

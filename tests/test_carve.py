@@ -20,6 +20,18 @@ from saet.errors import BadOrder, CertificationFailure, OutOfDomain, Preconditio
 from saet.fixtures import punctured_square
 from saet.intervals import Interval, interval_sqrt
 from saet.probe import CONNECTED, DISCONNECTED
+from saet.tubes import reach_bounds
+
+
+def fraction_box(box):
+    """A ``BoxNumerators`` as rational (lo, hi) pairs, one per axis."""
+    return tuple((F(lo, box.q), F(hi, box.q)) for lo, hi in zip(box.lo, box.hi))
+
+
+def reach_box(u):
+    """The reach box of a carve unit (``tubes.reach_bounds`` of its outer
+    neighborhood) as rational pairs."""
+    return fraction_box(reach_bounds(u.outer))
 
 
 def test_coeffs_hand_example():
@@ -481,7 +493,8 @@ def test_cut_cube_2_records_name_each_side():
     # peer and its own side's eps^2: a plane's far-side record the peer's
     # eps^2, a reach_disjoint record both reach boxes' intervals on an axis
     # where they miss each other
-    from saet.metric import _proper_peers, certificate_for, reach_box
+    from saet.metric import _proper_peers, certificate_for
+    from saet.metric import reach_bounds as base_reach_bounds
     from saet.rationals import rat_str
 
     res = appropriate_embed(cut_cube(2))
@@ -505,8 +518,10 @@ def test_cut_cube_2_records_name_each_side():
                 if r["kind"] == "reach_disjoint":
                     assert (r["eps_sq"], r["peer_eps_sq"]) == (rat_str(own_eps), rat_str(peer_eps))
                     a = r["axis"]
-                    lo, hi = reach_box(k.coords(t), own_eps)[a]
-                    p_lo, p_hi = reach_box(k.coords(r["peer"]), peer_eps)[a]
+                    lo, hi = fraction_box(base_reach_bounds(
+                        [k.vertex_rows[v] for v in k.simplex(t).vertex_ids], own_eps))[a]
+                    p_lo, p_hi = fraction_box(base_reach_bounds(
+                        [k.vertex_rows[v] for v in k.simplex(r["peer"]).vertex_ids], peer_eps))[a]
                     assert r["interval"] == [rat_str(lo), rat_str(hi)]
                     assert r["peer_interval"] == [rat_str(p_lo), rat_str(p_hi)]
                     assert hi < p_lo or p_hi < lo
@@ -569,7 +584,7 @@ def test_reach_box_rejection_is_exact(marked):
     for u in carved.units:
         for _ in range(40):
             x = tuple(lo - (hi - lo) + 3 * (hi - lo) * F(rng.randint(0, 240), 240)
-                      for lo, hi in u.reach_box)
+                      for lo, hi in reach_box(u))
             h = homogeneous(x)
             if u.reaches_h(h):
                 kept += 1
@@ -622,7 +637,7 @@ def test_units_listed_per_top_match_every_unit(marked):
     pts = _points_on_shared_faces(k, rng)
     for u in carved.units:
         pts += [tuple(lo - (hi - lo) + 3 * (hi - lo) * F(rng.randint(0, 240), 240)
-                      for lo, hi in u.reach_box) for _ in range(12)]
+                      for lo, hi in reach_box(u)) for _ in range(12)]
     shared = removed = 0
     for x in pts:
         h = homogeneous(x)
@@ -768,7 +783,7 @@ def _probe_pool(res, rng) -> list[tuple]:
             _assert_in_shell(u, x)
         points += shell
         points += [tuple(lo - (hi - lo) / 2 + 2 * (hi - lo) * F(rng.randint(0, 64), 64)
-                         for lo, hi in u.reach_box) for _ in range(3)]
+                         for lo, hi in reach_box(u)) for _ in range(3)]
     return points
 
 
@@ -996,7 +1011,7 @@ def _ref_map_box(unit, box, data, direction, bits):
 
 
 def _ref_meets(unit, box):
-    return all(c.lo <= hi and lo <= c.hi for c, (lo, hi) in zip(box.coords, unit.reach_box))
+    return all(c.lo <= hi and lo <= c.hi for c, (lo, hi) in zip(box.coords, reach_box(unit)))
 
 
 def _ref_evaluate(dmap, x, bits):

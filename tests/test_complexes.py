@@ -25,6 +25,7 @@ from saet.complexes import (
 from saet.errors import BadGlue, DegenerateSimplex, NotInClosure
 from saet.fixtures import fix_a as make_fix_a
 from saet.geometry import SimplexGeometry, common_face
+from saet.intervals import BoxNumerators
 from saet.lp import intersection_excess
 from saet.rationals import affinely_independent
 
@@ -343,11 +344,11 @@ def test_common_face_matches_lp_on_perturbed_complexes(monkeypatch):
     for seed in range(100):
         verts, tops = perturbed_complex(seed)
         try:
-            build_complex(verts, tops, validate=False)
+            rows = build_complex(verts, tops, validate=False).vertex_rows
         except (DegenerateSimplex, ValueError):
             continue
         simplices = [Simplex(t) for t in tops]
-        boxes = [complexes.bounding_box([verts[v] for v in s.vertex_ids]) for s in simplices]
+        boxes = [BoxNumerators.of_points([rows[v] for v in s.vertex_ids]) for s in simplices]
         for i, j in complexes._meeting_box_pairs(boxes):
             a, b = simplices[i].vertex_ids, simplices[j].vertex_ids
             pair = (tuple(verts[v] for v in a), tuple(verts[v] for v in b))
@@ -509,6 +510,12 @@ def test_germ_queries_do_not_rebuild_the_closure(monkeypatch):
 # --- point location: the bucket grid against an all-simplices reference ------
 
 
+def closed_boxes(k):
+    """The closed box of every simplex of k, as rational (lo, hi) pairs."""
+    return [[(min(axis), max(axis)) for axis in zip(*k.coords(sid))]
+            for sid in range(len(k.simplices))]
+
+
 def all_simplices_locate(k, boxes, x):
     """Reference: test the open cell of every simplex of the complex, after
     an exact rejection by its closed bounding box boxes[sid]."""
@@ -554,7 +561,7 @@ def test_locate_matches_all_simplices_reference():
     for seed, (verts, tops) in enumerate(complexes_under_test):
         rng = random.Random(seed)
         k = build_complex(verts, tops, validate=False)
-        boxes = [complexes.bounding_box(k.coords(sid)) for sid in range(len(k.simplices))]
+        boxes = closed_boxes(k)
         for x in locate_queries(k, rng, 80):
             want = all_simplices_locate(k, boxes, x)
             assert k.locate(x) == want, (seed, x)
@@ -621,7 +628,7 @@ def test_bucket_counts_follow_the_tops_widths():
     square = complexes._BucketGrid(build_complex(*grid_tops(12), validate=False))
     assert [axis[3] + 1 for axis in square.axes] == [17, 17]
     rng = random.Random(16)
-    boxes = [complexes.bounding_box(k.coords(sid)) for sid in range(len(k.simplices))]
+    boxes = closed_boxes(k)
     for i in range(24):
         for _ in range(6):
             x = (F(rng.randint(0, 8), 8), F(rng.randint(0, 8), 8), F(16 * i, 23))

@@ -645,3 +645,72 @@ def test_integer_vertex_table_matches_fraction_table(monkeypatch, square, fix_a,
                     want.kind, want.value and (want.value.factors, want.value.den))
                 kinds.add(want.kind)
     assert kinds == {VALUE, INFINITE, DIRECTION_DEPENDENT}
+
+
+def _transported(f: PLFFunction):
+    """f on the barycentric subdivision of its complex, by carrier: each
+    marked chain takes the piece of its largest element; with the carrier
+    of every cell of the subdivision."""
+    from saet.complexes import barycentric_subdivide
+
+    k = f.complex
+    sub, marked = barycentric_subdivide(k, f.domain)
+    carrier = [max(c.vertex_ids, key=k.dim_of) for c in sub.simplices]
+    assert marked.members == {c for c, beta in enumerate(carrier) if beta in f.domain.members}
+    pieces = {c: f.pieces[carrier[c]] for c in marked.members}
+    return PLFFunction(marked, pieces, validate_continuity=False), carrier
+
+
+def test_extension_and_germs_invariant_under_subdivision(fix_c):
+    # the extension and the germ values belong to the point set, not to its
+    # triangulation.  Every boundary cell of the subdivided set has a value,
+    # a conflict or an infinite limit, and lies in V and Y, exactly when its
+    # carrier does; its value is the carrier's on its vertices; the
+    # hypothesis and dimension checks agree; and evaluate and eval_hom give
+    # equal germ values, or raise the same exception type, at seeded germs.
+    # f is continuous, interpolated from seeded vertex values, as the
+    # paper's S(M) is; fix_c's function has conflicts.  A discontinuous f
+    # differs by design: on seed 18's discontinuous input of
+    # test_extension_matches_oracle_on_generated_inputs, the conflict edge
+    # (4, 8) runs from (1/2, 1/2) to (1, 1) and its two limit forms agree at
+    # its barycenter (3/4, 3/4), so the subdivision gives that point a value
+    from saet.germs import eval_hom, evaluate
+    from test_germs import _seeded_germs, germs_into_boundary, outcome
+
+    cases = []
+    for seed in range(24):
+        rng, m = generated_marked_set(seed)
+        values = {v: F(rng.randint(-9, 9), rng.randint(1, 3))
+                  for v in range(len(m.complex.vertices))}
+        cases.append(interpolated_pl_function(m, values))
+    cases.append(scaled_slope_function_c(fix_c))
+    seen = dict.fromkeys(["value", "conflict", "germ_value", "germ_refusal"], 0)
+    for case, f in enumerate(cases):
+        g, carrier = _transported(f)
+        rep, sub_rep = weak_extension(f), weak_extension(g)
+        assert (sub_rep.hypothesis_ok, sub_rep.y_dim_ok) == (rep.hypothesis_ok, rep.y_dim_ok)
+        for c in closure(g.domain).members - g.domain.members:
+            beta = carrier[c]
+            for part in ("values", "conflicts", "infinite_faces"):
+                assert (c in getattr(sub_rep, part)) == (beta in getattr(rep, part)), (case, c)
+            for part in ("v_set", "y_set"):
+                assert (c in getattr(sub_rep, part).members) == (
+                    beta in getattr(rep, part).members), (case, c)
+            if c in sub_rep.values:
+                assert ratio_forms_equal_on(sub_rep.values[c], rep.values[beta],
+                                            g.complex.coords(c)), (case, c)
+                seen["value"] += 1
+            seen["conflict"] += c in sub_rep.conflicts
+        germs = list(_seeded_germs(f.complex, random.Random(case), 24))
+        germs += germs_into_boundary(f.domain)
+        for alpha in germs:
+            for run in (lambda h, r: evaluate(h, alpha), lambda h, r: eval_hom(h, alpha, r)):
+                want, got = outcome(lambda: run(f, rep)), outcome(lambda: run(g, sub_rep))
+                if isinstance(want, type):
+                    assert got is want, (case, alpha)
+                    seen["germ_refusal"] += 1
+                else:
+                    assert not isinstance(got, type) and got == want, (case, alpha)
+                    seen["germ_value"] += 1
+    assert len(cases) == 25 and seen["conflict"] and min(seen.values()) > 0, seen
+    assert seen["value"] > 1000 and seen["germ_value"] > 800, seen

@@ -160,3 +160,50 @@ def test_box_numerators_round_trip_and_hull():
         assert hull[k].hi == max(box[k].hi for box in boxes)
     point = IntervalPoint([F(1, 3), F(-2, 5)]).numerators()
     assert point == BoxNumerators(15, (5, -6), (5, -6))
+
+
+def _grid_row(rng, n: int) -> tuple[int, ...]:
+    """A point of (Z/6)^n in [-1, 1]^n as an integer row (q, p_1, ..., p_n),
+    over a denominator that is often larger than its least one."""
+    xs = [F(rng.randint(-6, 6), 6) for _ in range(n)]
+    q = lcm(1, *(x.denominator for x in xs)) * rng.choice([1, 1, 2, 5])
+    return (q, *(int(x * q) for x in xs))
+
+
+def _fraction_box(rows) -> list[tuple[F, F]]:
+    """The closed box of the rows' points, as rational (lo, hi) pairs."""
+    points = [[F(c, row[0]) for c in row[1:]] for row in rows]
+    return [(min(axis), max(axis)) for axis in zip(*points)]
+
+
+def _fraction_axis(a, b) -> int | None:
+    """The first axis on which the rational boxes a and b miss each other."""
+    for axis, ((lo1, hi1), (lo2, hi2)) in enumerate(zip(a, b)):
+        if hi1 < lo2 or hi2 < lo1:
+            return axis
+    return None
+
+
+def test_box_predicates_match_fraction_boxes():
+    # of_points, hull and separating_axis against the same boxes over
+    # Fractions: mixed denominators, boxes that touch on an axis (closed,
+    # so they meet there) and boxes in R^0, which have no axis and so meet
+    rng = random.Random(24)
+    seen = dict.fromkeys(["mixed", "touch", "miss", "r0"], 0)
+    for trial in range(600):
+        n = trial % 4
+        rows_a = [_grid_row(rng, n) for _ in range(rng.randint(1, 3))]
+        rows_b = [_grid_row(rng, n) for _ in range(rng.randint(1, 3))]
+        a, b = BoxNumerators.of_points(rows_a), BoxNumerators.of_points(rows_b)
+        ref_a, ref_b = _fraction_box(rows_a), _fraction_box(rows_b)
+        for box, ref in ((a, ref_a), (b, ref_b), (BoxNumerators.hull([a, b]),
+                                                  _fraction_box(rows_a + rows_b))):
+            assert [(c.lo, c.hi) for c in box.interval_point().coords] == ref, trial
+        want = _fraction_axis(ref_a, ref_b)
+        assert a.separating_axis(b) == b.separating_axis(a) == want, trial
+        seen["mixed"] += a.q != b.q
+        seen["miss"] += want is not None
+        seen["r0"] += n == 0
+        seen["touch"] += want is None and any(hi1 == lo2 or hi2 == lo1
+                                              for (lo1, hi1), (lo2, hi2) in zip(ref_a, ref_b))
+    assert min(seen.values()) > 20, seen

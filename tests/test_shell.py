@@ -83,6 +83,24 @@ def test_function_roundtrip(wedge, fix_c):
         assert g2.pieces[sid].factors == piece.factors
 
 
+@pytest.mark.parametrize("piece", [
+    pytest.param({"t_end": 1, "c": "00", "v": "11"}, id="string-c-and-v"),
+    pytest.param({"t_end": 1, "c": [0, 0], "v": {"1": 0, "2": 1}}, id="object-v"),
+])
+def test_path_rejects_strings_and_objects_for_lists(tmp_path, capsys, piece):
+    # "c": "00", "v": "11" was read as c = (0, 0), v = (1, 1)
+    with pytest.raises(ParseError, match="path piece 0 [cv] must be a JSON list"):
+        path_from_dict({"pieces": [piece]})
+    k, m, data = _fix_b_x_function()
+    save_complex(str(tmp_path / "fixb.json"), k, m)
+    (tmp_path / "f.json").write_text(json.dumps(data))
+    (tmp_path / "path.json").write_text(json.dumps({"pieces": [piece]}))
+    assert main(["eval", str(tmp_path / "fixb.json"), str(tmp_path / "f.json"),
+                 "--path", str(tmp_path / "path.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a JSON list" in err and err.count("\n") == 1
+
+
 def test_path_roundtrip():
     alpha = PathGerm(
         [(F(1, 2), (0, 0), (1, F(1, 2))), (1, (F(1, 4), F(1, 8)), (F(1, 2), F(1, 4)))]
@@ -132,7 +150,7 @@ def test_export_tube_box_holds_a_long_tube(tmp_path, monkeypatch):
     # the raster box is the tube's reach box, which holds the whole closed
     # tube: over a base of length 10 it reaches beyond the height 14/5
     from saet import export
-    from saet.tubes import INSIDE_OPEN, Tube, membership, reach_box
+    from saet.tubes import INSIDE_OPEN, Tube, membership, reach_bounds
 
     tube = Tube([(0, 0), (10, 0)], F(1, 4))
     x = (5, F(14, 5))
@@ -140,8 +158,9 @@ def test_export_tube_box_holds_a_long_tube(tmp_path, monkeypatch):
     boxes = []
     monkeypatch.setattr(export, "_grid_raster", lambda member, bbox, *_: boxes.append(bbox))
     export_tube(tube, str(tmp_path / "long.obj"))
-    assert boxes == [reach_box(tube)]
-    assert all(lo <= c <= hi for c, (lo, hi) in zip(x, boxes[0]))
+    assert boxes == [reach_bounds(tube)]
+    q, lo, hi = boxes[0]
+    assert all(F(a, q) <= c <= F(b, q) for c, a, b in zip(x, lo, hi))
 
 
 def test_export_carved(tmp_path, fix_a_embedded):
@@ -389,6 +408,13 @@ _TRIANGLE = [[0, 0], [1, 0], [0, 1]]
     pytest.param({"n": 3, "vertices": _TRIANGLE, "simplices": [[0, 1, 2]]}, id="wrong-n"),
     pytest.param({"n": True, "vertices": _TRIANGLE, "simplices": [[0, 1, 2]]}, id="bool-n"),
     pytest.param({"n": "2", "vertices": _TRIANGLE, "simplices": [[0, 1, 2]]}, id="string-n"),
+    # a string or an object where a list belongs was read by its characters
+    # or keys: these two built the unit triangle
+    pytest.param({"vertices": ["00", "10", "01"], "simplices": [[0, 1, 2]]},
+                 id="string-vertices"),
+    pytest.param({"vertices": {"00": 0, "10": 1, "01": 2}, "simplices": [[0, 1, 2]]},
+                 id="object-vertices"),
+    pytest.param({"vertices": _TRIANGLE, "simplices": "012"}, id="string-simplices"),
 ])
 def test_cli_rejects_malformed_complex(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -464,6 +490,10 @@ def _add_non_member_piece(data, k):
     pytest.param(_set_piece("den", ["-1/2", 0, 1], (0, 2, 3)), id="den-changes-sign"),
     pytest.param(_set_piece("num", [5, 0, 0], (0, 2, 3)), id="discontinuous"),
     pytest.param(_set_piece("num_factors", [], (0, 2, 3)), id="no-factors"),
+    # a string reads character by character ("123" as 1 + 2 x0 + 3 x1) and
+    # an object by its keys: both pieces read as the piece of x they replace
+    pytest.param(_set_piece("num", "010", (0, 2, 3)), id="string-num"),
+    pytest.param(_set_piece("den", {"1": 0, "0": 1, "00": 2}, (0, 2, 3)), id="object-den"),
 ])
 def test_cli_rejects_malformed_function(tmp_path, capsys, edit):
     k, m, data = _fix_b_x_function()

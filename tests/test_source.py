@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, and
 the elimination kernel, the simplex solve and glue planes, the probe's
-point arithmetic and the germ kernel divide no values and build no
-Fraction."""
+point arithmetic, the germ kernel and the box predicates divide no values
+and build no Fraction."""
 
 import ast
 from pathlib import Path
@@ -40,9 +40,12 @@ def test_module_has_no_unused_imports(path):
 
 def divisions_and_fractions(source: str, name: str) -> list[str]:
     """True divisions (``/``, ``/=``) and ``Fraction(...)`` calls inside the
-    module-level function ``name``, as "line: what"."""
-    tree = ast.parse(source)
-    func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    module-level function ``name``, or the method ``Class.method``, as
+    "line: what"."""
+    func = ast.parse(source)
+    for part in name.split("."):
+        func = next(n for n in func.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == part)
     found = []
     for node in ast.walk(func):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
@@ -60,6 +63,8 @@ def test_division_checker():
            "def g(a, b):\n    return a / b\n")
     assert divisions_and_fractions(src, "f") == ["2: /", "3: Fraction("]
     assert divisions_and_fractions(src, "g") == ["5: /"]
+    src = "class C:\n    def m(self, a):\n        return a / 2\n"
+    assert divisions_and_fractions(src, "C.m") == ["3: /"]
 
 
 @pytest.mark.parametrize("module, name", [("rationals", "pivot"), ("rationals", "_rref"),
@@ -144,4 +149,16 @@ def test_simplex_solve_and_glue_planes_divide_no_values(name):
     # a simplex's forms come from one fraction-free solve, and the glue
     # planes of common_face are built on integer points
     path = Path(saet.__file__).parent / "geometry.py"
+    assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("intervals", "BoxNumerators.of_points"), ("intervals", "BoxNumerators.hull"),
+    ("intervals", "BoxNumerators.separating_axis"), ("complexes", "_BucketGrid.key"),
+    ("complexes", "_BucketGrid.candidates"), ("complexes", "_meeting_box_pairs")])
+def test_box_predicates_divide_no_values(module, name):
+    # the box of points, the box of boxes, the box-meets-box test, the
+    # bucket of a point and the glue check's sweep read integers only;
+    # _bucket_counts, which only chooses the counts, is exempt
+    path = Path(saet.__file__).parent / f"{module}.py"
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
