@@ -573,8 +573,7 @@ class DeformationMap:
         order = self.levels if self.direction == PUSH else list(reversed(self.levels))
         box = first = start.numerators()
         for units in order:
-            # CarveUnit.meets without its call: 4% of a round trip
-            near = [u for u in units if u.reach.separating_axis(box) is None]
+            near = [u for u in units if u.meets(box)]
             # points exactly on a carved base boundary are fixed by the level
             if near and box.lo == box.hi:
                 h = (box.q, *box.lo)

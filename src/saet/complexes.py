@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
@@ -23,25 +23,27 @@ from .rationals import Vec, homogeneous, vec
 
 def _meeting_box_pairs(boxes: Sequence[BoxNumerators]) -> list[tuple[int, int]]:
     """Index pairs i < j whose closed boxes meet (``separating_axis`` is
-    None), in the order of ``combinations(range(len(boxes)), 2)``.  The
-    boxes share one denominator.
+    None), in the order of ``combinations(range(len(boxes)), 2)``.
 
     Sort-and-sweep on axis 0: with the boxes sorted by lower bound, the
     scan from box i stops at the first box whose lower bound passes i's
-    upper bound, since every later one starts further right still.
+    upper bound, since every later one starts further right still.  The
+    bounds on axis 0 are compared over the least common multiple of the
+    boxes' denominators, so boxes over different q sweep correctly.
     """
     if not boxes or not boxes[0].lo:  # no axes (R^0): every pair meets
         return list(combinations(range(len(boxes)), 2))
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0])
+    q = lcm(*(b.q for b in boxes))
+    starts = [b.lo[0] * (q // b.q) for b in boxes]
+    ends = [b.hi[0] * (q // b.q) for b in boxes]
+    order = sorted(range(len(boxes)), key=starts.__getitem__)
     pairs = []
     for pos, i in enumerate(order):
-        box_i = boxes[i]
-        hi = box_i.hi[0]
+        box_i, hi = boxes[i], ends[i]
         for j in islice(order, pos + 1, None):
-            box_j = boxes[j]
-            if box_j.lo[0] > hi:
+            if starts[j] > hi:
                 break
-            if box_i.separating_axis(box_j) is None:
+            if box_i.separating_axis(boxes[j]) is None:
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
@@ -132,10 +134,8 @@ class Complex:
 
     @cached_property
     def vertex_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The vertices as integer rows (q, p_1, ..., p_n), all over the
-        least common denominator q of every coordinate, built once."""
-        q, *ints = homogeneous([c for p in self.vertices for c in p])
-        return tuple((q, *ints[i * self.n:(i + 1) * self.n]) for i in range(len(self.vertices)))
+        """Each vertex written by ``homogeneous`` as (q, p_1, ..., p_n), built once."""
+        return tuple(map(homogeneous, self.vertices))
 
     def geometry(self, sid: int) -> SimplexGeometry:
         geo = self._geom.get(sid)
@@ -225,20 +225,21 @@ class _BucketGrid:
     """A grid of buckets over the closed boxes of the top cells (Ericson,
     *Real-Time Collision Detection*, 2004, ch. 7).
 
-    Each top's box is the ``BoxNumerators`` of its vertices, all written
-    over one common denominator ``q``, so every test below reads integers.
-    Each axis gets a bucket count in proportion to its extent measured in
-    the mean width of the tops' boxes on that axis, scaled so that there
-    are about len(tops) buckets in all; an axis of zero extent gets one
-    bucket.  A slab-shaped complex, such as a stack of prisms that each
-    span the whole cross-section, is thus cut along the stack only.  A
-    coordinate x falls in bucket floor((x - lo) / step), with step the
-    extent over the count, clamped to the last one, computed exactly on
-    the numerators.  Each top is listed, in ``top_ids`` order, in every
-    bucket its closed box meets, by the same map; since the map is
-    monotone, a point in the closed box of a top lies in one of that top's
-    buckets, on a bucket boundary too.  The counts only choose the buckets;
-    no test reads them.
+    Each top's box is the ``BoxNumerators.of_points`` of its vertex rows,
+    and the axes are kept over the denominator ``q`` of the box of all tops,
+    so every test below reads integers.  Each axis gets a bucket count in
+    proportion to its extent measured in the mean width of the tops' boxes
+    on that axis, scaled so that there are about len(tops) buckets in all;
+    an axis of zero extent gets one bucket.  A slab-shaped complex, such as
+    a stack of prisms that each span the whole cross-section, is thus cut
+    along the stack only.  A coordinate x falls in bucket
+    floor((x - lo) / step), with step the extent over the count, clamped
+    to the last one, computed exactly on the numerators.  Each top is
+    listed, in ``top_ids`` order, in every bucket its closed box meets, by
+    the same map; since the map is monotone, a point in the closed box of
+    a top lies in one of that top's buckets, on a bucket boundary too.  The
+    counts only choose the buckets; no test reads them.  A complex with no
+    top has no bucket, so every point's candidates are empty.
     """
 
     __slots__ = ("q", "axes", "buckets")
@@ -246,13 +247,16 @@ class _BucketGrid:
     def __init__(self, k: Complex):
         boxes = [BoxNumerators.of_points([k.vertex_rows[v] for v in k.simplices[sid].vertex_ids])
                  for sid in k.top_ids]
+        self.buckets: dict[tuple[int, ...], list] = {}
+        if not boxes:
+            self.q, self.axes = 1, []
+            return
         whole = BoxNumerators.hull(boxes)
         self.q = whole.q
         # per axis, over q: lo and hi of all tops, the bucket count, the
         # last bucket and the extent (1 when it is 0, which only 0 divides)
         self.axes = [(lo, hi, count, count - 1, hi - lo or 1)
-                     for lo, hi, count in zip(whole.lo, whole.hi, _bucket_counts(boxes))]
-        self.buckets: dict[tuple[int, ...], list] = {}
+                     for lo, hi, count in zip(whole.lo, whole.hi, _bucket_counts(boxes, whole))]
         for sid, (q, lo, hi) in zip(k.top_ids, boxes):
             entry = (sid, q, lo, hi)
             low, high = self.key((q, *lo)), self.key((q, *hi))
@@ -280,20 +284,18 @@ class _BucketGrid:
         return [] if key is None else self.buckets.get(key, [])
 
 
-def _bucket_counts(boxes: Sequence[BoxNumerators]) -> list[int]:
+def _bucket_counts(boxes: Sequence[BoxNumerators], whole: BoxNumerators) -> list[int]:
     """Buckets per axis for ``_BucketGrid``, about len(boxes) in all, for
-    boxes over one denominator, which the counts do not depend on.
+    nonempty boxes and their ``hull`` whole.
 
     Axis a of extent E_a gets a count in proportion to E_a / w_a, with w_a
     the mean width of the boxes on that axis but at least E_a / len(boxes);
     an axis of zero extent gets 1.  The counts are rounded, at least 1.
     """
-    if not boxes:
-        return []
     ratios = []
-    for lo, hi in zip(zip(*(b.lo for b in boxes)), zip(*(b.hi for b in boxes))):
-        extent = max(hi) - min(lo)
-        width = Fraction(sum(hi) - sum(lo), len(boxes))
+    for a, (lo, hi) in enumerate(zip(whole.lo, whole.hi)):
+        extent = hi - lo  # over whole.q, a multiple of every box's q
+        width = Fraction(sum((b.hi[a] - b.lo[a]) * (whole.q // b.q) for b in boxes), len(boxes))
         ratios.append(float(extent / max(width, Fraction(extent, len(boxes)))) if extent else 0.0)
     spread = [r for r in ratios if r]
     if not spread:
@@ -352,7 +354,7 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     independent, and the complex keeps it for ``Complex.geometry``.
     Gluing, checked only with ``validate``, runs in three phases on
     integers throughout; the boxes are the ``BoxNumerators.of_points`` of
-    the tops' vertex rows, over one denominator (``Complex.vertex_rows``).
+    the tops' vertices, all written once over one common denominator.
     The broad phase sorts the tops by the lower bound of their boxes on
     axis 0 and sweeps, keeping the pairs whose boxes meet
     (``separating_axis`` is None; ``_meeting_box_pairs``).  The narrow
@@ -390,6 +392,18 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
         except DegenerateSimplex:
             raise DegenerateSimplex(f"{t} has affinely dependent vertices") from None
 
+    if validate:
+        q, *ints = homogeneous([c for p in pts for c in p])
+        rows = [(q, *ints[i * n:(i + 1) * n]) for i in range(len(pts))]
+        boxes = [BoxNumerators.of_points([rows[i] for i in t.vertex_ids]) for t in tops]
+        for ta, tb in _meeting_box_pairs(boxes):
+            a, b = tops[ta], tops[tb]
+            shared = set(a.vertex_ids) & set(b.vertex_ids)
+            ia = [k for k, i in enumerate(a.vertex_ids) if i in shared]
+            ib = [k for k, i in enumerate(b.vertex_ids) if i in shared]
+            if not common_face(geos[ta], geos[tb], ia, ib):
+                raise BadGlue(f"{a} and {b} meet outside their common face")
+
     closure: set[tuple[int, ...]] = set()
     for t in tops:
         for f in t.faces():
@@ -402,15 +416,6 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     # the tops' geometries are the ones Complex.geometry would build: the
     # same sorted vertex order
     k._geom.update((keys[t.vertex_ids], geo) for t, geo in zip(tops, geos))
-    if validate:
-        boxes = [BoxNumerators.of_points([k.vertex_rows[i] for i in t.vertex_ids]) for t in tops]
-        for ta, tb in _meeting_box_pairs(boxes):
-            a, b = tops[ta], tops[tb]
-            shared = set(a.vertex_ids) & set(b.vertex_ids)
-            ia = [j for j, i in enumerate(a.vertex_ids) if i in shared]
-            ib = [j for j, i in enumerate(b.vertex_ids) if i in shared]
-            if not common_face(geos[ta], geos[tb], ia, ib):
-                raise BadGlue(f"{a} and {b} meet outside their common face")
     return k
 
 

@@ -206,10 +206,10 @@ class BoxNumerators(NamedTuple):
     @staticmethod
     def of_points(rows: Sequence[Sequence[int]]) -> "BoxNumerators":
         """The closed box of the integer points (q, p_1, ..., p_n), over the
-        least common multiple of their q."""
+        least common multiple of their q; there must be at least one."""
         q_col, *axes = zip(*rows)
         q = lcm(*q_col)
-        if q_col.count(q) != len(q_col):  # rows over one q, as a complex's are, skip this
+        if q_col.count(q) != len(q_col):  # rows over one q skip the rescaling
             scales = [q // r for r in q_col]
             axes = [[c * s for c, s in zip(axis, scales)] for axis in axes]
         return BoxNumerators(q, tuple(map(min, axes)), tuple(map(max, axes)))

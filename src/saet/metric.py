@@ -168,13 +168,12 @@ def reach_bounds(rows: Sequence[Sequence[int]], eps_sq: Fraction) -> BoxNumerato
     """
     box = BoxNumerators.of_points(rows)
     q = box.q
-    if len(rows) == 1:
-        reach_sq = eps_sq
-    else:
+    reach_sq = eps_sq
+    if len(rows) > 1:
         # eps*^2 diam^2 = eps^2 / (1 - eps^2) * diam^2, with diam^2 = d / q^2
         points = [[c * (q // row[0]) for c in row[1:]] for row in rows]
         d = max(sum((x - y) ** 2 for x, y in zip(v, w)) for v in points for w in points)
-        reach_sq = eps_sq * d / ((1 - eps_sq) * q * q)
+        reach_sq *= d / ((1 - eps_sq) * q * q)
     num, den = reach_sq.numerator, reach_sq.denominator
     reach = (isqrt(num * den) + 1) * q
     return BoxNumerators(q * den, tuple(lo * den - reach for lo in box.lo),

@@ -650,6 +650,34 @@ def test_locate_checks_dimension():
         point.locate((0,))
 
 
+def test_locate_on_a_complex_with_no_top():
+    # a complex of vertices and no simplex has no bucket and no cell
+    k = build_complex([(0, 0), (1, 0)], [])
+    for h in ((1, 0, 0), (2, 1, 0), (1, 5, 5)):
+        assert k.locate_top(h) is None
+        assert k.locate(tuple(F(c, h[0]) for c in h[1:])) is None
+
+
+def test_meeting_box_pairs_over_mixed_denominators():
+    # the sweep against every pair tested over Fractions, on boxes whose
+    # denominators differ, so that their raw numerators sort wrongly
+    rng = random.Random(24)
+    for trial in range(60):
+        n = 1 + trial % 3
+        boxes, refs = [], []
+        for _ in range(12):
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice([1, 2, 3, 4, 6, 12])
+                rows.append((q, *(rng.randint(0, 2 * q) for _ in range(n))))
+            boxes.append(BoxNumerators.of_points(rows))
+            refs.append([(min(axis), max(axis)) for axis in
+                         zip(*([F(c, row[0]) for c in row[1:]] for row in rows))])
+        want = [(i, j) for i, j in combinations(range(len(refs)), 2)
+                if all(a <= d and c <= b for (a, b), (c, d) in zip(refs[i], refs[j]))]
+        assert complexes._meeting_box_pairs(boxes) == want, trial
+
+
 def probe_like_walk(k, rng, count: int):
     """Seeded points in the order a shell probe asks them: short steps
     along random segments, with jumps to a new start, which may lie past
