@@ -21,7 +21,8 @@ check, ``face_limit`` and the limit agreement in ``weak_extension`` read
 that table: cross-multiplied equality walks the lattice as sums of three
 integers, and proportionality and boundedness compare vertex values, so
 any positive common scale gives the same answers.  A limit carries its own
-vertex values on the face, so agreement evaluates no new form.
+vertex values on the face, so agreement evaluates no new form.  Within one
+load, cells with equal coefficient lists share one piece object (``io``).
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ class PLFFunction:
 
     Each piece's forms are evaluated once at each vertex of its cell; the
     sign check, the continuity check, ``face_limit`` and ``weak_extension``
-    read their restrictions to faces from that table.
+    read their restrictions to faces from that table.  A cell that shares a
+    coface's piece object (as equal coefficient lists do within one load)
+    restricts the coface's values, and the two are not compared.
     """
 
     def __init__(self, domain: PLSet, pieces: dict, validate_continuity: bool = True):
@@ -285,12 +288,15 @@ class PLFFunction:
         missing = domain.members - set(self.pieces)
         if missing:
             raise ValueError(f"missing pieces for member simplices {sorted(missing)}")
-        rows = self.complex.vertex_rows
-        self._table = {
-            sid: _VertexValues.of(ratio, [rows[v] for v in self.complex.simplices[sid].vertex_ids])
-            for sid, ratio in self.pieces.items()
-        }
-        for sid, vals in self._table.items():
+        rows, self._table = self.complex.vertex_rows, {}
+        for sid in sorted(self.pieces, reverse=True):  # ids follow dimension: cofaces first
+            ratio = self.pieces[sid]
+            host = next((c for c in self.complex.cofaces[sid]
+                         if c != sid and self.pieces.get(c) is ratio), None)
+            self._table[sid] = self._on(host, sid) if host is not None else _VertexValues.of(
+                ratio, [rows[v] for v in self.complex.simplices[sid].vertex_ids])
+        for sid in self.pieces:
+            vals = self._table[sid]
             pos, neg = any(v > 0 for v in vals.den), any(v < 0 for v in vals.den)
             if (pos and neg) or not (pos or neg):
                 raise ValueError(
@@ -312,9 +318,10 @@ class PLFFunction:
     def _continuity_violations(self) -> list[tuple[int, int]]:
         out = []
         for beta in sorted(self.domain.members):
-            own = self._table[beta]
+            own, piece = self._table[beta], self.pieces[beta]
             for sigma in self.complex.cofaces[beta]:
-                if sigma == beta or sigma not in self.domain.members:
+                # beta itself, and a cell that shares its piece object, agree
+                if sigma not in self.domain.members or self.pieces[sigma] is piece:
                     continue
                 if not _values_equal(own, self._on(sigma, beta)):
                     out.append((beta, sigma))

@@ -165,7 +165,7 @@ def interpolated_pl_function(m: PLSet, vertex_values: dict[int, Fraction]) -> PL
             c != sid and c in m.members for c in k.cofaces[sid]
         )
     ]
-    interpolants: dict[int, AffineForm] = {}
+    interpolants: dict[int, RatioForm] = {}
     for sid in top_members:
         verts = k.coords(sid)
         ids = k.simplex(sid).vertex_ids
@@ -177,14 +177,14 @@ def interpolated_pl_function(m: PLSet, vertex_values: dict[int, Fraction]) -> PL
             acc = AffineForm.constant(0, k.n)
             for form, vid in zip(ff.forms, ids, strict=True):
                 acc = acc + form.scale(vertex_values[vid])
-            interpolants[sid] = acc
+            interpolants[sid] = RatioForm.affine(acc)
         else:
-            interpolants[sid] = AffineForm.constant(vertex_values[ids[0]], k.n)
+            interpolants[sid] = RatioForm.constant(vertex_values[ids[0]], k.n)
+    # each member shares the piece of its first member top coface
+    order = {t: i for i, t in enumerate(top_members)}
     pieces = {}
     for sid in m.members:
-        host = next(
-            (t for t in top_members if k.simplex(sid).is_face_of(k.simplex(t))), None
-        )
+        host = min((t for t in k.cofaces[sid] if t in order), key=order.get, default=None)
         assert host is not None, f"member {sid} has no member top cell"
-        pieces[sid] = RatioForm.affine(interpolants[host])
+        pieces[sid] = interpolants[host]
     return PLFFunction(m, pieces)

@@ -4,6 +4,9 @@ Rationals travel as "numerator/denominator" strings in lowest terms
 (integers allowed as shorthand); floats are rejected.  Simplex ids refer
 to the canonical ordering of the face closure: sorted by (dimension,
 vertex-id tuple).
+
+Within one load of a function, equal coefficient lists share one form and
+equal pieces one ``RatioForm``: each distinct list is parsed once.
 """
 
 from __future__ import annotations
@@ -129,20 +132,36 @@ def function_from_dict(data: dict, domain: PLSet,
                        validate_continuity: bool = True) -> PLFFunction:
     n = domain.complex.n
     count = len(domain.complex.simplices)
-    pieces = {}
+    forms, ratios, pieces = {}, {}, {}
+
+    def form(coeffs, name: str) -> AffineForm:
+        # only lists of exact str and int entries are keys: 1.0 == True == 1,
+        # so a float or bool list would otherwise take an int list's form
+        if type(coeffs) is not list or any(type(c) not in (str, int) for c in coeffs):
+            return _affine_from_list(coeffs, n, name)
+        key = tuple(coeffs)
+        if key not in forms:
+            forms[key] = _affine_from_list(coeffs, n, name)
+        return forms[key]
+
     try:
         for entry in _json_list(data["pieces"], "pieces"):
             sid = entry["simplex"]
             if not _is_index(sid, count):
                 raise ParseError(f"piece simplex {json.dumps(sid, default=str)} must be "
                                  f"a simplex id, an int in [0, {count})")
-            den = _affine_from_list(entry.get("den", [1] + [0] * n), n, f"piece {sid} den")
+            if sid in pieces:
+                raise ParseError(f"piece simplex {sid} is given twice")
+            den = form(entry.get("den", [1] + [0] * n), f"piece {sid} den")
             if "num_factors" in entry:
-                factors = [_affine_from_list(c, n, f"piece {sid} num_factors")
+                factors = [form(c, f"piece {sid} num_factors")
                            for c in _json_list(entry["num_factors"], f"piece {sid} num_factors")]
             else:
-                factors = [_affine_from_list(entry["num"], n, f"piece {sid} num")]
-            pieces[sid] = RatioForm(factors, den)
+                factors = [form(entry["num"], f"piece {sid} num")]
+            key = (id(den), *map(id, factors))  # shared forms: equal lists, one id
+            if key not in ratios:
+                ratios[key] = RatioForm(factors, den)
+            pieces[sid] = ratios[key]
     except (KeyError, TypeError, ValueError) as e:  # ValueError: 0 or 3+ factors
         raise ParseError(f"malformed function data: {e}") from None
     try:

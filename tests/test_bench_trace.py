@@ -23,3 +23,18 @@ def test_traced_smoke_run_reports_every_layer():
         sys.path.pop(0)
     missing = set(tracing.PER_LAYER) - set(result["metrics"])
     assert not missing
+
+
+def test_workload_inputs_match_manifest(tmp_path):
+    # every workload writes the complex and the function whose digests
+    # benchmark/inputs.json records, so a change to how functions are built
+    # (interpolated_pl_function) or saved leaves the benchmark's inputs alone
+    with open(os.path.join(ROOT, "benchmark", "inputs.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name, want in manifest.items():
+        assert workloads.generate(name, want["seed"], str(tmp_path)).digests == want["sha256"], name

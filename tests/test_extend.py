@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -11,6 +12,7 @@ from saet.extend import (
     DIRECTION_DEPENDENT,
     INFINITE,
     VALUE,
+    LimitResult,
     PLFFunction,
     RatioForm,
     dim2_extension,
@@ -585,18 +587,22 @@ def fraction_vertex_values(ratio, points):
     return _VertexValues(tuple(ints[:-1]), ints[-1], scale)
 
 
-def report_data(rep):
-    """An ExtensionReport with its ratio forms as (factors, den), so that two
-    reports built from separate limits compare by value."""
-    def ratio(r):
-        return None if r is None else (r.factors, r.den)
+def report_fields(rep):
+    """Every field of an ExtensionReport, with ratio forms as (factors, den)
+    and limits as (kind, value), so reports from separate objects compare
+    by value."""
+    def plain(x):
+        if isinstance(x, RatioForm):
+            return x.factors, x.den
+        if isinstance(x, LimitResult):
+            return x.kind, plain(x.value)
+        if isinstance(x, dict):
+            return {key: plain(v) for key, v in x.items()}
+        if isinstance(x, list):
+            return [plain(v) for v in x]
+        return x
 
-    return (rep.domain, rep.v_set, rep.y_set,
-            {sid: ratio(r) for sid, r in rep.values.items()},
-            rep.hypothesis_violations, rep.y_dim_violations, rep.infinite_faces,
-            {beta: [(r.kind, ratio(r.value)) for r in limits]
-             for beta, limits in rep.conflicts.items()},
-            rep.continuity_violations)
+    return {fd.name: plain(getattr(rep, fd.name)) for fd in fields(rep)}
 
 
 def test_integer_vertex_table_matches_fraction_table(monkeypatch, square, fix_a, fix_b, fix_c):
@@ -631,14 +637,14 @@ def test_integer_vertex_table_matches_fraction_table(monkeypatch, square, fix_a,
     kinds = set()
     for f in cases:
         integer = PLFFunction(f.domain, f.pieces, validate_continuity=False)
-        want_report = report_data(weak_extension(integer))
+        want_report = report_fields(weak_extension(integer))
         limits = {(s, b): face_limit(integer, s, b) for b in closure(f.domain).members
                   for s in f.complex.cofaces[b] if s != b and s in f.domain.members}
         with monkeypatch.context() as patch:
             patch.setattr(extend._VertexValues, "of", staticmethod(fraction_vertex_values))
             reference = PLFFunction(f.domain, f.pieces, validate_continuity=False)
             assert reference.continuity_violations == integer.continuity_violations
-            assert report_data(weak_extension(reference)) == want_report
+            assert report_fields(weak_extension(reference)) == want_report
             for (s, b), got in limits.items():
                 want = face_limit(reference, s, b)
                 assert (got.kind, got.value and (got.value.factors, got.value.den)) == (
@@ -714,3 +720,103 @@ def test_extension_and_germs_invariant_under_subdivision(fix_c):
                     seen["germ_value"] += 1
     assert len(cases) == 25 and seen["conflict"] and min(seen.values()) > 0, seen
     assert seen["value"] > 1000 and seen["germ_value"] > 800, seen
+
+
+# --- one load per distinct form ---------------------------------------------
+
+
+def per_piece_load(data, m):
+    """``io.function_from_dict`` without sharing: every piece parses its
+    own forms into its own RatioForm, with the continuity check off."""
+    def form(coeffs):
+        return AffineForm(coeffs[0], coeffs[1:])
+
+    pieces = {e["simplex"]: RatioForm([form(g) for g in e.get("num_factors", [e.get("num")])],
+                                      form(e["den"]))
+              for e in data["pieces"]}
+    return PLFFunction(m, pieces, validate_continuity=False)
+
+
+def test_shared_load_matches_per_piece_load():
+    # on the 80 generated marked sets of the carving pin, with continuous
+    # (interpolated) and discontinuous (each top its own perturbed values,
+    # each lower cell a random top's piece) functions, and on step_function_a:
+    # the load that shares equal pieces gives the continuity violations and
+    # every extension report field of the load that shares nothing
+    import json
+
+    from saet import io
+    from test_carve import _generated_marked_sets
+
+    cases = [(step_function_a().domain, io.function_to_dict(step_function_a()))]
+    for kind, seed, m in _generated_marked_sets():
+        rng, k = random.Random(seed), m.complex
+        values = {v: F(rng.randint(-4, 4), rng.randint(1, 2)) for v in range(len(k.vertices))}
+        if seed % 2:
+            f = interpolated_pl_function(m, values)
+        else:
+            forms = {}
+            for top in k.top_ids:
+                own = dict(values)
+                own[rng.choice(k.simplex(top).vertex_ids)] += rng.randint(0, 1)
+                forms[top] = vertex_interpolant(k, top, own)
+            f = PLFFunction(m, {sid: RatioForm.affine(forms[rng.choice(
+                [t for t in k.cofaces[sid] if t in forms])]) for sid in m.members},
+                validate_continuity=False)
+        cases.append((m, io.function_to_dict(f)))
+    seen_violations = seen_shared = 0
+    for m, data in cases:
+        data = json.loads(json.dumps(data))
+        shared = io.function_from_dict(data, m, validate_continuity=False)
+        alone = per_piece_load(data, m)
+        assert len({id(p) for p in alone.pieces.values()}) == len(alone.pieces)
+        seen_shared += len({id(p) for p in shared.pieces.values()}) < len(shared.pieces)
+        assert shared.continuity_violations == alone.continuity_violations
+        seen_violations += bool(shared.continuity_violations)
+        assert report_fields(weak_extension(shared)) == report_fields(weak_extension(alone))
+    assert len(cases) == 81 and seen_shared == 81 and seen_violations > 20, seen_violations
+
+
+def test_grid_cut_load_parses_each_list_once(monkeypatch):
+    # f = x on the 8 x 8 cut grid: its 400 pieces carry two distinct lists,
+    # ["0", "1", "0"] and ["1", "0", "0"]; each is parsed once, and no
+    # (face, coface) pair whose cells share a piece reaches _values_equal
+    import json
+    from collections import Counter
+
+    from saet import extend, io
+    from test_carve import grid_cut
+
+    m = grid_cut(8)
+    k = m.complex
+    f = interpolated_pl_function(m, {v: p[0] for v, p in enumerate(k.vertices)})
+    data = json.loads(json.dumps(io.function_to_dict(f)))
+    parsed, compared = Counter(), []
+    affine_from_list, values_equal = io._affine_from_list, extend._values_equal
+    monkeypatch.setattr(io, "_affine_from_list",
+                        lambda c, n, name: parsed.update([tuple(c)]) or affine_from_list(c, n, name))
+    monkeypatch.setattr(extend, "_values_equal",
+                        lambda a, b: compared.append(1) or values_equal(a, b))
+    g = io.function_from_dict(data, m)
+    assert len(data["pieces"]) == 400 and parsed == {("0", "1", "0"): 1, ("1", "0", "0"): 1}
+    pairs = [(beta, sigma) for beta in m.members for sigma in k.cofaces[beta]
+             if sigma != beta and sigma in m.members]
+    distinct = [(beta, sigma) for beta, sigma in pairs if g.pieces[beta] is not g.pieces[sigma]]
+    assert len(pairs) > 1000 and len(compared) == len(distinct) == 0
+    assert not g.continuity_violations
+
+
+def test_interpolant_host_is_first_member_top():
+    # each member takes the piece of the first member top, in the order of
+    # the old scan over every top, and all members under one host share it
+    from test_carve import _generated_marked_sets
+
+    for kind, seed, m in _generated_marked_sets():
+        k = m.complex
+        f = interpolated_pl_function(m, {v: F(v % 7 - 3, 1 + v % 2) for v in range(len(k.vertices))})
+        tops = [s for s in m.members
+                if not any(c != s and c in m.members for c in k.cofaces[s])]
+        for sid in m.members:
+            host = next(t for t in tops if k.simplex(sid).is_face_of(k.simplex(t)))
+            assert f.pieces[sid] is f.pieces[host], (kind, seed, sid)
+        assert len({id(p) for p in f.pieces.values()}) == len(tops)

@@ -479,6 +479,20 @@ def _add_non_member_piece(data, k):
     data["pieces"].append({"simplex": k.id_of((1,)), "num": [0, 1, 0], "den": [1, 0, 0]})
 
 
+def _duplicate_piece(data, k):
+    # an exact copy: the function it gives is the same, but the entry is not
+    data["pieces"].append(dict(data["pieces"][0]))
+
+
+def _den_after_int_den(den):
+    # the first piece's den is the int list [1, 0, 0], and the last piece's
+    # den equals it in value, so a cache keyed by value would hand it over
+    def edit(data, k):
+        data["pieces"][0]["den"] = [1, 0, 0]
+        data["pieces"][-1]["den"] = den
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(_set_piece("simplex", 0.9), id="float-simplex"),
     pytest.param(_set_piece("simplex", "x"), id="string-simplex"),
@@ -494,6 +508,9 @@ def _add_non_member_piece(data, k):
     # an object by its keys: both pieces read as the piece of x they replace
     pytest.param(_set_piece("num", "010", (0, 2, 3)), id="string-num"),
     pytest.param(_set_piece("den", {"1": 0, "0": 1, "00": 2}, (0, 2, 3)), id="object-den"),
+    pytest.param(_duplicate_piece, id="duplicate-piece"),
+    pytest.param(_den_after_int_den([1.0, 0, 0]), id="float-coefficient"),
+    pytest.param(_den_after_int_den([True, 0, 0]), id="bool-coefficient"),
 ])
 def test_cli_rejects_malformed_function(tmp_path, capsys, edit):
     k, m, data = _fix_b_x_function()

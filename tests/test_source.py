@@ -162,3 +162,35 @@ def test_box_predicates_divide_no_values(module, name):
     # _bucket_counts, which only chooses the counts, is exempt
     path = Path(saet.__file__).parent / f"{module}.py"
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
+
+
+def module_caches(source: str) -> list[str]:
+    """Module-level names bound to a dict, set or list display (or
+    comprehension), and every read of ``cache`` or ``lru_cache``, as
+    "line: what"."""
+    tree = ast.parse(source)
+    displays = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, displays):
+            found.append(f"{node.lineno}: {type(node.value).__name__}")
+    for node in ast.walk(tree):
+        what = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if what in ("cache", "lru_cache"):
+            found.append(f"{node.lineno}: {what}")
+    return found
+
+
+def test_module_cache_checker():
+    src = ("import functools\nA = {}\nB: set = {1}\nC = [x for x in ()]\nD = (1,)\n"
+           "@functools.lru_cache\ndef f():\n    local = {}\n    return local\n"
+           "@cache\ndef g():\n    pass\n")
+    assert module_caches(src) == ["2: Dict", "3: Set", "4: ListComp", "6: lru_cache",
+                                  "10: cache"]
+
+
+@pytest.mark.parametrize("module", ["io", "extend"])
+def test_function_load_keeps_no_module_cache(module):
+    # equal forms are shared within one load only: no table outlives it
+    path = Path(saet.__file__).parent / f"{module}.py"
+    assert module_caches(path.read_text(encoding="utf-8")) == []
