@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import BadGlue, DegenerateSimplex, NotInClosure
-from .geometry import SimplexGeometry, common_face
+from .geometry import SimplexGeometry, common_face_past_forms, form_values, forms_separate
 from .intervals import BoxNumerators
 from .rationals import Vec, homogeneous, vec
 
@@ -25,17 +25,30 @@ def _meeting_box_pairs(boxes: Sequence[BoxNumerators]) -> list[tuple[int, int]]:
     """Index pairs i < j whose closed boxes meet (``separating_axis`` is
     None), in the order of ``combinations(range(len(boxes)), 2)``.
 
-    Sort-and-sweep on axis 0: with the boxes sorted by lower bound, the
-    scan from box i stops at the first box whose lower bound passes i's
-    upper bound, since every later one starts further right still.  The
-    bounds on axis 0 are compared over the least common multiple of the
+    Sort-and-sweep (Cohen, Lin, Manocha and Ponamgi, I-COLLIDE, 1995) on
+    one axis: with the boxes sorted by lower bound, the scan from box i
+    stops at the first box whose lower bound passes i's upper bound, since
+    every later one starts further on still.  The axis swept is the one
+    whose extent is largest relative to the mean width of the boxes on it,
+    the ratios compared cross-multiplied; an axis of zero extent counts as
+    ratio 0, and ties go to the lowest axis.  So a slab, such as a stack of
+    prisms that each span the whole cross-section, is swept along the
+    stack.  The bounds are compared over the least common multiple of the
     boxes' denominators, so boxes over different q sweep correctly.
     """
     if not boxes or not boxes[0].lo:  # no axes (R^0): every pair meets
         return list(combinations(range(len(boxes)), 2))
     q = lcm(*(b.q for b in boxes))
-    starts = [b.lo[0] * (q // b.q) for b in boxes]
-    ends = [b.hi[0] * (q // b.q) for b in boxes]
+    scales = [q // b.q for b in boxes]
+    best = None
+    for axis in range(len(boxes[0].lo)):
+        lo = [b.lo[axis] * s for b, s in zip(boxes, scales)]
+        hi = [b.hi[axis] * s for b, s in zip(boxes, scales)]
+        extent = max(hi) - min(lo)
+        width = sum(hi) - sum(lo) if extent else 1  # len(boxes) times the mean width
+        if best is None or extent * best[1] > best[0] * width:
+            best = extent, width, lo, hi
+    _, _, starts, ends = best
     order = sorted(range(len(boxes)), key=starts.__getitem__)
     pairs = []
     for pos, i in enumerate(order):
@@ -47,6 +60,56 @@ def _meeting_box_pairs(boxes: Sequence[BoxNumerators]) -> list[tuple[int, int]]:
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
+
+
+class _GlueCheck:
+    """The narrow phase of the validated ``build_complex``: whether two
+    tops meet only in their common face, pair by pair.
+
+    The barycentric forms of both tops are decided by
+    ``geometry.forms_separate`` from one form-value table per top: the
+    entry of top a at vertex w is the list of dot products of a's integer
+    form rows with w's row over the common denominator of the build
+    (``geometry.form_values``), a positive multiple of a's barycentric
+    coordinates of w.  An entry is filled (``fill``) on first use and then
+    read by every pair that needs it.  A top's forms are never evaluated
+    at its own vertices, where ``forms_separate`` knows their signs.  A
+    pair that no form separates goes on to
+    ``geometry.common_face_past_forms``, with one table of shared-face
+    geometries for the whole check.  Nothing here outlives the build.
+    """
+
+    __slots__ = ("ids", "sets", "geos", "rows", "tables", "faces")
+
+    def __init__(self, tops: Sequence[Simplex], geos: Sequence[SimplexGeometry],
+                 rows: Sequence[tuple[int, ...]]):
+        self.ids = [t.vertex_ids for t in tops]
+        self.sets = [frozenset(ids) for ids in self.ids]
+        self.geos, self.rows = geos, rows
+        self.tables: list[dict[int, list[int]]] = [{} for _ in tops]
+        self.faces: dict[tuple, SimplexGeometry] = {}
+
+    def fill(self, top: int, vertex: int) -> list[int]:
+        """The entry of ``top`` at ``vertex``, computed and stored."""
+        entry = self.tables[top][vertex] = form_values(self.geos[top].integral.rows,
+                                                       self.rows[vertex])
+        return entry
+
+    def glued(self, ta: int, tb: int) -> bool:
+        """Whether tops ta and tb meet exactly in their common face."""
+        a, b = self.ids[ta], self.ids[tb]
+        in_a, in_b = self.sets[ta], self.sets[tb]
+        rest_a = [k for k, v in enumerate(a) if v not in in_b]
+        table = self.tables[ta]
+        if forms_separate([table.get(v) or self.fill(ta, v) for v in b if v not in in_a], rest_a):
+            return True
+        rest_b = [k for k, v in enumerate(b) if v not in in_a]
+        table = self.tables[tb]
+        if forms_separate([table.get(a[k]) or self.fill(tb, a[k]) for k in rest_a], rest_b):
+            return True
+        return common_face_past_forms(self.geos[ta], self.geos[tb],
+                                      [k for k, v in enumerate(a) if v in in_b],
+                                      [k for k, v in enumerate(b) if v in in_a], self.faces)
 
 
 class Simplex:
@@ -352,24 +415,29 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
     Each top's ``SimplexGeometry`` is built once, with or without
     ``validate``: its fraction-free solve proves the vertices affinely
     independent, and the complex keeps it for ``Complex.geometry``.
-    Gluing, checked only with ``validate``, runs in three phases on
-    integers throughout; the boxes are the ``BoxNumerators.of_points`` of
-    the tops' vertices, all written once over one common denominator.
-    The broad phase sorts the tops by the lower bound of their boxes on
-    axis 0 and sweeps, keeping the pairs whose boxes meet
-    (``separating_axis`` is None; ``_meeting_box_pairs``).  The narrow
-    phase runs ``common_face`` on those pairs only, in the order of
+    Gluing, checked only with ``validate``, runs in two phases on integers
+    throughout; the vertices are written once as integer rows over one
+    common denominator, and the boxes are the ``BoxNumerators.of_points``
+    of the tops' rows.  The broad phase (``_meeting_box_pairs``) sorts the
+    tops by the lower bound of their boxes on the axis whose extent is
+    largest relative to the mean box width, and sweeps, keeping the pairs
+    whose boxes meet (``separating_axis`` is None).  The narrow phase
+    (``_GlueCheck``) runs on those pairs only, in the order of
     ``combinations(tops, 2)``, so the first BadGlue names the same pair an
-    all-pairs check would.  ``common_face`` first looks for a separating
-    plane, decided on the integer rows of the two tables, and only when
-    none is found falls back to the exact ``intersection_excess`` LP, the
-    one way to reject.  Neither skip is a heuristic.  Disjoint closed boxes
-    contain disjoint closed simplices, for which the LP is infeasible
-    (None), and None is accepted.  A plane that has one simplex on its
-    closed nonnegative side and the other on its closed nonpositive side,
-    zero at the shared vertices and at no unshared vertex of one of them,
-    confines the intersection to the shared face, and there the LP's
-    excess is 0.
+    all-pairs check would.  It decides ``common_face``'s planes in
+    ``common_face``'s order: first the barycentric forms of both tops,
+    from signs in one form-value table per top (a's integer form rows
+    dotted with the rows of the vertices of the tops a meets, filled on
+    first use and dropped when the build returns), then the shared-face
+    plane, with each shared face's geometry solved once per build, then
+    the hull-normal plane, and only when none separates the exact
+    ``intersection_excess`` LP, the one way to reject.  Neither skip is a
+    heuristic.  Disjoint closed boxes contain disjoint closed simplices,
+    for which the LP is infeasible (None), and None is accepted.  A plane
+    that has one simplex on its closed nonnegative side and the other on
+    its closed nonpositive side, zero at the shared vertices and at no
+    unshared vertex of one of them, confines the intersection to the
+    shared face, and there the LP's excess is 0.
     """
     pts = [vec(v) for v in vertices]
     if not pts:
@@ -396,13 +464,10 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
         q, *ints = homogeneous([c for p in pts for c in p])
         rows = [(q, *ints[i * n:(i + 1) * n]) for i in range(len(pts))]
         boxes = [BoxNumerators.of_points([rows[i] for i in t.vertex_ids]) for t in tops]
+        check = _GlueCheck(tops, geos, rows)
         for ta, tb in _meeting_box_pairs(boxes):
-            a, b = tops[ta], tops[tb]
-            shared = set(a.vertex_ids) & set(b.vertex_ids)
-            ia = [k for k, i in enumerate(a.vertex_ids) if i in shared]
-            ib = [k for k, i in enumerate(b.vertex_ids) if i in shared]
-            if not common_face(geos[ta], geos[tb], ia, ib):
-                raise BadGlue(f"{a} and {b} meet outside their common face")
+            if not check.glued(ta, tb):
+                raise BadGlue(f"{tops[ta]} and {tops[tb]} meet outside their common face")
 
     closure: set[tuple[int, ...]] = set()
     for t in tops:

@@ -224,21 +224,54 @@ def common_face(geo1: SimplexGeometry, geo2: SimplexGeometry,
     intersection lies in the face of the second spanned by its zero
     vertices, which are the shared ones; and their span lies in both.  The
     planes tried are the barycentric forms of either simplex that vanish at
-    every shared vertex, then ``_shared_face_plane``, then
-    ``_hull_normal_plane``, which is 0 on all of the first simplex; every
-    sign is decided exactly over the integers.  When no plane separates,
-    the exact LP ``intersection_excess`` decides, and it is the only way to
-    answer False.
+    every shared vertex, decided by ``forms_separate`` from their values at
+    the other simplex's unshared vertices, then those of
+    ``common_face_past_forms``; every sign is decided exactly over the
+    integers.
     """
     table1, table2 = geo1.integral, geo2.integral
-    near = [p for i, p in enumerate(table1.points) if i not in shared1]
-    far = [p for j, p in enumerate(table2.points) if j not in shared2]
-    for rows, shared, a, b in ((table1.rows, shared1, near, far),
-                               (table2.rows, shared2, far, near)):
-        for i, row in enumerate(rows):
-            if i not in shared and _separates(row, a, b):
-                return True
-    row = _shared_face_plane(geo1, geo2, shared1)
+    rest1 = [i for i in range(len(table1.points)) if i not in shared1]
+    rest2 = [j for j in range(len(table2.points)) if j not in shared2]
+    if forms_separate([form_values(table1.rows, table2.points[j]) for j in rest2], rest1):
+        return True
+    if forms_separate([form_values(table2.rows, table1.points[i]) for i in rest1], rest2):
+        return True
+    return common_face_past_forms(geo1, geo2, shared1, shared2)
+
+
+def forms_separate(values: Sequence[Sequence[int]], rest: Sequence[int]) -> bool:
+    """Whether a barycentric form of one simplex separates it from another
+    in the sense of ``common_face``, decided from signs alone.
+
+    ``rest`` lists the positions of the first simplex's unshared vertices,
+    and ``values[k][i]`` is a positive multiple of form i at the k-th
+    unshared vertex of the other simplex, such as the dot product of row i
+    of ``integral`` with that vertex's integer row.  Form i, i in
+    ``rest``, is positive at vertex i and 0 at the other vertices of its
+    own simplex, the shared ones included, so those need no product: it is
+    >= 0 there, with no zero exactly when i is the only unshared vertex.
+    It separates when it is <= 0 at every unshared vertex of the other
+    simplex, and < 0 at each when i is not alone.
+    """
+    bound = 0 if len(rest) == 1 else -1  # integer values: v < 0 is v <= -1
+    for i in rest:
+        if all(v[i] <= bound for v in values):
+            return True
+    return False
+
+
+def common_face_past_forms(geo1: SimplexGeometry, geo2: SimplexGeometry,
+                           shared1: Sequence[int], shared2: Sequence[int],
+                           faces: dict | None = None) -> bool:
+    """``common_face`` for a pair that no barycentric form separates: the
+    plane of ``_shared_face_plane``, then that of ``_hull_normal_plane``,
+    which is 0 on all of the first simplex, and only when neither
+    separates the exact LP ``intersection_excess``, the one way to answer
+    False.  ``faces`` is passed on to ``_shared_face_plane``.
+    """
+    near = [p for i, p in enumerate(geo1.integral.points) if i not in shared1]
+    far = [p for j, p in enumerate(geo2.integral.points) if j not in shared2]
+    row = _shared_face_plane(geo1, geo2, shared1, faces)
     if row is not None and _separates(row, near, far):
         return True
     row = _hull_normal_plane(geo1, geo2, shared2)
@@ -246,6 +279,11 @@ def common_face(geo1: SimplexGeometry, geo2: SimplexGeometry,
         return True
     excess = intersection_excess(geo1.vertices, geo2.vertices, shared1, shared2)
     return excess is None or excess == 0
+
+
+def form_values(rows: Sequence[tuple[int, ...]], point: Sequence[int]) -> list[int]:
+    """The dot products of integer form rows with one integer point row."""
+    return [sum(map(mul, row, point)) for row in rows]
 
 
 def _separates(row: tuple[int, ...], near: Sequence[tuple[int, ...]],
@@ -271,8 +309,8 @@ def _plane_row(normal: Sequence[int], anchor: Sequence[int]) -> tuple[int, ...]:
     return (-sum(map(mul, normal, p)), *(q * c for c in normal))
 
 
-def _shared_face_plane(geo1: SimplexGeometry, geo2: SimplexGeometry,
-                       shared1: Sequence[int]) -> tuple[int, ...] | None:
+def _shared_face_plane(geo1: SimplexGeometry, geo2: SimplexGeometry, shared1: Sequence[int],
+                       faces: dict | None = None) -> tuple[int, ...] | None:
     """The plane through the shared face whose normal is the difference of
     the two centroids with its component along the face removed; with no
     shared vertex, the plane through the midpoint of the centroids normal
@@ -284,12 +322,19 @@ def _shared_face_plane(geo1: SimplexGeometry, geo2: SimplexGeometry,
     triangles meeting at a vertex with collinear edges through it.  With
     the centroids c_k written as (q_k, A_k), the normal is q_2 a_1 - q_1 a_2,
     where a_k = A_k, or the face's ``offset`` at c_k, a positive multiple
-    s q_k (c_k - pi(c_k)) of c_k minus its projection onto the face.
+    s q_k (c_k - pi(c_k)) of c_k minus its projection onto the face.  The
+    face's geometry is looked up in, and added to, ``faces`` when given,
+    keyed by its vertices, so a caller that checks many pairs solves each
+    shared face once.
     """
     points1 = geo1.integral.points
     h1, h2 = _centroid(points1), _centroid(geo2.integral.points)
     if len(shared1) > 1:
-        face = SimplexGeometry([geo1.vertices[i] for i in shared1])
+        faces = {} if faces is None else faces
+        key = tuple(geo1.vertices[i] for i in shared1)
+        face = faces.get(key)
+        if face is None:
+            face = faces[key] = SimplexGeometry(key)
         a1, a2 = face.offset(h1), face.offset(h2)
     else:
         a1, a2 = h1[1:], h2[1:]

@@ -7,6 +7,10 @@ vertex-id tuple).
 
 Within one load of a function, equal coefficient lists share one form and
 equal pieces one ``RatioForm``: each distinct list is parsed once.
+
+Each loader reads exactly the keys its writer writes (a piece's ``den``
+may be left out); any other key, or ``num`` beside ``num_factors``, is a
+``ParseError`` naming the object and the key.
 """
 
 from __future__ import annotations
@@ -38,6 +42,26 @@ def _json_list(value, name: str) -> list:
     return value
 
 
+def _read_keys(value, allowed: frozenset, name: str) -> None:
+    """ParseError unless value is a JSON object whose keys all lie in
+    ``allowed``, the keys that the matching ``*_to_dict`` writes, naming
+    the object and the first other key.  A value of another type is named
+    by its type only: it may be a whole file."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be a JSON object, got {type(value).__name__}")
+    if not value.keys() <= allowed:
+        key = min(map(str, value.keys() - allowed))
+        raise ParseError(f"{name} has the key {key!r}, which is not read; "
+                         f"the keys read are {', '.join(sorted(allowed))}")
+
+
+_COMPLEX_KEYS = frozenset({"n", "vertices", "simplices", "in_M"})
+_PIECE_KEYS = frozenset({"simplex", "den", "num"})
+_FACTORS_PIECE_KEYS = frozenset({"simplex", "den", "num_factors"})
+_PIECES_KEYS = frozenset({"pieces"})
+_PATH_PIECE_KEYS = frozenset({"t_end", "c", "v"})
+
+
 def complex_to_dict(k: Complex, marked: PLSet | None = None) -> dict:
     data = {
         "n": k.n,
@@ -55,6 +79,7 @@ def _is_index(i, count: int) -> bool:
 
 
 def complex_from_dict(data: dict, validate: bool = True) -> tuple[Complex, PLSet | None]:
+    _read_keys(data, _COMPLEX_KEYS, "complex data")
     try:
         vertices = [tuple(_rat_in(c) for c in _json_list(v, f"vertex {i}"))
                     for i, v in enumerate(_json_list(data["vertices"], "vertices"))]
@@ -144,16 +169,23 @@ def function_from_dict(data: dict, domain: PLSet,
             forms[key] = _affine_from_list(coeffs, n, name)
         return forms[key]
 
+    _read_keys(data, _PIECES_KEYS, "function data")
     try:
         for entry in _json_list(data["pieces"], "pieces"):
             sid = entry["simplex"]
             if not _is_index(sid, count):
                 raise ParseError(f"piece simplex {json.dumps(sid, default=str)} must be "
                                  f"a simplex id, an int in [0, {count})")
+            # the keys read are simplex, num or num_factors, and den if given;
+            # counting them is cheaper than a subset test, and _read_keys
+            # names the other key
+            factored = "num_factors" in entry
+            if len(entry) != 2 + ("den" in entry) or not (factored or "num" in entry):
+                _read_keys(entry, _FACTORS_PIECE_KEYS if factored else _PIECE_KEYS, f"piece {sid}")
             if sid in pieces:
                 raise ParseError(f"piece simplex {sid} is given twice")
             den = form(entry.get("den", [1] + [0] * n), f"piece {sid} den")
-            if "num_factors" in entry:
+            if factored:
                 factors = [form(c, f"piece {sid} num_factors")
                            for c in _json_list(entry["num_factors"], f"piece {sid} num_factors")]
             else:
@@ -195,15 +227,14 @@ def path_to_dict(alpha: PathGerm) -> dict:
 
 
 def path_from_dict(data: dict) -> PathGerm:
+    _read_keys(data, _PIECES_KEYS, "path data")
     try:
-        pieces = [
-            (
-                _rat_in(p["t_end"]),
-                [_rat_in(x) for x in _json_list(p["c"], f"path piece {i} c")],
-                [_rat_in(x) for x in _json_list(p["v"], f"path piece {i} v")],
-            )
-            for i, p in enumerate(_json_list(data["pieces"], "path pieces"))
-        ]
+        pieces = []
+        for i, p in enumerate(_json_list(data["pieces"], "path pieces")):
+            _read_keys(p, _PATH_PIECE_KEYS, f"path piece {i}")
+            pieces.append((_rat_in(p["t_end"]),
+                           [_rat_in(x) for x in _json_list(p["c"], f"path piece {i} c")],
+                           [_rat_in(x) for x in _json_list(p["v"], f"path piece {i} v")]))
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed path data: {e}") from None
     try:

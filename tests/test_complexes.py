@@ -4,8 +4,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from complex_generators import (flat_grid_tops, grid_tops, perturbed_complex, polyline_tops,
-                                wedge_stack_tops)
+from complex_generators import (flat_grid_tops, grid_tops, kuhn_cube_tops, perturbed_complex,
+                                polyline_tops, wedge_stack_tops)
 from hypothesis_or_skip import assume, example, given, settings, st
 
 from saet import complexes, geometry
@@ -294,9 +294,10 @@ def test_broad_phase_lp_count(monkeypatch):
     # and a separating plane certifies every one of them without an LP
     verts, tops = grid_tops(12)
     calls, lps = [], []
-    original = complexes.common_face
-    monkeypatch.setattr(complexes, "common_face", lambda g1, g2, s1, s2: (
-        calls.append((list(g1.vertices), list(g2.vertices))) or original(g1, g2, s1, s2)))
+    original = complexes._GlueCheck.glued
+    monkeypatch.setattr(complexes._GlueCheck, "glued", lambda check, ta, tb: (
+        calls.append(([verts[v] for v in check.ids[ta]], [verts[v] for v in check.ids[tb]]))
+        or original(check, ta, tb)))
     monkeypatch.setattr(geometry, "intersection_excess", lambda *args: lps.append(args))
     build_complex(verts, tops)
     coords = [[verts[v] for v in Simplex(t).vertex_ids] for t in tops]
@@ -310,6 +311,119 @@ def test_broad_phase_lp_count(monkeypatch):
     assert calls == meeting
     assert len(calls) == 2168
     assert lps == []
+
+
+def common_face_first_bad_glue(verts, tops):
+    """The BadGlue message of the first pair, in the order of
+    combinations(tops, 2), whose closed boxes meet (tested over Fractions)
+    and that ``common_face`` rejects; None if there is none."""
+    simplices = [Simplex(t) for t in tops]
+    coords = [[verts[v] for v in s.vertex_ids] for s in simplices]
+    geos = [SimplexGeometry(c) for c in coords]
+    boxes = [[(min(axis), max(axis)) for axis in zip(*c)] for c in coords]
+    for i, j in combinations(range(len(tops)), 2):
+        if not all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(boxes[i], boxes[j])):
+            continue
+        a, b = simplices[i].vertex_ids, simplices[j].vertex_ids
+        if not common_face(geos[i], geos[j], [k for k, v in enumerate(a) if v in b],
+                           [k for k, v in enumerate(b) if v in a]):
+            return f"{simplices[i]} and {simplices[j]} meet outside their common face"
+    return None
+
+
+def test_glue_table_matches_common_face_on_perturbed_inputs():
+    # seeds 0-399 of the perturbed grids and wedge stacks: the table-driven
+    # build accepts and rejects as common_face on every box-meeting pair
+    # does, and its first BadGlue names the same pair
+    outcomes = {"accepted": 0, "rejected": 0}
+    for seed in range(400):
+        verts, tops = perturbed_complex(seed)
+        try:
+            build_complex(verts, tops, validate=False)
+        except (DegenerateSimplex, ValueError):
+            continue
+        message = common_face_first_bad_glue(verts, tops)
+        if message is None:
+            build_complex(verts, tops)
+            outcomes["accepted"] += 1
+            continue
+        with pytest.raises(BadGlue) as exc:
+            build_complex(verts, tops)
+        assert str(exc.value) == message, seed
+        outcomes["rejected"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def glue_verdicts(k: complexes.Complex) -> tuple[list[bool], list[bool]]:
+    """The verdict of ``_GlueCheck.glued`` and of ``common_face`` on every
+    box-meeting pair of the tops of k, in combinations order."""
+    tops = [k.simplices[t] for t in k.top_ids]
+    geos = [k.geometry(t) for t in k.top_ids]
+    rows = k.vertex_rows
+    boxes = [BoxNumerators.of_points([rows[v] for v in t.vertex_ids]) for t in tops]
+    check = complexes._GlueCheck(tops, geos, rows)
+    table, direct = [], []
+    for i, j in complexes._meeting_box_pairs(boxes):
+        a, b = tops[i].vertex_ids, tops[j].vertex_ids
+        table.append(check.glued(i, j))
+        direct.append(common_face(geos[i], geos[j], [m for m, v in enumerate(a) if v in b],
+                                  [m for m, v in enumerate(b) if v in a]))
+    return table, direct
+
+
+def test_glue_table_matches_common_face_per_pair():
+    # every box-meeting pair of the 80 generated inputs of the carving pin,
+    # of the Kuhn 2 x 2 x 2 cube and of the perturbed seeds 0-99, rejected
+    # pairs included: one verdict per pair, whichever route decides it.
+    # The rows here are each vertex's own, not the build's common ones
+    from test_carve import _generated_marked_sets
+
+    complexes_ = [s.complex for _, _, s in _generated_marked_sets()]
+    complexes_.append(build_complex(*kuhn_cube_tops(2), validate=False))
+    for seed in range(100):
+        try:
+            complexes_.append(build_complex(*perturbed_complex(seed), validate=False))
+        except (DegenerateSimplex, ValueError):
+            pass
+    pairs = rejected = 0
+    for k in complexes_:
+        table, direct = glue_verdicts(k)
+        assert table == direct
+        pairs += len(table)
+        rejected += table.count(False)
+    assert pairs > 15000 and rejected > 0
+
+
+def test_glue_table_fills_each_entry_once(monkeypatch):
+    # on the 8 x 8 grid each (top, vertex) entry of the form-value table is
+    # computed at most once, and never at one of the top's own vertices
+    verts, tops = grid_tops(8)
+    filled = []
+    original = complexes._GlueCheck.fill
+    monkeypatch.setattr(complexes._GlueCheck, "fill", lambda check, top, vertex: (
+        filled.append((top, vertex)) or original(check, top, vertex)))
+    build_complex(verts, tops)
+    assert filled and len(set(filled)) == len(filled)
+    assert all(v not in Simplex(tops[t]).vertex_ids for t, v in filled)
+
+
+def test_sweep_runs_on_the_widest_axis(monkeypatch):
+    # box tests of the glue sweep: a slab of wedge prisms is swept along the
+    # stack, so it tests only the pairs that meet; the square grid and the
+    # Kuhn cube tie on every axis and keep axis 0
+    tests = []
+    original = BoxNumerators.separating_axis
+    monkeypatch.setattr(BoxNumerators, "separating_axis", lambda a, b: (
+        tests.append(None) or original(a, b)))
+    for (verts, tops), counted, meeting in (
+            (wedge_stack_tops(16), 183, 183), (wedge_stack_tops(64), 759, 759),
+            (grid_tops(8), 2752, 904), (kuhn_cube_tops(4), 45888, 17808)):
+        rows = build_complex(verts, tops, validate=False).vertex_rows
+        boxes = [BoxNumerators.of_points([rows[v] for v in Simplex(t).vertex_ids])
+                 for t in tops]
+        tests.clear()
+        assert len(complexes._meeting_box_pairs(boxes)) == meeting
+        assert len(tests) == counted
 
 
 def test_full_suite_glues_without_lp(monkeypatch):

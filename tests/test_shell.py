@@ -101,6 +101,27 @@ def test_path_rejects_strings_and_objects_for_lists(tmp_path, capsys, piece):
     assert err.startswith("error: ") and "must be a JSON list" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"pieces": [{"t_end": 1, "c": [0, 0], "v": [0, 1], "w": [1, 0]}]},
+                 "path piece 0 has the key 'w'", id="unknown-piece-key"),
+    pytest.param({"pieces": [{"t_end": 1, "c": [0, 0], "v": [0, 1]}], "piece": []},
+                 "path data has the key 'piece'", id="unknown-key"),
+    pytest.param({"pieces": [[1, [0, 0], [0, 1]]]}, "path piece 0 must be a JSON object",
+                 id="list-piece"),
+])
+def test_path_rejects_keys_it_does_not_read(tmp_path, capsys, data, message):
+    with pytest.raises(ParseError, match=message):
+        path_from_dict(data)
+    k, m, function = _fix_b_x_function()
+    save_complex(str(tmp_path / "fixb.json"), k, m)
+    (tmp_path / "f.json").write_text(json.dumps(function))
+    (tmp_path / "path.json").write_text(json.dumps(data))
+    assert main(["eval", str(tmp_path / "fixb.json"), str(tmp_path / "f.json"),
+                 "--path", str(tmp_path / "path.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_path_roundtrip():
     alpha = PathGerm(
         [(F(1, 2), (0, 0), (1, F(1, 2))), (1, (F(1, 4), F(1, 8)), (F(1, 2), F(1, 4)))]
@@ -415,6 +436,11 @@ _TRIANGLE = [[0, 0], [1, 0], [0, 1]]
     pytest.param({"vertices": {"00": 0, "10": 1, "01": 2}, "simplices": [[0, 1, 2]]},
                  id="object-vertices"),
     pytest.param({"vertices": _TRIANGLE, "simplices": "012"}, id="string-simplices"),
+    # keys the loader does not read
+    pytest.param({"vertices": _TRIANGLE, "simplices": [[0, 1, 2]], "in_m": [0]},
+                 id="unknown-key"),
+    pytest.param({"vertices": _TRIANGLE, "simplex": [[0, 1, 2]], "simplices": [[0, 1, 2]]},
+                 id="misspelt-key"),
 ])
 def test_cli_rejects_malformed_complex(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -424,6 +450,16 @@ def test_cli_rejects_malformed_complex(tmp_path, capsys, data):
     assert main(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_names_a_non_object_file_by_its_type(tmp_path, capsys):
+    # a file that holds a list, not an object, is refused on one short line,
+    # without echoing the file
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(_TRIANGLE * 10000))
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: complex data must be a JSON object, got list\n"
 
 
 def test_cli_carve_probe_cut_grid(tmp_path, capsys):
@@ -493,6 +529,11 @@ def _den_after_int_den(den):
     return edit
 
 
+def _num_and_factors(data, k):
+    entry = data["pieces"][0]
+    entry["num_factors"], entry["num"] = [entry["num"]], [5, 0, 0]
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(_set_piece("simplex", 0.9), id="float-simplex"),
     pytest.param(_set_piece("simplex", "x"), id="string-simplex"),
@@ -511,6 +552,12 @@ def _den_after_int_den(den):
     pytest.param(_duplicate_piece, id="duplicate-piece"),
     pytest.param(_den_after_int_den([1.0, 0, 0]), id="float-coefficient"),
     pytest.param(_den_after_int_den([True, 0, 0]), id="bool-coefficient"),
+    # keys the loader does not read: num beside num_factors was dropped and
+    # typo_den ignored, so each of these loaded as the piece x
+    pytest.param(_num_and_factors, id="num-and-num-factors"),
+    pytest.param(_set_piece("typo_den", [7, 0, 0]), id="unknown-piece-key"),
+    pytest.param(lambda data, k: data.update(piece=[]), id="unknown-key"),
+    pytest.param(lambda data, k: data["pieces"].append([0, [0, 1, 0]]), id="list-piece"),
 ])
 def test_cli_rejects_malformed_function(tmp_path, capsys, edit):
     k, m, data = _fix_b_x_function()
