@@ -12,7 +12,6 @@ from .carve import (
     DeformCoeffs,
     DeformationMap,
     appropriate_embed,
-    carve_base_vertices,
     carve_level,
     deformation_coeffs,
     probe_germ,
@@ -36,7 +35,6 @@ from .extend import (
     LimitResult,
     PLFFunction,
     RatioForm,
-    dim2_extension,
     face_limit,
     graph_closure_oracle,
     weak_extension,

@@ -633,36 +633,32 @@ def _carve_units(
     return units
 
 
-def _level(s: PLSet, prev_units: Sequence[CarveUnit], units: list[CarveUnit]):
-    """The set carved by the previous and the level's units, with the level's push and pull."""
-    return (CarvedSet(s, list(prev_units) + units),
-            DeformationMap(PUSH, [units], s), DeformationMap(PULL, [units], s))
-
-
-def carve_level(
-    s: PLSet, eta_top: Sequence,
-    prev_units: Sequence[CarveUnit] = (), prev_ids: Sequence[int] = (),
-) -> tuple[CarvedSet, DeformationMap, DeformationMap]:
+def carve_level(s: PLSet, cells: Sequence) -> tuple[CarvedSet, DeformationMap, DeformationMap]:
     """Carve certified neighborhoods around obstruction cells of one
-    dimension: tubes around cells of dimension >= 1, radial collars (see
-    ``carve_base_vertices``) around vertices.
+    dimension: tubes around cells of dimension >= 1, radial collars around
+    vertices.
 
-    Returns the carved set (the previous units and this level's, removed at
-    parameter eps/2) together with the level's glued push map (onto the
-    carved set) and pull map (from the closure of the carved set onto the
-    closure of the input).
+    A collar removes the closed ball of radius r/2 around its vertex; the
+    radial maps rescale [0, r] onto [r/2, r] (push) and back (pull), fixing
+    the r-sphere.  Radii are certified so each ball sits inside the open
+    star of its vertex and peer balls are disjoint; ``appropriate_embed``
+    also certifies that the tubes carved before a collar look conical from
+    its vertex, so the radial maps preserve them.
+
+    Returns the carved set (the level's units, removed at parameter eps/2)
+    together with the level's glued push map (onto the carved set) and pull
+    map (from the closure of the carved set onto the closure of the input).
     """
     k = s.complex
-    ids = [k.id_of(t) for t in eta_top]
+    ids = [k.id_of(t) for t in cells]
     if len({k.dim_of(t) for t in ids}) > 1:
         raise PreconditionViolated("carve_level expects cells of equal dimension")
-    if ids and k.dim_of(ids[0]) == 0:
-        return carve_base_vertices(s, ids, prev_units=prev_units, prev_ids=prev_ids)
     obstruction = eta(s).members
     for t in ids:
         if t not in obstruction:
             raise PreconditionViolated(f"simplex {t} is not an obstruction cell")
-    return _level(s, prev_units, _carve_units(k, ids, prev_units, prev_ids, {}))
+    units = _carve_units(k, ids, (), (), {})
+    return CarvedSet(s, units), DeformationMap(PUSH, [units], s), DeformationMap(PULL, [units], s)
 
 
 class _Collar:
@@ -753,29 +749,6 @@ class _ConeCompatibility:
                  "lhs": rat_str(4 * r_sq), "rhs": rat_str(self.d_sq)}] + [
             {"kind": "facet_domination", "tube": self.pid, "ok": ok}
             for ok in self._dominated(r_sq)]
-
-
-def carve_base_vertices(
-    s: PLSet, eta0: Sequence,
-    prev_units: Sequence[CarveUnit] = (), prev_ids: Sequence[int] = (),
-) -> tuple[CarvedSet, DeformationMap, DeformationMap]:
-    """Base case: radial collars around isolated obstruction vertices.
-
-    Removes the closed ball of radius r/2 around each vertex; the radial
-    maps rescale [0, r] onto [r/2, r] (push) and back (pull), fixing the
-    r-sphere.  Radii are certified so each ball sits inside the open star
-    of its vertex, peer balls are disjoint, and previously carved tubes
-    look conical from the vertex (so the radial maps preserve them).
-    """
-    k = s.complex
-    vids = [k.id_of(t) for t in eta0]
-    obstruction = eta(s).members
-    for v in vids:
-        if k.dim_of(v) != 0:
-            raise PreconditionViolated(f"simplex {v} is not a vertex")
-        if v not in obstruction:
-            raise PreconditionViolated(f"vertex {v} is not an obstruction cell")
-    return _level(s, prev_units, _carve_units(k, vids, prev_units, prev_ids, {}))
 
 
 @dataclass

@@ -112,6 +112,12 @@ class _GlueCheck:
                                       [k for k, v in enumerate(b) if v in in_a], self.faces)
 
 
+def _faces(vertex_ids: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The vertex ids of every face of a simplex, itself included: by size,
+    then in ``combinations`` order."""
+    return [f for size in range(1, len(vertex_ids) + 1) for f in combinations(vertex_ids, size)]
+
+
 class Simplex:
     """A simplex identified by its sorted tuple of vertex ids."""
 
@@ -126,12 +132,6 @@ class Simplex:
     @property
     def dim(self) -> int:
         return len(self.vertex_ids) - 1
-
-    def faces(self) -> list["Simplex"]:
-        out = []
-        for size in range(1, len(self.vertex_ids) + 1):
-            out.extend(Simplex(c) for c in combinations(self.vertex_ids, size))
-        return out
 
     def is_face_of(self, other: "Simplex") -> bool:
         return set(self.vertex_ids) <= set(other.vertex_ids)
@@ -162,7 +162,7 @@ class Complex:
         self._grid: _BucketGrid | None = None  # built by the first locate
         # faces[j] = ids of the faces of simplex j, itself included;
         # cofaces[i] = ids of the simplices having simplex i as such a face
-        self.faces = tuple(tuple(self.index[f.vertex_ids] for f in s.faces())
+        self.faces = tuple(tuple(self.index[f] for f in _faces(s.vertex_ids))
                            for s in self.simplices)
         cofaces = [[] for _ in self.simplices]
         for j, ids in enumerate(self.faces):
@@ -471,8 +471,7 @@ def build_complex(vertices: Sequence, top_simplices: Sequence[Sequence[int]],
 
     closure: set[tuple[int, ...]] = set()
     for t in tops:
-        for f in t.faces():
-            closure.add(f.vertex_ids)
+        closure.update(_faces(t.vertex_ids))
     ordered = sorted(closure, key=lambda ids: (len(ids), ids))
     simplices = [Simplex(ids) for ids in ordered]
     keys = {ids: i for i, ids in enumerate(ordered)}

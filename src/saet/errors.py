@@ -65,14 +65,6 @@ class GermNotInTau(SaetError):
     pass
 
 
-class HypothesisViolated(SaetError):
-    pass
-
-
-class ConflictFound(SaetError):
-    """A conflict appeared where the two-dimensional extension forbids one."""
-
-
 class Unbounded(SaetError):
     pass
 

@@ -35,8 +35,7 @@ from operator import mul
 from typing import Sequence
 
 from .complexes import Complex, PLSet, closure, germ_connected, local_dim
-from .errors import ConflictFound, HypothesisViolated, NotAFace, Unbounded
-from .geometry import SimplexGeometry
+from .errors import NotAFace, Unbounded
 from .rationals import AffineForm, Vec, homogeneous, vec
 
 VALUE = "Value"
@@ -538,27 +537,6 @@ def weak_extension(f: PLFFunction) -> ExtensionReport:
     )
 
 
-def dim2_extension(f: PLFFunction) -> ExtensionReport:
-    """Continuous extension for two-dimensional connected-germ sets.
-
-    Checks the hypotheses exactly and then requires an empty conflict set;
-    a conflict here would contradict the two-dimensional extension theorem
-    and is surfaced as a hard error.
-    """
-    if f.domain.dim() != 2:
-        raise HypothesisViolated(f"domain has dimension {f.domain.dim()}, not 2")
-    report = weak_extension(f)
-    if not report.hypothesis_ok:
-        raise HypothesisViolated(
-            f"germ disconnected at simplices {report.hypothesis_violations}"
-        )
-    if report.y_set.members or report.conflicts:
-        raise ConflictFound(
-            f"conflict set {sorted(report.y_set.members)} should be empty in dimension 2"
-        )
-    return report
-
-
 class GraphClosureOracle:
     """Fibers of the closed graph complex of a piecewise-linear function.
 
@@ -569,30 +547,15 @@ class GraphClosureOracle:
     """
 
     def __init__(self, f: PLFFunction):
-        for sid, piece in f.pieces.items():
-            if not piece.is_pl():
-                raise Unbounded(
-                    "graph-closure oracle requires piecewise-linear pieces"
-                )
+        if not all(piece.is_pl() for piece in f.pieces.values()):
+            raise Unbounded("graph-closure oracle requires piecewise-linear pieces")
         self.f = f
         self.k = f.complex
-        self._geos = {
-            sid: SimplexGeometry(self.k.coords(sid)) for sid in f.domain.members
-        }
-        # exact boundedness certificate: vertex values over all pieces
-        self.bound = max(
-            abs(piece(v))
-            for sid, piece in f.pieces.items()
-            for v in self.k.coords(sid)
-        ) if f.pieces else Fraction(0)
 
     def fiber_at(self, q: Vec) -> tuple[Fraction, ...]:
         q = vec(q)
-        vals = set()
-        for sid, geo in self._geos.items():
-            if geo.contains(q):
-                vals.add(self.f.pieces[sid](q))
-        return tuple(sorted(vals))
+        return tuple(sorted({self.f.pieces[sid](q) for sid in self.f.domain.members
+                             if self.k.geometry(sid).contains(q)}))
 
     def fiber_forms(self, beta) -> list[RatioForm]:
         """Deduplicated value forms over a face of the closed graph."""

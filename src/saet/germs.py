@@ -336,9 +336,11 @@ def eventual_simplex(alpha: PathGerm, k: Complex) -> int | None:
     hull exactly when both points lie in it, and each barycentric
     coordinate is affine in t, so it is eventually positive exactly when it
     is positive at c, or zero at c and positive at c + v, and identically 0
-    when it is 0 at both (``_star_cell``).
+    when it is 0 at both (``_star_cell``).  A constant germ (v = 0) gives
+    two equal points, so only c is read.
     """
-    return _star_cell(k, alpha.rows)
+    rows = alpha.rows
+    return _star_cell(k, rows[:1] if rows[0] == rows[1] else rows)
 
 
 def is_in_extension(alpha: PathGerm, s: PLSet) -> bool:

@@ -36,9 +36,10 @@ def _rat_in(x) -> Fraction:
 
 def _json_list(value, name: str) -> list:
     """value, which must be a JSON list (a string would be read by its
-    characters, an object by its keys); ParseError naming the field."""
+    characters, an object by its keys); ParseError naming the field and,
+    since the value may be large, only its type."""
     if not isinstance(value, list):
-        raise ParseError(f"{name} must be a JSON list, got {json.dumps(value, default=str)}")
+        raise ParseError(f"{name} must be a JSON list, got {type(value).__name__}")
     return value
 
 

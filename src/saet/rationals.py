@@ -235,9 +235,6 @@ class AffineForm:
     def is_constant(self) -> bool:
         return all(x == 0 for x in self.c)
 
-    def gradient(self) -> Vec:
-        return self.c
-
     def __repr__(self):
         terms = [rat_str(self.c0)]
         terms += [f"{rat_str(ci)}*x{i}" for i, ci in enumerate(self.c) if ci != 0]

@@ -9,7 +9,6 @@ from complex_generators import grid_tops, kuhn_cube_tops, wedge_stack_tops
 from saet.carve import (
     CarvedSet,
     appropriate_embed,
-    carve_base_vertices,
     carve_level,
     deformation_coeffs,
     probe_germ,
@@ -174,7 +173,7 @@ def test_carve_trivial_when_eta_empty(square, fix_b):
 def test_carve_base_vertices_punctured(square):
     s = punctured_square(square)
     assert eta(s).members == {square.id_of((0,))}
-    carved, push, pull = carve_base_vertices(s, [square.id_of((0,))])
+    carved, push, pull = carve_level(s, [square.id_of((0,))])
     unit = carved.units[0]
     r_sq = unit.outer.radius_sq
     assert not carved.member((0, 0))
@@ -200,7 +199,7 @@ def test_carve_base_vertices_punctured(square):
 
 def test_push_rejects_center(square):
     s = punctured_square(square)
-    _, push, pull = carve_base_vertices(s, [square.id_of((0,))])
+    _, push, pull = carve_level(s, [square.id_of((0,))])
     with pytest.raises(OutOfDomain):
         push.evaluate((0, 0))
 
@@ -368,15 +367,6 @@ def test_carving_builds_records_only_at_the_accepted_eps(monkeypatch):
     certificates = appropriate_embed(grid_cut(8)).certificates
     assert len(certificates) == 340
     assert len(calls) <= 2 * len(certificates)
-
-
-def test_empty_level_keeps_earlier_units(fix_a, fix_a_embedded):
-    units = fix_a_embedded.carved.units
-    ids = [t for lv in fix_a_embedded.levels for t in lv["cells"]]
-    assert len(units) == 4
-    for carve_cells in (carve_level, carve_base_vertices):
-        carved, _, _ = carve_cells(fix_a, [], prev_units=units, prev_ids=ids)
-        assert carved.units == units
 
 
 def test_cut_grid_certificates_pinned():

@@ -7,7 +7,7 @@ import pytest
 from complex_generators import grid_tops, wedge_stack_tops
 
 from saet.complexes import PLSet, closure
-from saet.errors import ConflictFound, HypothesisViolated, NotAFace, Unbounded
+from saet.errors import NotAFace, Unbounded
 from saet.extend import (
     DIRECTION_DEPENDENT,
     INFINITE,
@@ -15,7 +15,6 @@ from saet.extend import (
     LimitResult,
     PLFFunction,
     RatioForm,
-    dim2_extension,
     face_limit,
     graph_closure_oracle,
     ratio_forms_equal_on,
@@ -187,8 +186,8 @@ def test_dim2_extension_fix_b(square, fix_b):
     f = interpolated_pl_function(
         fix_b, {vid: square.vertices[vid][0] for vid in range(len(square.vertices))}
     )
-    rep = dim2_extension(f)
-    assert not rep.y_set.members
+    rep = weak_extension(f)
+    assert rep.hypothesis_ok and not rep.y_set.members
     # G = x on the whole closure
     for sid in rep.v_set.members:
         assert ratio_forms_equal_on(
@@ -206,8 +205,8 @@ def test_dim2_extension_random_pl(square, fix_b):
             for vid in range(len(square.vertices))
         }
         f = interpolated_pl_function(fix_b, vals)
-        rep = dim2_extension(f)
-        assert not rep.y_set.members
+        rep = weak_extension(f)
+        assert rep.hypothesis_ok and not rep.y_set.members
         # G restricted to members equals f exactly
         for sid in fix_b.members:
             assert ratio_forms_equal_on(
@@ -217,14 +216,7 @@ def test_dim2_extension_random_pl(square, fix_b):
 
 def test_dim2_extension_rejects_step(square, fix_a):
     f = step_function_a(fix_a)
-    with pytest.raises(HypothesisViolated):
-        dim2_extension(f)
-
-
-def test_dim2_extension_rejects_wrong_dim(wedge, fix_c):
-    g = scaled_slope_function_c(fix_c)
-    with pytest.raises(HypothesisViolated):
-        dim2_extension(g)
+    assert not weak_extension(f).hypothesis_ok
 
 
 def test_graph_closure_oracle_fibers(square, fix_a):
@@ -237,6 +229,21 @@ def test_graph_closure_oracle_fibers(square, fix_a):
         p = (F(rng.randint(-64, 64), 64), F(rng.randint(-64, 64), 64))
         if fix_a.contains_point(p):
             assert len(orc.fiber_at(p)) == 1
+
+
+def test_graph_closure_oracle_builds_no_geometry(monkeypatch, square, fix_a):
+    # the oracle reads the complex's cached geometries when asked for a
+    # fiber; building it makes none of its own
+    f = step_function_a(fix_a)
+    built, original = [], SimplexGeometry.__init__
+
+    def counting(geo, *args, **kwargs):
+        built.append(args)
+        original(geo, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexGeometry, "__init__", counting)
+    graph_closure_oracle(f)
+    assert built == []
 
 
 def test_graph_closure_oracle_matches_extension(square, fix_a, fix_b):

@@ -795,7 +795,10 @@ def test_evaluate_reuses_the_carrier_solve(monkeypatch):
     located = 0
     for k, f, germs in differential_cases():
         for alpha in germs:
-            want, n_ref = count(lambda: star_cell_reference(k, alpha.rows))
+            want = star_cell_reference(k, alpha.rows)
+            # a constant germ's two equal points are read once
+            rows = alpha.rows[:1] if alpha.rows[0] == alpha.rows[1] else alpha.rows
+            _, n_ref = count(lambda: star_cell_reference(k, rows))
             found, n_star = count(lambda: eventual_simplex(alpha, k))
             _, n_eval = count(lambda: evaluate(f, alpha))
             assert found == want and n_eval == n_star
@@ -805,6 +808,33 @@ def test_evaluate_reuses_the_carrier_solve(monkeypatch):
                 assert n_star == n_ref - 1
                 located += 1
     assert located > 500
+
+
+def test_constant_germ_reads_each_cell_once(monkeypatch):
+    # a constant germ (v = 0) gives two equal points, so each tested cell
+    # solves its numerators at the limit once, not once per point
+    from saet.complexes import build_complex
+    from saet.geometry import SimplexGeometry
+    from saet.germs import eventual_simplex
+
+    calls, original = [], SimplexGeometry.numerators
+
+    def counting(geo, h):
+        calls.append(id(geo))
+        return original(geo, h)
+
+    monkeypatch.setattr(SimplexGeometry, "numerators", counting)
+    k = build_complex(*grid_tops(4))
+    tested = 0
+    for i in range(9):
+        for j in range(9):
+            c = (F(i, 8), F(j, 8))
+            want = k.locate(c)
+            calls.clear()
+            assert eventual_simplex(PathGerm.linear(c, (0, 0)), k) == want
+            assert len(calls) == len(set(calls)), c
+            tested += len(calls)
+    assert tested > 20
 
 
 def test_germ_value_refuses_floats_and_bools():

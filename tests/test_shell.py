@@ -462,6 +462,15 @@ def test_cli_names_a_non_object_file_by_its_type(tmp_path, capsys):
     assert err == "error: complex data must be a JSON object, got list\n"
 
 
+def test_non_list_field_is_named_by_its_type():
+    # a field that should be a list is refused on a short line, without
+    # echoing its value
+    data = {"vertices": {str(i): [i, 0] for i in range(100000)}, "simplices": [[0, 1]]}
+    with pytest.raises(ParseError, match="must be a JSON list") as info:
+        complex_from_dict(data)
+    assert len(str(info.value)) < 200
+
+
 def test_cli_carve_probe_cut_grid(tmp_path, capsys):
     # the 6x6 grid minus y = 1/2: every probe shell stays clear of the cut
     n = 6

@@ -194,3 +194,32 @@ def test_function_load_keeps_no_module_cache(module):
     # equal forms are shared within one load only: no table outlives it
     path = Path(saet.__file__).parent / f"{module}.py"
     assert module_caches(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private (``_``-prefixed, not dunder) functions, classes and methods,
+    at any depth of any of the modules ``sources`` (name: text), whose name
+    no Name or Attribute node of any of them reads, as "module:line: name"."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {getattr(n, "id", None) or getattr(n, "attr", None)
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    return [f"{name}:{n.lineno}: {n.name}" for name, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and n.name.startswith("_") and not n.name.endswith("__") and n.name not in read]
+
+
+def test_private_definition_checker():
+    a = ("def _used():\n    pass\ndef _dead():\n    pass\nclass _C:\n"
+         "    def _m(self):\n        pass\n    def __init__(self):\n        pass\n")
+    b = "from a import _used\nx = _C()._m\n_used()\n"
+    assert unreferenced_private_definitions({"a": a, "b": b}) == ["a:3: _dead"]
+    assert unreferenced_private_definitions({"a": a}) == ["a:1: _used", "a:3: _dead", "a:5: _C",
+                                                          "a:6: _m"]
+
+
+def test_every_private_definition_is_referenced():
+    # a helper that nothing in the package names is dead code
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in Path(saet.__file__).parent.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
