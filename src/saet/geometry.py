@@ -1,6 +1,6 @@
 """Exact per-simplex geometry: barycentric coordinates and their affine
 forms, orthogonal projection onto the affine hull, squared distances to
-faces, and the common-face test of two simplices.
+the simplex and its boundary, and the common-face test of two simplices.
 
 A ``SimplexGeometry`` builds its barycentric forms over the integers, with
 one fraction-free solve (``barycentric_table``): the vertices are written
@@ -10,9 +10,10 @@ integer row over one common denominator (``SimplexGeometry.integral``).
 Point queries run on the same integers: a query point is written once as
 homogeneous integers (``rationals.homogeneous``), and ``numerators``
 returns the barycentric numerators and the height numerator of the point
-from a few integer dot products.  Every sign and equality test reads those
-integers; Fractions are formed only where a caller needs the values, as in
-``forms``.
+from a few integer dot products; the distances to a simplex and to its
+boundary compare its faces' numerators by cross-multiplication.  Every
+sign, equality and order test reads those integers; Fractions are formed
+only where a caller needs the values, as in ``forms``.
 """
 
 from __future__ import annotations
@@ -189,26 +190,31 @@ class SimplexGeometry:
 
     def dist_sq(self, x: Vec) -> Fraction:
         """Exact squared distance from x to the closed simplex."""
-        best = None
-        for size in range(self.d + 1, 0, -1):
-            for idxs in combinations(range(self.d + 1), size):
-                geo = self.face_geometry(idxs)
-                _, bary, h2 = geo.project(x)
-                if all(b >= 0 for b in bary):
-                    if best is None or h2 < best:
-                        best = h2
-        assert best is not None  # the nearest point lies in some face
-        return best
+        return Fraction(*self._face_dist_sq(homogeneous(x), self.d + 1))
 
     def boundary_dist_sq(self, x: Vec) -> Fraction:
         """Exact squared distance from x to the boundary (union of facets)."""
         assert self.d >= 1, "a point has empty boundary"
-        best = None
-        for idxs in combinations(range(self.d + 1), self.d):
-            h2 = self.face_geometry(idxs).dist_sq(x)
-            if best is None or h2 < best:
-                best = h2
-        return best
+        return Fraction(*self._face_dist_sq(homogeneous(x), self.d))
+
+    def _face_dist_sq(self, h: Sequence[int], top: int) -> tuple[int, int]:
+        """The least squared distance from h = (q, p_1, ..., p_n), x = p / q
+        with q > 0 (not necessarily in lowest terms), to the faces of at most
+        ``top`` vertices, as (H, (D q V)^2) of one face.  A face whose N_i
+        are all >= 0 holds pi(x), at H / (D q V)^2 from x; the face holding
+        the nearest point in its relative interior is one.  Candidates are
+        compared by cross-multiplication."""
+        best_h, best_den = None, 1
+        for size in range(top, 0, -1):
+            for idxs in combinations(range(self.d + 1), size):
+                geo = self.face_geometry(idxs)
+                nums, height = geo.numerators(h)
+                if min(nums) >= 0:
+                    den = (geo.integral.d_scale * h[0] * geo.integral.v_scale) ** 2
+                    if best_h is None or height * best_den < best_h * den:
+                        best_h, best_den = height, den
+        assert best_h is not None  # the nearest point lies in some face
+        return best_h, best_den
 
 
 def common_face(geo1: SimplexGeometry, geo2: SimplexGeometry,

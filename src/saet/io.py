@@ -43,6 +43,13 @@ def _json_list(value, name: str) -> list:
     return value
 
 
+def _echo(value) -> str:
+    """A bad value for a message: a short scalar as JSON, else only its type."""
+    big = isinstance(value, (list, dict)) or isinstance(value, int) and value.bit_length() > 64
+    text = "" if big else json.dumps(value, default=str)
+    return text if 0 < len(text) <= 40 else type(value).__name__
+
+
 def _read_keys(value, allowed: frozenset, name: str) -> None:
     """ParseError unless value is a JSON object whose keys all lie in
     ``allowed``, the keys that the matching ``*_to_dict`` writes, naming
@@ -89,17 +96,17 @@ def complex_from_dict(data: dict, validate: bool = True) -> tuple[Complex, PLSet
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed complex data: {e}") from None
     count = len(vertices)
-    for t in tops:
-        if not t or any(not _is_index(i, count) for i in t):
-            raise ParseError(f"simplex {json.dumps(t, default=str)} must list "
-                             f"vertex ids, ints in [0, {count})")
+    for s, t in enumerate(tops):
+        bad = next((_echo(i) for i in t if not _is_index(i, count)), None) if t else "no id"
+        if bad is not None:
+            raise ParseError(f"simplex {s} must list vertex ids, ints in [0, {count}); got {bad}")
     try:
         k = build_complex(vertices, tops, validate=validate)
     except ValueError as e:  # empty, duplicate or mixed-dimension input
         raise ParseError(f"malformed complex data: {e}") from None
     n = data.get("n", k.n)
     if not isinstance(n, int) or isinstance(n, bool) or n != k.n:
-        raise ParseError(f"declared dimension n = {json.dumps(n)} does not match "
+        raise ParseError(f"declared dimension n = {_echo(n)} does not match "
                          f"the {k.n}-dimensional vertices")
     marked = None
     if "in_M" in data:
@@ -175,7 +182,7 @@ def function_from_dict(data: dict, domain: PLSet,
         for entry in _json_list(data["pieces"], "pieces"):
             sid = entry["simplex"]
             if not _is_index(sid, count):
-                raise ParseError(f"piece simplex {json.dumps(sid, default=str)} must be "
+                raise ParseError(f"piece simplex {_echo(sid)} must be "
                                  f"a simplex id, an int in [0, {count})")
             # the keys read are simplex, num or num_factors, and den if given;
             # counting them is cheaper than a subset test, and _read_keys

@@ -12,19 +12,20 @@ it reads H a_i <= c_i N_i^2, for integers a_i and c_i fixed once per tube.
 
 Two independent evaluation routes are provided on purpose:
 
-* ``membership`` goes through the projection and facet functionals;
+* ``membership`` compares the height with each facet functional;
 * ``hat_lift_membership`` evaluates the hat-simplex predicate
-  0 <= t <= eps* dist(pi(x), boundary) with the boundary distance computed
-  as an exact minimum of squared distances to the facet polytopes.
+  0 <= t <= eps* dist(pi(x), boundary), the boundary distance being the
+  least squared distance to its faces, each read on its own numerators.
 
-Their agreement on every rational point is the content of the lifting
-lemma for tubes and is tested exhaustively on samples.
+Both share only ``numerators``.  Their agreement on every rational point is
+the content of the lifting lemma for tubes and is tested on samples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from . import metric
@@ -76,9 +77,6 @@ class Tube:
         """The tube at half the width parameter (eps/2, exact)."""
         return Tube(self.vertices, self.eps_sq / 4)
 
-    def project(self, x: Vec):
-        return self.geometry.project(vec(x))
-
     def __repr__(self):
         return f"Tube(dim={self.dim}, eps_sq={self.eps_sq})"
 
@@ -103,17 +101,21 @@ def tube_status(tube: Tube, nums: Sequence[int], height: int) -> str:
 def hat_lift_membership(tube: Tube, x: Vec) -> bool:
     """Closed-tube membership through the hat-simplex predicate.
 
-    Evaluates 0 <= t <= eps* dist(pi(x), boundary(tau)) in squared form,
-    with dist computed by exact projection onto the facet polytopes (not
-    via the facet functionals).  Must agree with membership != Outside
-    on every rational point.
+    Evaluates 0 <= t <= eps* dist(pi(x), boundary(tau)) in squared form on
+    integers, not via the facet functionals: pi(x) is (D q V, sum N_i W_i),
+    t^2 = H / (D q V)^2, and dist^2 = B / b is ``_face_dist_sq`` at pi(x).
+    Must agree with membership != Outside on every rational point.
     """
-    x = vec(x)
-    pi, bary, height_sq = tube.project(x)
-    if any(b < 0 for b in bary):
+    geo, h = tube.geometry, homogeneous(vec(x))
+    nums, height = geo.numerators(h)
+    if min(nums) < 0:
         return False
-    bdist_sq = tube.geometry.boundary_dist_sq(pi)
-    return height_sq <= tube.eps_star_sq * bdist_sq
+    table = geo.integral
+    scale = table.d_scale * h[0] * table.v_scale
+    pi = (scale, *(sum(map(mul, nums, col)) for col in table.columns))
+    bdist, bden = geo._face_dist_sq(pi, tube.dim)
+    e = tube.eps_star_sq
+    return height * bden * e.denominator <= e.numerator * bdist * scale * scale
 
 
 class VertexBall:

@@ -216,8 +216,8 @@ def run_suite(suite: str = "full", corpus: dict | None = None,
         manifest.add("carve_roundtrip", ok and count > 10, f"{count} samples")
         manifest.certificates.extend(res.certificates)
 
+    g = fixtures.scaled_slope_function_c(c) if {"extend", "germs"} & set(groups) else None
     if "extend" in groups:
-        g = fixtures.scaled_slope_function_c(c)
         rep = weak_extension(g)
         kc = c.complex
         zaxis = {
@@ -244,7 +244,6 @@ def run_suite(suite: str = "full", corpus: dict | None = None,
         manifest.add("oracle_equivalence_step", ok)
 
     if "germs" in groups:
-        g = fixtures.scaled_slope_function_c(c)
         val = evaluate(g, PathGerm.linear((0, 0, 1), (2, 1, 0)))
         manifest.add("germ_eval_example", val.pair() == (Fraction(1, 2), Fraction(0)))
         fx = fixtures.interpolated_pl_function(

@@ -7,17 +7,22 @@ by ``homogeneous``.  ``ReferenceGeometry`` gives ``forms``, ``integral``
 and ``norm_sq``; the package must give equal ones on every simplex.
 ``shared_face_plane`` and ``hull_normal_plane`` are the glue planes of
 ``geometry.common_face`` built in Fractions; the package's integer rows
-must be positive multiples of theirs."""
+must be positive multiples of theirs.  ``dist_sq``, ``boundary_dist_sq``
+and ``hat_lift_membership`` are the projection route to the face
+distances and the tube's hat lift: each face projects x to a Fraction
+point, and the hat lift measures the boundary distance from the projected
+point; the package's integer route must give equal answers."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 from saet.errors import DegenerateSimplex
 from saet.geometry import IntegerTable
-from saet.rationals import AffineForm, Vec, dot, homogeneous, invert, vsub
+from saet.rationals import AffineForm, Vec, dot, homogeneous, invert, vec, vsub
 
 
 def gram(vectors: Sequence[Vec]) -> list[list[Fraction]]:
@@ -99,3 +104,37 @@ def hull_normal_plane(geo1, geo2, shared2: Sequence[int]) -> AffineForm | None:
     if not any(normal):
         return None
     return AffineForm(-dot(normal, geo1.vertices[-1]), normal)
+
+
+def dist_sq(geo, x: Vec) -> Fraction:
+    """``SimplexGeometry.dist_sq`` by projection: the least squared height
+    over the faces whose projection of x has no negative coordinate."""
+    best = None
+    for size in range(geo.d + 1, 0, -1):
+        for idxs in combinations(range(geo.d + 1), size):
+            _, bary, h2 = geo.face_geometry(idxs).project(x)
+            if all(b >= 0 for b in bary):
+                if best is None or h2 < best:
+                    best = h2
+    return best
+
+
+def boundary_dist_sq(geo, x: Vec) -> Fraction:
+    """``SimplexGeometry.boundary_dist_sq`` by projection: the least
+    ``dist_sq`` to a facet."""
+    best = None
+    for idxs in combinations(range(geo.d + 1), geo.d):
+        h2 = dist_sq(geo.face_geometry(idxs), x)
+        if best is None or h2 < best:
+            best = h2
+    return best
+
+
+def hat_lift_membership(tube, x: Vec) -> bool:
+    """``tubes.hat_lift_membership`` by projection: x = pi(x) + t u lies in
+    the closed tube when pi(x) lies in the base and
+    t^2 <= eps*^2 dist(pi(x), boundary)^2, all in Fractions."""
+    pi, bary, height_sq = tube.geometry.project(vec(x))
+    if any(b < 0 for b in bary):
+        return False
+    return height_sq <= tube.eps_star_sq * boundary_dist_sq(tube.geometry, pi)

@@ -1,7 +1,8 @@
 """The integer point kernel of ``SimplexGeometry`` against the Fraction
 Gram solve it replaced, on seeded simplices of every (d, n) with
-0 <= d <= n <= 3, and its fraction-free solve and integer glue planes
-against the Fraction Gram-inverse route kept in geometry_reference.py."""
+0 <= d <= n <= 3, and its fraction-free solve, integer glue planes, face
+distances and hat lift against the Fraction routes kept in
+geometry_reference.py."""
 
 import random
 from fractions import Fraction as F
@@ -13,11 +14,14 @@ from complex_generators import grid_tops, perturbed_complex, wedge_stack_tops
 
 from saet.complexes import build_complex
 from saet.errors import DegenerateSimplex
+from saet.fixtures import fix_t
 from saet.geometry import SimplexGeometry, homogeneous
 from saet.germs import PathGerm, eventual_simplex
 from saet.rationals import affinely_independent, dot, norm_sq, solve, vec, vsub
+from saet.tubes import Tube, hat_lift_membership
 
-from geometry_reference import gram
+from geometry_reference import boundary_dist_sq, dist_sq, gram
+from geometry_reference import hat_lift_membership as projected_hat_lift
 
 SHAPES = [(d, n) for n in range(4) for d in range(n + 1)]
 
@@ -330,3 +334,43 @@ def test_glue_planes_are_multiples_of_the_fraction_planes():
             seen["hull"] += hull is not None
             seen["none"] += row is None or hull is None
     assert min(seen.values()) > 0, seen
+
+
+def fix_t_wall_points():
+    """Points on the wall t = dist(pi(x), boundary) / 2 of fix_t, where
+    eps*^2 = 1/4 makes the wall rational, on both sides of the base, and
+    1/64 inside and outside it; pi(x) runs past both ends of the base."""
+    pts = []
+    for i in range(-2, 19):
+        s = F(i, 16)
+        wall = min(s, 1 - s) / 2
+        for t in (wall, wall - F(1, 64), wall + F(1, 64)):
+            pts += [(s, t), (s, -t)]
+    return pts
+
+
+def test_face_distances_and_hat_lift_match_the_projection_route():
+    tube = fix_t()
+    assert tube.eps_star_sq == F(1, 4)
+    for i in range(17):
+        s = F(i, 16)
+        assert hat_lift_membership(tube, (s, min(s, 1 - s) / 2))
+        assert not hat_lift_membership(tube, (s, min(s, 1 - s) / 2 + F(1, 64)))
+    runs = [(tube.geometry, tube, fix_t_wall_points())]
+    for d, n in [(d, n) for n in (2, 3) for d in range(n + 1)]:
+        for seed in range(4):
+            rng = random.Random(2800 + 100 * d + 10 * n + seed)
+            verts = seeded_simplex(rng, d, n)
+            tube = Tube(verts, F(rng.randint(1, 9), rng.randint(10, 24))) if d else None
+            runs.append((SimplexGeometry(verts), tube, query_points(rng, verts, 12)))
+    seen = set()
+    for geo, tube, pts in runs:
+        for x in pts:
+            assert geo.dist_sq(x) == dist_sq(geo, x), (geo.vertices, x)
+            if geo.d:
+                assert geo.boundary_dist_sq(x) == boundary_dist_sq(geo, x), (geo.vertices, x)
+            if tube is not None:
+                inside = hat_lift_membership(tube, x)
+                assert inside == projected_hat_lift(tube, x), (tube.vertices, x)
+                seen.add(inside)
+    assert seen == {False, True}

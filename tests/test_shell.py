@@ -471,6 +471,50 @@ def test_non_list_field_is_named_by_its_type():
     assert len(str(info.value)) < 200
 
 
+def _fix_b_pieces(sid):
+    k, m, data = _fix_b_x_function()
+    data["pieces"][0]["simplex"] = sid
+    return data, m
+
+
+@pytest.mark.parametrize("load, message", [
+    pytest.param(lambda: complex_from_dict(
+        {"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [list(range(100000))]}),
+        "simplex 0 must list vertex ids", id="long-simplex"),
+    pytest.param(lambda: complex_from_dict(
+        {"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1, 2], [[9] * 100000]]}),
+        "simplex 1 must list vertex ids", id="nested-simplex"),
+    pytest.param(lambda: complex_from_dict(
+        {"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1, 2]], "n": [2] * 100000}),
+        "declared dimension n = list", id="list-dimension"),
+    pytest.param(lambda: complex_from_dict(
+        {"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1, 2]], "n": 10 ** 5000}),
+        "declared dimension n = int", id="huge-dimension"),
+    pytest.param(lambda: function_from_dict(*_fix_b_pieces({str(i): i for i in range(100000)})),
+                 "piece simplex dict must be", id="object-piece-simplex"),
+    pytest.param(lambda: function_from_dict(*_fix_b_pieces("x" * 100000)),
+                 "piece simplex str must be", id="long-piece-simplex"),
+])
+def test_bad_ids_are_named_on_a_short_line(load, message):
+    # a bad simplex, piece simplex or dimension is named by its first bad
+    # id or its JSON type, not echoed whole
+    with pytest.raises(ParseError, match=message) as info:
+        load()
+    assert len(str(info.value)) < 200
+
+
+def test_short_bad_ids_are_echoed():
+    data = {"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1, 7, 2]]}
+    with pytest.raises(ParseError, match=r"simplex 0 must .* \[0, 3\); got 7$"):
+        complex_from_dict(data)
+    with pytest.raises(ParseError, match="got no id"):
+        complex_from_dict({"vertices": [[0, 0]], "simplices": [[]]})
+    with pytest.raises(ParseError, match="n = 3 does not"):
+        complex_from_dict({"vertices": [[0, 0], [1, 0]], "simplices": [[0, 1]], "n": 3})
+    with pytest.raises(ParseError, match='piece simplex "a" must'):
+        function_from_dict(*_fix_b_pieces("a"))
+
+
 def test_cli_carve_probe_cut_grid(tmp_path, capsys):
     # the 6x6 grid minus y = 1/2: every probe shell stays clear of the cut
     n = 6

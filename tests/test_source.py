@@ -152,6 +152,15 @@ def test_simplex_solve_and_glue_planes_divide_no_values(name):
     assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
 
 
+@pytest.mark.parametrize("module, name", [("geometry", "SimplexGeometry._face_dist_sq"),
+                                          ("tubes", "hat_lift_membership")])
+def test_hat_lift_and_face_distances_divide_no_values(module, name):
+    # the face distances and the hat lift compare integer numerators by
+    # cross-multiplication; only dist_sq and boundary_dist_sq form a Fraction
+    path = Path(saet.__file__).parent / f"{module}.py"
+    assert divisions_and_fractions(path.read_text(encoding="utf-8"), name) == []
+
+
 @pytest.mark.parametrize("module, name", [
     ("intervals", "BoxNumerators.of_points"), ("intervals", "BoxNumerators.hull"),
     ("intervals", "BoxNumerators.separating_axis"), ("complexes", "_BucketGrid.key"),

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 from saet.fixtures import fix_t
+from saet.geometry import SimplexGeometry
 from saet.tubes import (
     INSIDE_OPEN,
     ON_BOUNDARY,
@@ -11,6 +12,7 @@ from saet.tubes import (
     hat_lift_membership,
     membership,
 )
+from saet.verify import run_suite
 
 
 def test_segment_tube_trichotomy():
@@ -53,6 +55,17 @@ def test_hat_lift_agreement_sampled():
         for _ in range(400):
             x = tuple(F(rng.randint(-40, 40), 16) for _ in range(n))
             assert (membership(tube, x) != OUTSIDE) == hat_lift_membership(tube, x)
+
+
+def test_tube_group_builds_no_fraction_point(monkeypatch):
+    # the hat lift forms pi(x) as an integer point, so the 400 hat lifts of
+    # the tube group build no Fraction point with point_at
+    calls = []
+    point_at = SimplexGeometry.point_at
+    monkeypatch.setattr(SimplexGeometry, "point_at",
+                        lambda self, bary: calls.append(bary) or point_at(self, bary))
+    assert run_suite("tube").ok
+    assert calls == []
 
 
 def test_hat_lift_outside_cylinder():
